@@ -9,7 +9,6 @@ from .datasets import (
     DatasetManifest,
     SynthSpec,
     generate_synthetic,
-    iterate_split,
     load_manifest,
     load_split,
     write_manifest,
@@ -26,6 +25,7 @@ from .errors import (
 from .metrics import (
     EvalResult,
     OverlapMatrix,
+    average_ground_truth,
     evaluate_generic,
     evaluate_script_driven,
     fscore_binary,
@@ -54,7 +54,6 @@ from .training import (
     TrainConfig,
     TrainReport,
     adam_step,
-    average_ground_truth,
     bce_loss,
     mse_loss,
     train_run,

@@ -143,6 +143,16 @@ class Tape:
             self.params[name] = node
         return node
 
+    def release(self) -> None:
+        """Forget every node once the caller is done with the tape.
+
+        Nodes point at their tape and the tape lists its nodes; emptying the
+        lists breaks that cycle, so reference counting frees a finished tape
+        without waiting for the cyclic garbage collector.
+        """
+        self.nodes.clear()
+        self.params.clear()
+
     def backward(self, loss: Node) -> dict[str, np.ndarray]:
         """Run the reverse sweep from a scalar loss node.
 

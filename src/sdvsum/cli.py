@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import RunConfig, parse_config
 from .datasets import generate_synthetic, load_manifest
-from .errors import ConfigError, DataFormatError, NumericError, UsageError
+from .errors import ConfigError, DataFormatError, ManifestError, NumericError, UsageError
 from .metrics import evaluate_generic, evaluate_script_driven, overlap_matrix
 from .model import (
     ModelConfig,
@@ -194,14 +194,23 @@ def _fragments_for(args, n_frames: int) -> list[tuple[int, int]]:
         entries = [v for v in manifest.videos if v.id == args.video]
         if not entries:
             raise UsageError(f"video {args.video!r} is not in the manifest")
-        if entries[0].fragments:
-            return entries[0].fragments
-        return fixed_fragmentation(n_frames, 5)
+        fragments = entries[0].fragments
+        if not fragments:
+            return fixed_fragmentation(n_frames, 5)
+        # load_manifest has checked that the fragments tile the manifest's video
+        if fragments[-1][1] != n_frames:
+            raise ManifestError(
+                f"video {args.video!r}: manifest fragments cover {fragments[-1][1]} frames "
+                f"but --frames has {n_frames}"
+            )
+        return fragments
     if spec.startswith("fixed:"):
         try:
             seg = int(spec.split(":", 1)[1])
         except ValueError:
-            raise UsageError(f"bad fragment spec {spec!r}, expected fixed:<len>") from None
+            seg = 0
+        if seg < 1:
+            raise UsageError(f"bad fragment spec {spec!r}, expected fixed:<len> with len >= 1")
         return fixed_fragmentation(n_frames, seg)
     raise UsageError(f"bad --fragments value {spec!r}")
 

@@ -1,10 +1,11 @@
-"""Dataset manifest, split iteration, and the synthetic topic-planted corpus.
+"""Dataset manifest, cached video loading, and the synthetic topic-planted corpus.
 
 A dataset on disk is a JSON manifest plus SDVE files. The manifest declares
 the embedding dimension and, per video, the split, the frame-embedding file,
 the (labels, script) file pair for every reference summary, an optional
 full-video description embedding, and optional fragment boundaries. All paths
-are relative to the manifest file.
+are relative to the manifest file. Loading turns manifest entries into
+in-memory videos, through a cache that training epochs and evaluations share.
 
 The synthetic generator plants ``K`` unit topic vectors and builds videos
 whose frames are noisy copies of their topic. Each reference summary picks a
@@ -28,6 +29,7 @@ import numpy as np
 from .errors import ConfigError, LabelError, ManifestError
 from .rng import Rng
 from .sdve import read_embedding_header, read_embeddings, write_embeddings
+from .selection import validate_fragments
 
 __all__ = [
     "SPLITS",
@@ -39,8 +41,8 @@ __all__ = [
     "LoadedSummary",
     "LoadedVideo",
     "load_video",
+    "load_videos",
     "load_split",
-    "iterate_split",
     "SynthSpec",
     "generate_synthetic",
 ]
@@ -79,35 +81,70 @@ class DatasetManifest:
         return [v for v in self.videos if v.split == split]
 
 
-def _fragment_check(fragments: list[tuple[int, int]], n_frames: int, vid: str) -> None:
-    """Fragments must be sorted, disjoint, and exactly cover [0, n_frames)."""
-    cursor = 0
-    for start, end in fragments:
-        if start != cursor:
-            raise ManifestError(
-                f"video {vid!r}: fragment ({start}, {end}) leaves a gap or overlap at {cursor}"
-            )
-        if end <= start:
-            raise ManifestError(f"video {vid!r}: empty fragment ({start}, {end})")
-        cursor = end
-    if cursor != n_frames:
-        raise ManifestError(
-            f"video {vid!r}: fragments cover [0, {cursor}) but the video has {n_frames} frames"
-        )
-
-
-def _header_checked(manifest: DatasetManifest, rel: str, vid: str, what: str) -> tuple[int, int]:
+def _rows_checked(manifest: DatasetManifest, rel: str, vid: str, what: str, cols: int) -> int:
+    """Row count of an SDVE file that must exist and have ``cols`` columns."""
     path = manifest.resolve(rel)
     if not path.is_file():
         raise ManifestError(f"video {vid!r}: missing {what} file {rel!r}")
     try:
-        return read_embedding_header(path)
+        rows, got = read_embedding_header(path)
     except Exception as e:
         raise ManifestError(f"video {vid!r}: unreadable {what} file {rel!r}: {e}") from e
+    if got != cols:
+        raise ManifestError(
+            f"video {vid!r}: {what} file {rel!r} has {got} columns, expected {cols}"
+        )
+    return rows
+
+
+def _typed(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise ManifestError(f"{what}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _fragment_pairs(raw, vid: str) -> list[tuple[int, int]]:
+    pairs = []
+    for f in _typed(raw, list, f"video {vid!r}: fragments"):
+        if not (isinstance(f, list) and len(f) == 2 and all(isinstance(x, int) for x in f)):
+            raise ManifestError(f"video {vid!r}: fragment {f!r} is not a [start, end] pair")
+        pairs.append((f[0], f[1]))
+    return pairs
+
+
+def _parse_entry(raw, where) -> VideoEntry:
+    raw = _typed(raw, dict, f"{where}: video entry")
+    vid = raw.get("id")
+    if not isinstance(vid, str) or not vid:
+        raise ManifestError(f"{where}: video without a string id: {raw!r}")
+    split = raw.get("split")
+    if split not in SPLITS:
+        raise ManifestError(f"video {vid!r}: invalid split {split!r}, expected one of {SPLITS}")
+    summaries = raw.get("summaries") or []
+    if not summaries:
+        raise ManifestError(f"video {vid!r}: needs at least one summary entry")
+    files = []
+    for j, s in enumerate(_typed(summaries, list, f"video {vid!r}: summaries")):
+        s = _typed(s, dict, f"video {vid!r}: summary {j}")
+        files.append(SummaryFiles(
+            labels=_typed(s.get("labels"), str, f"video {vid!r}: labels[{j}]"),
+            script=_typed(s.get("script"), str, f"video {vid!r}: script[{j}]"),
+        ))
+    description = raw.get("description")
+    if description is not None:
+        _typed(description, str, f"video {vid!r}: description")
+    return VideoEntry(
+        id=vid,
+        split=split,
+        frames=_typed(raw.get("frames"), str, f"video {vid!r}: frames"),
+        summaries=files,
+        description=description,
+        fragments=_fragment_pairs(raw["fragments"], vid) if raw.get("fragments") else None,
+    )
 
 
 def load_manifest(path) -> DatasetManifest:
-    """Parse and fully validate a manifest: files exist, dimensions agree."""
+    """Parse and fully validate a manifest: types, files exist, dimensions agree."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -121,55 +158,30 @@ def load_manifest(path) -> DatasetManifest:
 
     videos = []
     seen_ids = set()
-    for raw in doc["videos"]:
-        vid = raw.get("id")
-        if not isinstance(vid, str) or not vid:
-            raise ManifestError(f"{path}: video without a string id: {raw!r}")
-        if vid in seen_ids:
-            raise ManifestError(f"duplicate video id {vid!r}")
-        seen_ids.add(vid)
-        split = raw.get("split")
-        if split not in SPLITS:
-            raise ManifestError(f"video {vid!r}: invalid split {split!r}, expected one of {SPLITS}")
-        summaries = raw.get("summaries") or []
-        if not summaries:
-            raise ManifestError(f"video {vid!r}: needs at least one summary entry")
-        entry = VideoEntry(
-            id=vid,
-            split=split,
-            frames=raw["frames"],
-            summaries=[SummaryFiles(labels=s["labels"], script=s["script"]) for s in summaries],
-            description=raw.get("description"),
-            fragments=[tuple(f) for f in raw["fragments"]] if raw.get("fragments") else None,
-        )
+    for raw in _typed(doc["videos"], list, f"{path}: videos"):
+        entry = _parse_entry(raw, path)
+        if entry.id in seen_ids:
+            raise ManifestError(f"duplicate video id {entry.id!r}")
+        seen_ids.add(entry.id)
         videos.append(entry)
 
     manifest = DatasetManifest(dimension=dim, videos=videos, base_dir=path.parent)
     for v in manifest.videos:
-        n_frames, d = _header_checked(manifest, v.frames, v.id, "frame")
-        if d != dim:
-            raise ManifestError(
-                f"video {v.id!r}: frame dimension {d} does not match manifest dimension {dim}"
-            )
+        n_frames = _rows_checked(manifest, v.frames, v.id, "frame", dim)
         for j, s in enumerate(v.summaries):
-            rows, cols = _header_checked(manifest, s.labels, v.id, f"labels[{j}]")
-            if cols != 1 or rows != n_frames:
+            rows = _rows_checked(manifest, s.labels, v.id, f"labels[{j}]", 1)
+            if rows != n_frames:
                 raise ManifestError(
-                    f"video {v.id!r}: labels[{j}] is {rows}x{cols}, expected {n_frames}x1"
+                    f"video {v.id!r}: labels[{j}] has {rows} rows, expected {n_frames}"
                 )
-            _, d = _header_checked(manifest, s.script, v.id, f"script[{j}]")
-            if d != dim:
-                raise ManifestError(
-                    f"video {v.id!r}: script[{j}] dimension {d} does not match manifest dimension {dim}"
-                )
+            _rows_checked(manifest, s.script, v.id, f"script[{j}]", dim)
         if v.description is not None:
-            _, d = _header_checked(manifest, v.description, v.id, "description")
-            if d != dim:
-                raise ManifestError(
-                    f"video {v.id!r}: description dimension {d} does not match manifest dimension {dim}"
-                )
+            _rows_checked(manifest, v.description, v.id, "description", dim)
         if v.fragments is not None:
-            _fragment_check(v.fragments, n_frames, v.id)
+            try:
+                validate_fragments(v.fragments, n_frames)
+            except ValueError as e:
+                raise ManifestError(f"video {v.id!r}: {e}") from e
     return manifest
 
 
@@ -244,11 +256,11 @@ def load_video(manifest: DatasetManifest, entry: VideoEntry) -> LoadedVideo:
     )
 
 
-def load_split(manifest: DatasetManifest, split: str,
-               cache: dict[str, LoadedVideo] | None = None) -> list[LoadedVideo]:
-    """Load every video of a split; an optional cache persists across epochs."""
+def load_videos(manifest: DatasetManifest, entries: list[VideoEntry],
+                cache: dict[str, LoadedVideo] | None = None) -> list[LoadedVideo]:
+    """Load the given videos in order; an optional cache persists across calls."""
     out = []
-    for entry in manifest.split_videos(split):
+    for entry in entries:
         if cache is not None and entry.id in cache:
             out.append(cache[entry.id])
             continue
@@ -259,25 +271,10 @@ def load_split(manifest: DatasetManifest, split: str,
     return out
 
 
-def iterate_split(manifest: DatasetManifest, split: str, rng: Rng | None = None,
-                  shuffle: bool = False, epoch: int = 0,
-                  cache: dict[str, LoadedVideo] | None = None):
-    """Yield every (video id, frames X, script Y, labels) sample of a split once.
-
-    One sample per (video, summary) pair. The shuffled order is a function of
-    the "shuffle" RNG stream and the epoch index alone, so consuming other
-    streams never reorders training data.
-    """
-    videos = load_split(manifest, split, cache)
-    samples = [(v, j) for v in videos for j in range(len(v.summaries))]
-    if shuffle:
-        if rng is None:
-            raise ValueError("shuffle=True needs an Rng")
-        order = rng.stream("shuffle", epoch).permutation(len(samples))
-        samples = [samples[i] for i in order]
-    for video, j in samples:
-        s = video.summaries[j]
-        yield video.id, video.frames, s.script, s.labels
+def load_split(manifest: DatasetManifest, split: str,
+               cache: dict[str, LoadedVideo] | None = None) -> list[LoadedVideo]:
+    """Load every video of a split; an optional cache persists across epochs."""
+    return load_videos(manifest, manifest.split_videos(split), cache)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ Videos where either input is entirely tied have no defined correlation; they
 return None and are excluded from the averages, with the exclusion count
 reported on the result.
 
+One per-video loop serves both modes: the evaluations average its records
+over a split, and the overlap matrix lays out their per-summary F-Scores.
+
 Evaluation is decoupled from the network through a ``score_fn(X, Y) ->
 scores`` callable, so oracle scorers and trained models run the identical
 protocol path.
@@ -24,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import DatasetManifest, LoadedVideo, load_split, load_video
+from .autodiff import ShapeError
+from .datasets import DatasetManifest, LoadedVideo, load_split, load_videos
 from .errors import ManifestError
 from .selection import select_top_fraction
 
@@ -33,6 +37,7 @@ __all__ = [
     "fscore_binary",
     "kendall_tau_b",
     "spearman_rho",
+    "average_ground_truth",
     "EvalRecord",
     "EvalResult",
     "evaluate_script_driven",
@@ -117,6 +122,22 @@ def spearman_rho(a, b) -> float | None:
     return float((rx * ry).sum()) / denom
 
 
+def average_ground_truth(summaries: list[np.ndarray]) -> np.ndarray:
+    """Per-frame mean of binary summaries; order-invariant by exact summation."""
+    if not summaries:
+        raise ValueError("average_ground_truth needs at least one summary")
+    first = np.asarray(summaries[0], dtype=np.float64).reshape(-1)
+    total = np.zeros_like(first)
+    for s in summaries:
+        a = np.asarray(s, dtype=np.float64).reshape(-1)
+        if a.shape != first.shape:
+            raise ShapeError(
+                f"summary length {a.shape[0]} does not match {first.shape[0]}"
+            )
+        total += a
+    return (total / len(summaries)).astype(np.float32)
+
+
 # ---------------------------------------------------------------------------
 # protocol
 
@@ -156,60 +177,68 @@ class EvalResult:
         }, indent=1)
 
 
-def _loaded(manifest: DatasetManifest, split: str, cache) -> list[LoadedVideo]:
+def _score_videos(score_fn, videos: list[LoadedVideo], mode: str,
+                  fraction: float) -> list[EvalRecord]:
+    """The protocol's per-video loop, one record per video. script_driven:
+    summary j comes from script j and is scored against reference j.
+    generic: one description-conditioned summary is scored against every
+    reference, and its scores are rank-correlated with their average."""
+    records = []
+    for v in videos:
+        tau = rho = None
+        if mode == "generic":
+            if v.description is None:
+                raise ManifestError(
+                    f"video {v.id!r}: generic evaluation needs a description embedding"
+                )
+            scores = score_fn(v.frames, v.description)
+            sel = select_top_fraction(scores, fraction)
+            per = [fscore_binary(sel, s.labels) for s in v.summaries]
+            avg = average_ground_truth([s.labels for s in v.summaries])
+            tau = kendall_tau_b(scores, avg)
+            rho = spearman_rho(scores, avg)
+        else:
+            per = []
+            for s in v.summaries:
+                sel = select_top_fraction(score_fn(v.frames, s.script), fraction)
+                per.append(fscore_binary(sel, s.labels))
+        records.append(EvalRecord(video_id=v.id, per_summary=per,
+                                  fscore=float(np.mean(per)), tau=tau, rho=rho))
+    return records
+
+
+def _evaluate(score_fn, manifest: DatasetManifest, split: str, mode: str,
+              fraction: float, cache) -> EvalResult:
     videos = load_split(manifest, split, cache)
     if not videos:
         raise ManifestError(f"split {split!r} is empty")
-    return videos
+    records = _score_videos(score_fn, videos, mode, fraction)
+    taus = [r.tau for r in records if r.tau is not None]
+    rhos = [r.rho for r in records if r.rho is not None]
+    generic = mode == "generic"
+    return EvalResult(
+        split=split, mode=mode,
+        fscore=float(np.mean([r.fscore for r in records])),
+        tau=float(np.mean(taus)) if taus else None,
+        rho=float(np.mean(rhos)) if rhos else None,
+        records=records,
+        degenerate_tau=len(records) - len(taus) if generic else 0,
+        degenerate_rho=len(records) - len(rhos) if generic else 0,
+    )
 
 
 def evaluate_script_driven(score_fn, manifest: DatasetManifest, split: str,
                            fraction: float = TOP_FRACTION,
                            cache=None) -> EvalResult:
     """Per (script, reference) pair: score, select top fraction, F-Score."""
-    records = []
-    for v in _loaded(manifest, split, cache):
-        per = []
-        for s in v.summaries:
-            sel = select_top_fraction(score_fn(v.frames, s.script), fraction)
-            per.append(fscore_binary(sel, s.labels))
-        records.append(EvalRecord(video_id=v.id, per_summary=per,
-                                  fscore=float(np.mean(per))))
-    return EvalResult(split=split, mode="script_driven",
-                      fscore=float(np.mean([r.fscore for r in records])),
-                      tau=None, rho=None, records=records)
+    return _evaluate(score_fn, manifest, split, "script_driven", fraction, cache)
 
 
 def evaluate_generic(score_fn, manifest: DatasetManifest, split: str,
                      fraction: float = TOP_FRACTION, cache=None) -> EvalResult:
     """One description-conditioned prediction per video, scored against every
     reference summary; rank correlations against the averaged references."""
-    from .training import average_ground_truth
-
-    records = []
-    n_deg_tau = n_deg_rho = 0
-    for v in _loaded(manifest, split, cache):
-        if v.description is None:
-            raise ManifestError(f"video {v.id!r}: generic evaluation needs a description embedding")
-        scores = score_fn(v.frames, v.description)
-        sel = select_top_fraction(scores, fraction)
-        per = [fscore_binary(sel, s.labels) for s in v.summaries]
-        avg = average_ground_truth([s.labels for s in v.summaries])
-        tau = kendall_tau_b(scores, avg)
-        rho = spearman_rho(scores, avg)
-        n_deg_tau += tau is None
-        n_deg_rho += rho is None
-        records.append(EvalRecord(video_id=v.id, per_summary=per,
-                                  fscore=float(np.mean(per)), tau=tau, rho=rho))
-    taus = [r.tau for r in records if r.tau is not None]
-    rhos = [r.rho for r in records if r.rho is not None]
-    return EvalResult(
-        split=split, mode="generic",
-        fscore=float(np.mean([r.fscore for r in records])),
-        tau=float(np.mean(taus)) if taus else None,
-        rho=float(np.mean(rhos)) if rhos else None,
-        records=records, degenerate_tau=n_deg_tau, degenerate_rho=n_deg_rho,
-    )
+    return _evaluate(score_fn, manifest, split, "generic", fraction, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -232,41 +261,18 @@ class OverlapMatrix:
 def overlap_matrix(score_fn, manifest: DatasetManifest, video_ids: list[str],
                    mode: str, fraction: float = TOP_FRACTION,
                    cache=None) -> OverlapMatrix:
-    """Per-video, per-annotator F-Scores.
-
-    script_driven: entry (v, j) compares the summary generated from script j
-    with reference j (per-annotator conditioning). generic: one description-
-    conditioned summary per video compared with every reference.
-    """
+    """Per-video, per-annotator F-Scores: the protocol's ``per_summary`` rows
+    for the given videos, which must all have the same number of summaries."""
     if mode not in ("script_driven", "generic"):
         raise ValueError(f"mode must be script_driven or generic, got {mode!r}")
     by_id = {e.id: e for e in manifest.videos}
-    rows = []
-    n_annotators = None
     for vid in video_ids:
         if vid not in by_id:
             raise ManifestError(f"video {vid!r} is not in the manifest")
-        if cache is not None and vid in cache:
-            v = cache[vid]
-        else:
-            v = load_video(manifest, by_id[vid])
-            if cache is not None:
-                cache[vid] = v
-        if n_annotators is None:
-            n_annotators = len(v.summaries)
-        elif len(v.summaries) != n_annotators:
-            raise ManifestError(
-                f"video {vid!r} has {len(v.summaries)} summaries, expected {n_annotators}"
-            )
-        if mode == "generic":
-            if v.description is None:
-                raise ManifestError(f"video {vid!r}: generic mode needs a description embedding")
-            sel = select_top_fraction(score_fn(v.frames, v.description), fraction)
-            row = [fscore_binary(sel, s.labels) for s in v.summaries]
-        else:
-            row = []
-            for s in v.summaries:
-                sel = select_top_fraction(score_fn(v.frames, s.script), fraction)
-                row.append(fscore_binary(sel, s.labels))
-        rows.append(row)
+    videos = load_videos(manifest, [by_id[vid] for vid in video_ids], cache)
+    for v in videos:
+        if len(v.summaries) != len(videos[0].summaries):
+            raise ManifestError(f"video {v.id!r} has {len(v.summaries)} summaries, "
+                                f"expected {len(videos[0].summaries)}")
+    rows = [r.per_summary for r in _score_videos(score_fn, videos, mode, fraction)]
     return OverlapMatrix(video_ids=list(video_ids), values=np.array(rows, dtype=np.float64))

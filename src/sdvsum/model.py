@@ -345,6 +345,7 @@ def score_frames(x: np.ndarray, y: np.ndarray, weights, config: ModelConfig) -> 
     """Inference-mode scores as a flat (N,) float32 array."""
     tape = Tape()
     f = model_forward(tape, x, y, weights, config, training=False)
+    tape.release()
     return f.value[:, 0].copy()
 
 
@@ -361,6 +362,7 @@ def attention_matrices(x: np.ndarray, y: np.ndarray, weights,
     collected: list[Node] = []
     cross_modal_attention(tape, tape.constant(x), y_rep, weights, config,
                           training=False, collect=collected)
+    tape.release()
     return [a.value.copy() for a in collected]
 
 
@@ -368,19 +370,23 @@ def attention_matrices(x: np.ndarray, y: np.ndarray, weights,
 # persistence
 
 
-def save_checkpoint(weights: dict[str, np.ndarray], config: ModelConfig, path) -> None:
+def _check_tensors(tensors: dict[str, np.ndarray], config: ModelConfig, where: str) -> None:
+    """Names and shapes must match ``tensor_shapes(config)`` exactly."""
     expected = tensor_shapes(config)
+    missing = [name for name in expected if name not in tensors]
+    extra = sorted(set(tensors) - set(expected))
+    if missing or extra:
+        raise TensorNameError(f"{where}: missing tensors {missing}, unexpected {extra}")
     for name, shape in expected.items():
-        if name not in weights:
-            raise TensorNameError(f"cannot save: missing tensor {name!r}")
-        if tuple(weights[name].shape) != shape:
+        if tuple(tensors[name].shape) != shape:
             raise TensorShapeError(
-                f"cannot save: tensor {name!r} has shape {weights[name].shape}, expected {shape}"
+                f"{where}: tensor {name!r} has shape {tensors[name].shape}, expected {shape}"
             )
-    extra = set(weights) - set(expected)
-    if extra:
-        raise TensorNameError(f"cannot save: unexpected tensors {sorted(extra)}")
-    ordered = {name: weights[name] for name in expected}
+
+
+def save_checkpoint(weights: dict[str, np.ndarray], config: ModelConfig, path) -> None:
+    _check_tensors(weights, config, f"cannot save {path}")
+    ordered = {name: weights[name] for name in tensor_shapes(config)}
     sdve.write_checkpoint_file(config.to_dict(), ordered, path)
 
 
@@ -393,17 +399,5 @@ def load_checkpoint(path, expect: ModelConfig | None = None
             f"checkpoint {path} was written with config {config.to_dict()}, "
             f"expected {expect.to_dict()}"
         )
-    expected = tensor_shapes(config)
-    missing = set(expected) - set(tensors)
-    extra = set(tensors) - set(expected)
-    if missing or extra:
-        raise TensorNameError(
-            f"checkpoint {path}: missing tensors {sorted(missing)}, unexpected {sorted(extra)}"
-        )
-    for name, shape in expected.items():
-        if tuple(tensors[name].shape) != shape:
-            raise TensorShapeError(
-                f"checkpoint {path}: tensor {name!r} has shape {tensors[name].shape}, "
-                f"expected {shape}"
-            )
+    _check_tensors(tensors, config, f"checkpoint {path}")
     return tensors, config

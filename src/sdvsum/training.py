@@ -42,7 +42,7 @@ from .autodiff import (
 )
 from .datasets import DatasetManifest, LoadedVideo, load_split
 from .errors import ConfigError, LabelError, ManifestError, NumericError
-from .metrics import evaluate_generic, evaluate_script_driven
+from .metrics import average_ground_truth, evaluate_generic, evaluate_script_driven
 from .model import ModelConfig, init_weights, make_score_fn, model_forward
 from .rng import Rng
 
@@ -133,22 +133,6 @@ def mse_loss(f: Node, target: np.ndarray) -> Node:
     t = _as_column(target, n, "target")
     diff = sub(f, f.tape.constant(t))
     return mean_all(mul(diff, diff))
-
-
-def average_ground_truth(summaries: list[np.ndarray]) -> np.ndarray:
-    """Per-frame mean of binary summaries; order-invariant by exact summation."""
-    if not summaries:
-        raise ValueError("average_ground_truth needs at least one summary")
-    first = np.asarray(summaries[0], dtype=np.float64).reshape(-1)
-    total = np.zeros_like(first)
-    for s in summaries:
-        a = np.asarray(s, dtype=np.float64).reshape(-1)
-        if a.shape != first.shape:
-            raise ShapeError(
-                f"summary length {a.shape[0]} does not match {first.shape[0]}"
-            )
-        total += a
-    return (total / len(summaries)).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +281,7 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
                 )
             epoch_losses.append(value)
             grads = tape.backward(loss)
+            tape.release()
             if group_grads is None:
                 group_grads = grads
             else:

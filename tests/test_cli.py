@@ -10,7 +10,7 @@ import pytest
 
 from sdvsum.cli import ABLATION_VARIANTS, main
 from sdvsum.model import load_checkpoint
-from sdvsum.sdve import read_embeddings
+from sdvsum.sdve import read_embeddings, write_embeddings
 
 SPEC_TEXT = """
 topics = 4
@@ -185,6 +185,19 @@ def test_eval_missing_checkpoint_is_data_error(workspace, capsys):
     assert code == 2
 
 
+def test_eval_malformed_manifest_is_data_error(workspace, tmp_path, capsys):
+    root, _ = workspace
+    doc = json.loads((root / "data" / "manifest.json").read_text())
+    del doc["videos"][0]["frames"]
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, "eval", "--manifest", str(bad),
+                       "--checkpoint", str(root / "run" / "epoch_001.sdvc"),
+                       "--split", "test", "--mode", "script")
+    assert code == 2
+    assert "frames" in err
+
+
 def test_eval_bad_split_is_usage_error(workspace, capsys):
     root, _ = workspace
     code, _, _ = run(capsys, "eval", "--manifest", str(root / "data" / "manifest.json"),
@@ -234,6 +247,38 @@ def test_summarize_bad_budget_is_usage_error(workspace, capsys):
                      "--script", str(root / "data" / video["summaries"][0]["script"]),
                      "--budget-frac", "1.5")
     assert code == 1
+
+
+@pytest.mark.parametrize("spec", ["fixed:0", "fixed:-2"])
+def test_summarize_non_positive_fragment_length_is_usage_error(workspace, capsys, spec):
+    root, _ = workspace
+    manifest = json.loads((root / "data" / "manifest.json").read_text())
+    video = next(v for v in manifest["videos"] if v["split"] == "test")
+    code, _, err = run(capsys, "summarize",
+                       "--checkpoint", str(root / "run" / "epoch_001.sdvc"),
+                       "--frames", str(root / "data" / video["frames"]),
+                       "--script", str(root / "data" / video["summaries"][0]["script"]),
+                       "--fragments", spec)
+    assert code == 1
+    assert spec in err
+
+
+def test_summarize_fragments_of_another_length_is_data_error(workspace, tmp_path, capsys):
+    root, _ = workspace
+    manifest = json.loads((root / "data" / "manifest.json").read_text())
+    video = next(v for v in manifest["videos"] if v["split"] == "test")
+    n = read_embeddings(root / "data" / video["frames"]).shape[0]
+    longer = tmp_path / "frames.sdve"
+    write_embeddings(np.random.default_rng(0).normal(size=(n + 8, 16)), longer)
+    code, _, err = run(capsys, "summarize",
+                       "--checkpoint", str(root / "run" / "epoch_001.sdvc"),
+                       "--frames", str(longer),
+                       "--script", str(root / "data" / video["summaries"][0]["script"]),
+                       "--fragments", "from-manifest",
+                       "--manifest", str(root / "data" / "manifest.json"),
+                       "--video", video["id"])
+    assert code == 2
+    assert video["id"] in err
 
 
 def test_summarize_corrupt_embeddings_is_data_error(workspace, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Manifest validation, split iteration, and planted-topic generator invariants."""
+"""Manifest validation, video loading, and planted-topic generator invariants."""
 
 import hashlib
 import json
@@ -11,7 +11,6 @@ from sdvsum.datasets import (
     DatasetManifest,
     SynthSpec,
     generate_synthetic,
-    iterate_split,
     load_manifest,
     load_split,
     load_video,
@@ -95,6 +94,28 @@ def test_missing_labels_file_names_video(tmp_path):
 def test_overlapping_fragments_rejected(tmp_path):
     path = write_minimal(tmp_path, fragments=[[0, 5], [4, 6]])
     with pytest.raises(ManifestError, match="v0"):
+        load_manifest(path)
+
+
+MALFORMED = {
+    "entry without frames": lambda d: d["videos"][0].pop("frames"),
+    "summary without labels": lambda d: d["videos"][0]["summaries"][0].pop("labels"),
+    "summary is a string": lambda d: d["videos"][0].update(summaries=["v0/labels.sdve"]),
+    "fragment is a number": lambda d: d["videos"][0].update(fragments=[5]),
+    "fragment is a triple": lambda d: d["videos"][0].update(fragments=[[0, 2, 3]]),
+    "entry is a string": lambda d: d.update(videos=["v0"]),
+    "frames is a number": lambda d: d["videos"][0].update(frames=3),
+    "videos is a string": lambda d: d.update(videos="abc"),
+}
+
+
+@pytest.mark.parametrize("mutate", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_manifest_is_manifest_error(tmp_path, mutate):
+    path = write_minimal(tmp_path)
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError):
         load_manifest(path)
 
 
@@ -259,35 +280,3 @@ def test_spec_validation():
         SynthSpec(frames_min=10, frames_max=5).validate()
     with pytest.raises(ConfigError):
         SynthSpec(frames_min=3, positive_fraction=0.2).validate()
-
-
-# ---------------------------------------------------------------------------
-# split iteration
-
-
-def test_iterate_counts_and_order(small_dataset):
-    _, manifest = small_dataset
-    plain = list(iterate_split(manifest, "train"))
-    assert len(plain) == 6 * 4  # videos x summaries
-    ids = [vid for vid, _, _, _ in plain]
-    manifest_order = [v.id for v in manifest.split_videos("train")]
-    assert ids == [v for v in manifest_order for _ in range(4)]
-
-
-def test_iterate_shuffle_deterministic(small_dataset):
-    _, manifest = small_dataset
-    rng = Rng(5)
-    a = [vid for vid, _, _, _ in iterate_split(manifest, "train", rng, shuffle=True, epoch=3)]
-    b = [vid for vid, _, _, _ in iterate_split(manifest, "train", rng, shuffle=True, epoch=3)]
-    c = [vid for vid, _, _, _ in iterate_split(manifest, "train", rng, shuffle=True, epoch=4)]
-    assert a == b
-    assert a != c
-    assert sorted(a) == sorted([vid for vid, _, _, _ in iterate_split(manifest, "train")])
-
-
-def test_iterate_yields_consistent_shapes(small_dataset):
-    _, manifest = small_dataset
-    for vid, X, Y, labels in iterate_split(manifest, "validation"):
-        assert X.shape[1] == SMALL.dim
-        assert Y.shape[1] == SMALL.dim
-        assert labels.shape == (X.shape[0],)

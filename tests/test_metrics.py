@@ -1,11 +1,16 @@
-"""Metric oracles: F-Score, Kendall tau-b, Spearman rho vs brute force."""
+"""Metric oracles: F-Score, Kendall tau-b, Spearman rho vs brute force;
+the overlap matrix as a view of the evaluation records."""
 
 import numpy as np
 import pytest
 
+from sdvsum.datasets import SynthSpec, generate_synthetic
 from sdvsum.metrics import (
+    evaluate_generic,
+    evaluate_script_driven,
     fscore_binary,
     kendall_tau_b,
+    overlap_matrix,
     spearman_rho,
 )
 
@@ -221,3 +226,31 @@ def test_hypothesis_tau_oracle_agreement():
             assert got == pytest.approx(want, abs=1e-9)
 
     inner()
+
+
+# ---------------------------------------------------------------------------
+# overlap matrix
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    spec = SynthSpec(topics=6, dim=16, videos_train=1, videos_validation=1,
+                     videos_test=3, frames_min=20, frames_max=30,
+                     summaries_per_video=3, seed=3)
+    return generate_synthetic(spec, tmp_path_factory.mktemp("corpus"))
+
+
+def similarity(x, y):
+    return (x @ y.mean(axis=0)).astype(np.float32)
+
+
+@pytest.mark.parametrize("mode, evaluate", [("script_driven", evaluate_script_driven),
+                                            ("generic", evaluate_generic)])
+def test_overlap_rows_are_evaluation_per_summary(corpus, mode, evaluate):
+    ids = [v.id for v in corpus.split_videos("test")][::-1]
+    per_summary = {r.video_id: r.per_summary
+                   for r in evaluate(similarity, corpus, "test").records}
+    matrix = overlap_matrix(similarity, corpus, ids, mode)
+    assert matrix.video_ids == ids
+    assert matrix.values.shape == (3, 3)
+    assert np.array_equal(matrix.values, np.array([per_summary[v] for v in ids]))

@@ -1,12 +1,15 @@
 """Network forward: config rules, init, attention invariants, numpy oracle."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import sdvsum.model
 from sdvsum.autodiff import ShapeError, Tape
-from sdvsum.errors import ConfigError, ConfigMismatchError, TensorNameError
+from sdvsum.errors import ConfigError, ConfigMismatchError, TensorNameError, TensorShapeError
 from sdvsum.model import (
     ModelConfig,
     attention_matrices,
@@ -23,6 +26,7 @@ from sdvsum.model import (
     tensor_shapes,
 )
 from sdvsum.rng import Rng
+from sdvsum.sdve import write_checkpoint_file
 
 
 def unit_rows(rng, n, d):
@@ -389,6 +393,29 @@ def test_identical_scorer_inputs_identical_scores():
     assert f[3, 0] == f[1, 0]
 
 
+@pytest.mark.parametrize("infer", [score_frames, attention_matrices])
+def test_inference_tape_is_freed_without_the_cyclic_gc(monkeypatch, infer):
+    tapes = []
+
+    class RecordedTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(sdvsum.model, "Tape", RecordedTape)
+    cfg = ModelConfig(dim=16, heads=4)
+    w = init_weights(cfg, Rng(25))
+    rng = np.random.default_rng(26)
+    X, Y = unit_rows(rng, 5, 16), unit_rows(rng, 3, 16)
+    gc.disable()
+    try:
+        infer(X, Y, w, cfg)
+        assert len(tapes) == 1
+        assert tapes[0]() is None
+    finally:
+        gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -421,3 +448,20 @@ def test_checkpoint_rejects_missing_tensor(tmp_path):
     del w["scorer.head.b"]
     with pytest.raises(TensorNameError):
         save_checkpoint(w, cfg, tmp_path / "m.sdvc")
+
+
+@pytest.mark.parametrize("tamper, error", [
+    (lambda w: w.pop("scorer.head.b"), TensorNameError),
+    (lambda w: w.update(extra=np.zeros((1, 1), dtype=np.float32)), TensorNameError),
+    (lambda w: w.update({"scorer.head.w": np.zeros((1, 16), dtype=np.float32)}),
+     TensorShapeError),
+])
+def test_checkpoint_save_and_load_reject_alike(tmp_path, tamper, error):
+    cfg = ModelConfig(dim=16, heads=4)
+    w = init_weights(cfg, Rng(27))
+    tamper(w)
+    with pytest.raises(error):
+        save_checkpoint(w, cfg, tmp_path / "saved.sdvc")
+    write_checkpoint_file(cfg.to_dict(), w, tmp_path / "raw.sdvc")
+    with pytest.raises(error):
+        load_checkpoint(tmp_path / "raw.sdvc")
