@@ -6,6 +6,10 @@ sweep is a single reverse walk over the tape. Gradients are accumulated into
 per-node buffers and returned as a name -> array map for the tape's named
 parameters.
 
+A tape holds its nodes only weakly, while each node holds its tape and its
+parents: with no reference cycle, a tape and its nodes are freed as soon as
+the caller drops the result nodes. There is no release step.
+
 Nodes that no parameter feeds into carry ``needs_grad=False`` and are skipped
 during the backward sweep, so constant inputs (frame embeddings, positional
 encodings, labels) cost nothing beyond their forward value.
@@ -13,7 +17,7 @@ encodings, labels) cost nothing beyond their forward value.
 
 from __future__ import annotations
 
-import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,7 +29,6 @@ __all__ = [
     "Node",
     "Tape",
     "matmul",
-    "transpose",
     "add",
     "sub",
     "mul",
@@ -35,14 +38,12 @@ __all__ = [
     "sigmoid",
     "log",
     "clamp",
-    "softmax_rows",
     "layer_norm",
     "dropout",
+    "attention",
     "concat_cols",
-    "slice_cols",
     "take_rows",
     "reshape",
-    "sum_all",
     "mean_all",
     "GradCheckReport",
     "grad_check",
@@ -80,7 +81,7 @@ class Node:
     any parameter is reachable through this node.
     """
 
-    __slots__ = ("value", "grad", "parents", "bwd", "needs_grad", "tape", "name")
+    __slots__ = ("value", "grad", "parents", "bwd", "needs_grad", "tape", "name", "__weakref__")
 
     def __init__(self, value, parents, bwd, needs_grad, tape, name=None):
         self.value = value
@@ -111,15 +112,21 @@ class Tape:
     A tape owns all nodes created against it. Mixing nodes from different
     tapes in one operation is an error. Named parameters are registered via
     :meth:`param` and receive gradients from :meth:`backward`.
+
+    ``nodes`` (weak references, creation order) and ``params`` keep no node
+    alive. A node that nothing reaches any more lies on no path to the loss,
+    so the backward sweep loses nothing by skipping it.
     """
 
     def __init__(self):
-        self.nodes: list[Node] = []
-        self.params: dict[str, Node] = {}
+        self.nodes: list[weakref.ref] = []
+        self.params: weakref.WeakValueDictionary[str, Node] = weakref.WeakValueDictionary()
+        # every registered name, so parameters whose nodes are gone get zeros
+        self._param_shapes: dict[str, tuple[int, int]] = {}
 
     def leaf(self, value, name: str | None = None, needs_grad: bool = False) -> Node:
         node = Node(matrix(value), (), None, needs_grad, self, name)
-        self.nodes.append(node)
+        self.nodes.append(weakref.ref(node))
         return node
 
     def constant(self, value) -> Node:
@@ -139,19 +146,10 @@ class Tape:
                     and value.ndim == 2 and value.flags.c_contiguous):
                 value = matrix(value)
             node = Node(value, (), None, True, self, name)
-            self.nodes.append(node)
+            self.nodes.append(weakref.ref(node))
             self.params[name] = node
+            self._param_shapes[name] = value.shape
         return node
-
-    def release(self) -> None:
-        """Forget every node once the caller is done with the tape.
-
-        Nodes point at their tape and the tape lists its nodes; emptying the
-        lists breaks that cycle, so reference counting frees a finished tape
-        without waiting for the cyclic garbage collector.
-        """
-        self.nodes.clear()
-        self.params.clear()
 
     def backward(self, loss: Node) -> dict[str, np.ndarray]:
         """Run the reverse sweep from a scalar loss node.
@@ -165,15 +163,18 @@ class Tape:
             raise ValueError("loss node belongs to a different tape")
         if loss.value.shape != (1, 1):
             raise ShapeError(f"backward needs a 1x1 loss node, got shape {loss.shape}")
-        for node in self.nodes:
+        live = [node for node in (ref() for ref in self.nodes) if node is not None]
+        for node in live:
             node.grad = None
         loss.grad = np.ones((1, 1), dtype=_F32)
-        for node in reversed(self.nodes):
+        for node in reversed(live):
             if node.bwd is not None and node.grad is not None:
                 node.bwd(node.grad)
         out = {}
-        for name, p in self.params.items():
-            out[name] = p.grad if p.grad is not None else np.zeros_like(p.value)
+        for name, shape in self._param_shapes.items():
+            p = self.params.get(name)
+            grad = None if p is None else p.grad
+            out[name] = np.zeros(shape, dtype=_F32) if grad is None else grad
         return out
 
 
@@ -193,7 +194,7 @@ def _op(value: np.ndarray, parents: tuple[Node, ...], bwd) -> Node:
             raise ValueError("operands belong to different tapes")
     needs = any(p.needs_grad for p in parents)
     node = Node(value, parents, bwd if needs else None, needs, tape)
-    tape.nodes.append(node)
+    tape.nodes.append(weakref.ref(node))
     return node
 
 
@@ -214,13 +215,6 @@ def matmul(a: Node, b: Node) -> Node:
             _accum(b, a.value.T @ g)
 
     return _op(out, (a, b), bwd)
-
-
-def transpose(a: Node) -> Node:
-    def bwd(g):
-        _accum(a, np.ascontiguousarray(g.T))
-
-    return _op(np.ascontiguousarray(a.value.T), (a,), bwd)
 
 
 def add(a: Node, b: Node) -> Node:
@@ -333,24 +327,6 @@ def clamp(a: Node, lo: float, hi: float) -> Node:
     return _op(out, (a,), bwd)
 
 
-def softmax_rows(a: Node) -> Node:
-    """Row-wise softmax with max-subtraction; each output row sums to 1.
-
-    Normalizing by the sum of the already-rounded exponentials keeps row sums
-    within a few float32 ulps of 1 regardless of row length: the division
-    errors are weighted by values that themselves sum to 1.
-    """
-    e = np.exp(a.value - a.value.max(axis=1, keepdims=True))
-    norm = e.sum(axis=1, keepdims=True, dtype=np.float64).astype(_F32)
-    out = e / norm
-
-    def bwd(g):
-        inner = (g * out).sum(axis=1, keepdims=True)
-        _accum(a, (g - inner) * out)
-
-    return _op(out, (a,), bwd)
-
-
 def layer_norm(a: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
     """Per-row standardization followed by a learnable affine transform."""
     if eps <= 0:
@@ -382,28 +358,93 @@ def layer_norm(a: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
     return _op(out, (a, gain, bias), bwd)
 
 
-def dropout(a: Node, rate: float, rng: np.random.Generator | None = None,
-            training: bool = False) -> Node:
-    """Inverted dropout: zero with probability ``rate``, scale survivors.
+def _dropout_mask(shape, rate: float, rng: np.random.Generator | None,
+                  training: bool) -> np.ndarray | None:
+    """Inverted-dropout multiplier, or None when off (inference mode or rate 0).
 
-    In inference mode (or at rate 0) this is the identity and returns ``a``
-    itself without consuming randomness, so evaluation never depends on an
-    RNG stream.
+    When off it draws nothing, so evaluation never depends on an RNG stream.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return a
+        return None
     if rng is None:
         raise ValueError("training-mode dropout needs an RNG stream")
-    keep = (rng.random(a.shape) >= rate)
-    m = keep.astype(_F32) * _F32(1.0 / (1.0 - rate))
+    keep = (rng.random(shape) >= rate)
+    return keep.astype(_F32) * _F32(1.0 / (1.0 - rate))
+
+
+def dropout(a: Node, rate: float, rng: np.random.Generator | None = None,
+            training: bool = False) -> Node:
+    """Inverted dropout: zero with probability ``rate``, scale survivors.
+
+    In inference mode (or at rate 0) this returns ``a`` itself.
+    """
+    m = _dropout_mask(a.shape, rate, rng, training)
+    if m is None:
+        return a
     out = a.value * m
 
     def bwd(g):
         _accum(a, g * m)
 
     return _op(out, (a,), bwd)
+
+
+def attention(q: Node, k: Node, v: Node, heads: int, logit_scale: float = 1.0,
+              rate: float = 0.0, rng: np.random.Generator | None = None,
+              training: bool = False, collect: list[np.ndarray] | None = None) -> Node:
+    """Multi-head attention: head h is softmax(Q_h K_hᵀ / logit_scale) V_h.
+
+    ``q`` is N x (H*hd), ``k`` and ``v`` are M x (H*hd), and head h owns
+    columns [h*hd, (h+1)*hd) of each and of the N x (H*hd) result. Softmax
+    rows are divided by their float64 sums, which keeps them within a few
+    float32 ulps of 1 at any length. Dropout hits the attention matrices (one
+    (H, N, M) mask draw); ``collect`` receives each head's N x M attention
+    matrix before dropout.
+    """
+    n, width = q.shape
+    m = k.shape[0]
+    if heads < 1 or width % heads or k.shape[1] != width or v.shape != k.shape:
+        raise ShapeError(f"attention: {heads} heads over q {q.shape}, k {k.shape}, v {v.shape}")
+    hd = width // heads
+    # contiguous per-head stacks: Q and V as (H, rows, hd), K as Kᵀ (H, hd, M)
+    qs = np.ascontiguousarray(q.value.reshape(n, heads, hd).transpose(1, 0, 2))
+    kts = np.ascontiguousarray(k.value.reshape(m, heads, hd).transpose(1, 2, 0))
+    vs = np.ascontiguousarray(v.value.reshape(m, heads, hd).transpose(1, 0, 2))
+    c = _F32(1.0 / logit_scale)   # at 1.0 the products below are exact
+
+    # softmax in place on the logits: one (H, N, M) buffer, no temporaries
+    att = qs @ kts
+    att *= c
+    att -= att.max(axis=2, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=2, keepdims=True, dtype=np.float64).astype(_F32)
+    if collect is not None:
+        collect.extend(att)
+    mask = _dropout_mask(att.shape, rate, rng, training)
+    dropped = att if mask is None else att * mask
+    out = np.concatenate(dropped @ vs, axis=1)   # heads side by side
+
+    def bwd(g):
+        gs = np.ascontiguousarray(g.reshape(n, heads, hd).transpose(1, 0, 2))
+        if v.needs_grad:
+            _accum(v, np.concatenate(dropped.transpose(0, 2, 1) @ gs, axis=1))
+        if not (q.needs_grad or k.needs_grad):
+            return
+        d = gs @ vs.transpose(0, 2, 1)
+        if mask is not None:
+            d *= mask
+        d -= (d * att).sum(axis=2, keepdims=True)
+        d *= att
+        d *= c
+        if q.needs_grad:
+            _accum(q, np.concatenate(d @ kts.transpose(0, 2, 1), axis=1))
+        if k.needs_grad:
+            dkt = qs.transpose(0, 2, 1) @ d
+            _accum(k, np.ascontiguousarray(dkt.transpose(2, 0, 1)).reshape(m, width))
+
+    return _op(out, (q, k, v), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +470,6 @@ def concat_cols(parts: list[Node]) -> Node:
                 _accum(p, np.ascontiguousarray(g[:, lo:hi]))
 
     return _op(out, tuple(parts), bwd)
-
-
-def slice_cols(a: Node, start: int, stop: int) -> Node:
-    if not 0 <= start < stop <= a.shape[1]:
-        raise ShapeError(f"slice_cols [{start}:{stop}] outside matrix of shape {a.shape}")
-    out = np.ascontiguousarray(a.value[:, start:stop])
-
-    def bwd(g):
-        full = np.zeros_like(a.value)
-        full[:, start:stop] = g
-        _accum(a, full)
-
-    return _op(out, (a,), bwd)
 
 
 def take_rows(a: Node, indices: list[int]) -> Node:
@@ -472,15 +500,6 @@ def reshape(a: Node, rows: int, cols: int) -> Node:
 
 # ---------------------------------------------------------------------------
 # reductions
-
-
-def sum_all(a: Node) -> Node:
-    out = np.array([[a.value.sum(dtype=np.float64)]], dtype=_F32)
-
-    def bwd(g):
-        _accum(a, np.full_like(a.value, g[0, 0]))
-
-    return _op(out, (a,), bwd)
 
 
 def mean_all(a: Node) -> Node:

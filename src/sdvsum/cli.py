@@ -159,6 +159,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.overlap:
+        ids = [line.strip() for line in Path(args.overlap).read_text(encoding="utf-8").splitlines()
+               if line.strip()]
+        if not ids:
+            raise UsageError(f"--overlap file {args.overlap} lists no video ids")
     manifest = load_manifest(args.manifest)
     weights, model_config = load_checkpoint(args.checkpoint)
     score_fn = make_score_fn(weights, model_config)
@@ -177,8 +182,6 @@ def _cmd_eval(args) -> int:
             )
     print(result.to_json())
     if args.overlap:
-        ids = [line.strip() for line in Path(args.overlap).read_text(encoding="utf-8").splitlines()
-               if line.strip()]
         matrix = overlap_matrix(score_fn, manifest, ids, mode, cache=cache)
         Path(args.overlap_out).write_text(matrix.to_csv(), encoding="utf-8")
         print(f"overlap matrix written to {args.overlap_out}", file=sys.stderr)

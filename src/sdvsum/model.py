@@ -3,11 +3,13 @@
 Forward path: frame embeddings X (N x D) query script sentence embeddings
 Y (M x D) through multi-head cross-modal attention (queries from video, keys
 and values from text). Per head, attention is ``softmax(Q K^T)`` -- unscaled
-by default; ``use_scaling`` divides the logits by sqrt(D) first. Head outputs
-are concatenated, projected by a D x D linear, and a fixed sinusoidal
-positional encoding is added. After a dropout + layer-norm stage the frame
-representations pass through a small Transformer encoder stack and a sigmoid
-scoring head, giving one importance score in (0, 1) per frame.
+by default; ``use_scaling`` divides the logits by sqrt(D) first. All heads
+run as one stacked ``attention`` tape op on Q, K and V projected for every
+head at once. Its output, the heads side by side, is projected by a D x D
+linear, and a fixed sinusoidal positional encoding is added. After a
+dropout + layer-norm stage the frame representations pass through a small
+Transformer encoder stack and a sigmoid scoring head, giving one importance
+score in (0, 1) per frame.
 
 Two text representations are supported: ``multi_vector`` keeps all M sentence
 embeddings as keys/values; ``single_vector`` first condenses the script into
@@ -34,18 +36,15 @@ from .autodiff import (
     ShapeError,
     Tape,
     add,
+    attention,
     concat_cols,
     dropout,
     layer_norm,
     matmul,
     relu,
     reshape,
-    scale,
     sigmoid,
-    slice_cols,
-    softmax_rows,
     take_rows,
-    transpose,
 )
 from .errors import ConfigError, ConfigMismatchError, TensorNameError, TensorShapeError
 from .rng import Rng
@@ -223,38 +222,17 @@ def _p(tape: Tape, weights: dict[str, np.ndarray], name: str) -> Node:
     return tape.param(name, value)
 
 
-def _project_heads(tape: Tape, x: Node, weights, prefix: str, kind: str,
-                   heads: int, head_dim: int) -> list[Node]:
-    """All H head projections as one matmul against the side-by-side weights.
-
-    Equivalent to per-head X @ W + b but one BLAS call; slicing the result
-    routes gradients back to the individual head tensors through the concat.
-    """
-    w = concat_cols([_p(tape, weights, f"{prefix}.h{h}.w{kind}") for h in range(heads)])
-    b = concat_cols([_p(tape, weights, f"{prefix}.h{h}.b{kind}") for h in range(heads)])
-    joint = add(matmul(x, w), b)
-    return [slice_cols(joint, h * head_dim, (h + 1) * head_dim) for h in range(heads)]
-
-
 def _multi_head(tape: Tape, q_in: Node, kv_in: Node, weights, prefix: str,
                 heads: int, logit_scale: float, drop: float, rng_gen, training: bool,
-                collect: list[Node] | None = None) -> Node:
-    head_dim = q_in.shape[1] // heads
-    qs = _project_heads(tape, q_in, weights, prefix, "q", heads, head_dim)
-    ks = _project_heads(tape, kv_in, weights, prefix, "k", heads, head_dim)
-    vs = _project_heads(tape, kv_in, weights, prefix, "v", heads, head_dim)
-    outs = []
-    for q, k, v in zip(qs, ks, vs):
-        logits = matmul(q, transpose(k))
-        if logit_scale != 1.0:
-            logits = scale(logits, 1.0 / logit_scale)
-        att = softmax_rows(logits)
-        if collect is not None:
-            collect.append(att)
-        att = dropout(att, drop, rng_gen, training)
-        outs.append(matmul(att, v))
-    cat = concat_cols(outs)
-    return add(matmul(cat, _p(tape, weights, f"{prefix}.out.w")),
+                collect: list[np.ndarray] | None = None) -> Node:
+    """Attention block; one matmul per Q/K/V against all heads' weights side by side."""
+    joint = []
+    for x, kind in ((q_in, "q"), (kv_in, "k"), (kv_in, "v")):
+        w = concat_cols([_p(tape, weights, f"{prefix}.h{h}.w{kind}") for h in range(heads)])
+        b = concat_cols([_p(tape, weights, f"{prefix}.h{h}.b{kind}") for h in range(heads)])
+        joint.append(add(matmul(x, w), b))
+    att = attention(*joint, heads, logit_scale, drop, rng_gen, training, collect)
+    return add(matmul(att, _p(tape, weights, f"{prefix}.out.w")),
                _p(tape, weights, f"{prefix}.out.b"))
 
 
@@ -275,7 +253,7 @@ def condense_text(tape: Tape, y: Node, weights, config: ModelConfig) -> Node:
 
 def cross_modal_attention(tape: Tape, x: Node, y_rep: Node, weights,
                           config: ModelConfig, rng_gen=None, training: bool = False,
-                          collect: list[Node] | None = None) -> Node:
+                          collect: list[np.ndarray] | None = None) -> Node:
     """Frames attend to text; heads concatenated, projected, positions added."""
     d = config.dim
     if x.shape[1] != d or y_rep.shape[1] != d:
@@ -323,7 +301,7 @@ def _text_representation(tape: Tape, y: Node, weights, config: ModelConfig) -> N
 
 def model_forward(tape: Tape, x, y, weights, config: ModelConfig,
                   rng_gen=None, training: bool = False,
-                  collect: list[Node] | None = None) -> Node:
+                  collect: list[np.ndarray] | None = None) -> Node:
     """Full network: text rep -> cross-modal attention -> dropout+norm -> scorer.
 
     ``x`` and ``y`` may be arrays or existing nodes on ``tape``. Returns the
@@ -345,7 +323,6 @@ def score_frames(x: np.ndarray, y: np.ndarray, weights, config: ModelConfig) -> 
     """Inference-mode scores as a flat (N,) float32 array."""
     tape = Tape()
     f = model_forward(tape, x, y, weights, config, training=False)
-    tape.release()
     return f.value[:, 0].copy()
 
 
@@ -359,11 +336,10 @@ def attention_matrices(x: np.ndarray, y: np.ndarray, weights,
     """Per-head cross-modal attention matrices A_h in inference mode."""
     tape = Tape()
     y_rep = _text_representation(tape, tape.constant(y), weights, config)
-    collected: list[Node] = []
+    collected: list[np.ndarray] = []
     cross_modal_attention(tape, tape.constant(x), y_rep, weights, config,
                           training=False, collect=collected)
-    tape.release()
-    return [a.value.copy() for a in collected]
+    return collected
 
 
 # ---------------------------------------------------------------------------

@@ -281,7 +281,6 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
                 )
             epoch_losses.append(value)
             grads = tape.backward(loss)
-            tape.release()
             if group_grads is None:
                 group_grads = grads
             else:

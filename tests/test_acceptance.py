@@ -18,6 +18,7 @@ from sdvsum.autodiff import (
     Tape,
     add,
     affine,
+    attention,
     clamp,
     concat_cols,
     dropout,
@@ -31,12 +32,8 @@ from sdvsum.autodiff import (
     reshape,
     scale,
     sigmoid,
-    slice_cols,
-    softmax_rows,
     sub,
-    sum_all,
     take_rows,
-    transpose,
 )
 from sdvsum.datasets import SynthSpec, generate_synthetic, load_manifest, load_split
 from sdvsum.metrics import (
@@ -91,9 +88,14 @@ def rnd(*shape, seed, margin_level=None, margin=0.05):
 
 
 def _weighted(x):
-    """Nonuniform constant cofactor so every entry's gradient is distinct."""
-    c = np.arange(x.value.size, dtype=np.float32).reshape(x.shape) / x.value.size + 0.5
-    return sum_all(mul(x, x.tape.constant(c)))
+    """Nonuniform constant cofactor so every entry's gradient is distinct.
+
+    The cofactor is scaled by the entry count, so the mean gives every entry
+    a gradient of order 1, where the relative-error check is sharpest.
+    """
+    n = x.value.size
+    c = np.arange(n, dtype=np.float32).reshape(x.shape) + 0.5 * n
+    return mean_all(mul(x, x.tape.constant(c)))
 
 
 def _op_checks():
@@ -105,8 +107,6 @@ def _op_checks():
     checks = [
         ("matmul", {"a": rnd(3, 4, seed=1), "b": rnd(4, 2, seed=2)},
          lambda t, pr: _weighted(matmul(p(t, pr, "a"), p(t, pr, "b")))),
-        ("transpose", {"a": rnd(3, 4, seed=3)},
-         lambda t, pr: _weighted(transpose(p(t, pr, "a")))),
         ("add", {"a": rnd(3, 3, seed=4), "b": rnd(3, 3, seed=5)},
          lambda t, pr: _weighted(add(p(t, pr, "a"), p(t, pr, "b")))),
         ("sub", {"a": rnd(3, 3, seed=6), "b": rnd(3, 3, seed=7)},
@@ -125,8 +125,6 @@ def _op_checks():
          lambda t, pr: _weighted(log(p(t, pr, "a")))),
         ("clamp", {"a": rnd(4, 4, seed=15, margin_level=(-0.8, 0.8))},
          lambda t, pr: _weighted(clamp(p(t, pr, "a"), -0.8, 0.8))),
-        ("softmax_rows", {"a": rnd(3, 5, seed=16)},
-         lambda t, pr: _weighted(softmax_rows(p(t, pr, "a")))),
         ("layer_norm", {"a": rnd(3, 6, seed=17), "g": rnd(1, 6, seed=18),
                         "b": rnd(1, 6, seed=19)},
          lambda t, pr: _weighted(layer_norm(p(t, pr, "a"), p(t, pr, "g"),
@@ -136,16 +134,28 @@ def _op_checks():
                                          Rng(3).stream("dropout", 0), True))),
         ("dropout_eval", {"a": rnd(4, 4, seed=21)},
          lambda t, pr: _weighted(dropout(p(t, pr, "a"), 0.7, None, False))),
+        ("attention", {"q": rnd(3, 4, seed=3), "k": rnd(5, 4, seed=16),
+                       "v": rnd(5, 4, seed=24)},
+         lambda t, pr: _weighted(attention(p(t, pr, "q"), p(t, pr, "k"),
+                                           p(t, pr, "v"), 2))),
+        ("attention_q_is_k", {"a": rnd(4, 6, seed=27), "v": rnd(4, 6, seed=29)},
+         lambda t, pr: _weighted(attention(p(t, pr, "a"), p(t, pr, "a"),
+                                           p(t, pr, "v"), 3))),
+        ("attention_scaled", {"q": rnd(2, 4, seed=30), "k": rnd(3, 4, seed=31),
+                              "v": rnd(3, 4, seed=32)},
+         lambda t, pr: _weighted(attention(p(t, pr, "q"), p(t, pr, "k"),
+                                           p(t, pr, "v"), 2, logit_scale=0.7))),
+        ("attention_dropout", {"q": rnd(4, 4, seed=33), "k": rnd(3, 4, seed=34),
+                               "v": rnd(3, 4, seed=35)},
+         lambda t, pr: _weighted(attention(p(t, pr, "q"), p(t, pr, "k"),
+                                           p(t, pr, "v"), 2, 1.0, 0.5,
+                                           Rng(3).stream("dropout", 1), True))),
         ("concat_cols", {"a": rnd(3, 2, seed=22), "b": rnd(3, 3, seed=23)},
          lambda t, pr: _weighted(concat_cols([p(t, pr, "a"), p(t, pr, "b")]))),
-        ("slice_cols", {"a": rnd(3, 5, seed=24)},
-         lambda t, pr: _weighted(slice_cols(p(t, pr, "a"), 1, 4))),
         ("take_rows", {"a": rnd(4, 3, seed=25)},
          lambda t, pr: _weighted(take_rows(p(t, pr, "a"), [2, 0, 2, 3]))),
         ("reshape", {"a": rnd(3, 4, seed=26)},
          lambda t, pr: _weighted(reshape(p(t, pr, "a"), 2, 6))),
-        ("sum_all", {"a": rnd(3, 4, seed=27)},
-         lambda t, pr: sum_all(mul(p(t, pr, "a"), p(t, pr, "a")))),
         ("mean_all", {"a": rnd(3, 4, seed=28)},
          lambda t, pr: mean_all(mul(p(t, pr, "a"), p(t, pr, "a")))),
     ]

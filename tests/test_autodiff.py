@@ -7,6 +7,7 @@ from sdvsum.autodiff import (
     Tape,
     add,
     affine,
+    attention,
     clamp,
     concat_cols,
     dropout,
@@ -21,12 +22,8 @@ from sdvsum.autodiff import (
     reshape,
     scale,
     sigmoid,
-    slice_cols,
-    softmax_rows,
     sub,
-    sum_all,
     take_rows,
-    transpose,
 )
 from sdvsum.rng import Rng
 
@@ -96,27 +93,31 @@ def test_add_broadcast_bias_row():
     np.testing.assert_array_equal(add(a, b).value, [[1, 2]] * 3)
 
 
-def test_softmax_rows_symmetry_and_stability():
+def softmax_rows(logits):
+    """One-head attention with K = V = identity: its output is softmax(logits)."""
     tape = Tape()
-    out = softmax_rows(tape.constant([[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0]]))
+    eye = tape.constant(np.eye(np.shape(logits)[1]))
+    return attention(tape.constant(logits), eye, eye, heads=1)
+
+
+def test_softmax_rows_symmetry_and_stability():
+    out = softmax_rows([[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0]])
     np.testing.assert_allclose(out.value[0], [1 / 3] * 3, atol=1e-6)
     assert out.value[1, 0] > 0.999
     assert np.all(np.isfinite(out.value))
 
 
 def test_softmax_rows_against_high_precision():
-    tape = Tape()
     row = np.array([[1.0, 2.0, 3.0]])
-    out = softmax_rows(tape.constant(row))
+    out = softmax_rows(row)
     exact = np.exp(row.astype(np.float64))
     exact /= exact.sum()
     np.testing.assert_allclose(out.value, exact, atol=1e-6)
 
 
 def test_softmax_rows_sum_to_one():
-    tape = Tape()
     x = rnd(7, 9, seed=5, lo=-1000, hi=1000)
-    out = softmax_rows(tape.constant(x))
+    out = softmax_rows(x)
     sums = out.value.astype(np.float64).sum(axis=1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-6)
     assert out.value.min() >= 0.0 and out.value.max() <= 1.0
@@ -139,9 +140,9 @@ def test_layer_norm_two_point_row():
 def test_relu_subgradient_convention():
     tape = Tape()
     x = tape.leaf([[-1.0, 0.0, 2.0]], needs_grad=True)
-    loss = sum_all(relu(x))
+    loss = mean_all(relu(x))
     loss.tape.backward(loss)
-    np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
+    np.testing.assert_array_equal(x.grad, [[0.0, 0.0, np.float32(1) / np.float32(3)]])
 
 
 def test_sigmoid_at_zero():
@@ -198,19 +199,19 @@ def test_take_rows_with_repetition():
 # backward sweep
 
 
-def test_backward_sum_of_weights_is_ones():
+def test_backward_mean_of_weights_is_uniform():
     tape = Tape()
     w = tape.param("w", rnd(2, 2, seed=9))
-    grads = tape.backward(sum_all(w))
-    np.testing.assert_array_equal(grads["w"], np.ones((2, 2)))
+    grads = tape.backward(mean_all(w))
+    np.testing.assert_array_equal(grads["w"], np.full((2, 2), 0.25))
 
 
 def test_backward_linear_outer_structure():
     tape = Tape()
     w = tape.param("w", rnd(3, 2, seed=10))
     x = np.array([[2.0], [5.0]], dtype=np.float32)
-    grads = tape.backward(sum_all(matmul(w, tape.constant(x))))
-    np.testing.assert_allclose(grads["w"], np.tile(x.T, (3, 1)))
+    grads = tape.backward(mean_all(matmul(w, tape.constant(x))))
+    np.testing.assert_allclose(grads["w"], np.tile(x.T, (3, 1)) / 3)
 
 
 def test_backward_requires_scalar_loss():
@@ -223,7 +224,7 @@ def test_backward_requires_scalar_loss():
 def test_backward_twice_does_not_double_gradients():
     tape = Tape()
     w = tape.param("w", rnd(2, 2, seed=12))
-    loss = sum_all(mul(w, w))
+    loss = mean_all(mul(w, w))
     first = {k: v.copy() for k, v in tape.backward(loss).items()}
     second = tape.backward(loss)
     np.testing.assert_array_equal(first["w"], second["w"])
@@ -233,7 +234,7 @@ def test_unreached_parameter_gets_zero_gradient():
     tape = Tape()
     w = tape.param("w", rnd(2, 2, seed=13))
     tape.param("unused", rnd(3, 3, seed=14))
-    grads = tape.backward(sum_all(w))
+    grads = tape.backward(mean_all(w))
     np.testing.assert_array_equal(grads["unused"], np.zeros((3, 3)))
 
 
@@ -245,6 +246,15 @@ def test_mixing_tapes_rejected():
 
 # ---------------------------------------------------------------------------
 # gradient checking
+
+
+def total(x):
+    """Sum of all entries: the mean of the entries scaled by their count.
+
+    Gradients stay of order 1, where ``grad_check``'s relative error is
+    sharpest. Scaling before the float64 mean rounds the loss once.
+    """
+    return mean_all(scale(x, x.value.size))
 
 
 def check_op(build, shapes, seed=0, eps=1e-3, tol=1e-3, lo=-1.0, hi=1.0):
@@ -266,63 +276,64 @@ def check_op(build, shapes, seed=0, eps=1e-3, tol=1e-3, lo=-1.0, hi=1.0):
 
 
 def test_grad_quadratic_is_tight():
-    report = check_op(lambda t, p: sum_all(mul(p, p)), [(3, 3)], seed=20)
+    report = check_op(lambda t, p: total(mul(p, p)), [(3, 3)], seed=20)
     assert report.max_error < 1e-4
 
 
 def test_grad_matmul():
-    check_op(lambda t, a, b: sum_all(matmul(a, b)), [(3, 4), (4, 2)], seed=21)
+    check_op(lambda t, a, b: total(matmul(a, b)), [(3, 4), (4, 2)], seed=21)
 
 
-def test_grad_transpose_sub_scale_affine():
+def test_grad_sub_scale_affine():
     check_op(
-        lambda t, a, b: sum_all(scale(sub(transpose(a), affine(b, 0.5, -0.2)), 1.7)),
-        [(3, 4), (4, 3)], seed=22,
+        lambda t, a, b: total(scale(sub(a, affine(b, 0.5, -0.2)), 1.7)),
+        [(4, 3), (4, 3)], seed=22,
     )
 
 
 def test_grad_add_with_bias_broadcast():
-    check_op(lambda t, a, b: sum_all(mul(add(a, b), add(a, b))), [(4, 3), (1, 3)], seed=23)
+    check_op(lambda t, a, b: total(mul(add(a, b), add(a, b))), [(4, 3), (1, 3)], seed=23)
 
 
 def test_grad_relu_away_from_kink():
     # inputs kept away from 0 so finite differences cannot cross it
-    check_op(lambda t, p: sum_all(relu(p)), [(4, 4)], seed=24, lo=0.1, hi=1.0)
+    check_op(lambda t, p: total(relu(p)), [(4, 4)], seed=24, lo=0.1, hi=1.0)
     check_op(lambda t, p: mean_all(relu(p)), [(4, 4)], seed=25, lo=-1.0, hi=-0.1)
 
 
 def test_grad_sigmoid_log_clamp():
-    check_op(lambda t, p: sum_all(log(sigmoid(p))), [(3, 5)], seed=26)
+    check_op(lambda t, p: total(log(sigmoid(p))), [(3, 5)], seed=26)
     # clamp active region only: values in (0.2, 0.8) with clamp [0.1, 0.9]
-    check_op(lambda t, p: sum_all(clamp(p, 0.1, 0.9)), [(3, 3)], seed=27, lo=0.2, hi=0.8)
+    check_op(lambda t, p: total(clamp(p, 0.1, 0.9)), [(3, 3)], seed=27, lo=0.2, hi=0.8)
 
 
 def test_grad_softmax_rows():
     def build(t, p):
         probe = t.constant(np.linspace(0.1, 1.0, 12).reshape(3, 4))
-        return sum_all(mul(softmax_rows(p), probe))
+        eye = t.constant(np.eye(4))
+        return total(mul(attention(p, eye, eye, heads=1), probe))
     check_op(build, [(3, 4)], seed=28)
 
 
 def test_grad_layer_norm_all_inputs():
     def build(t, a, bias, gain):
-        return sum_all(mul(layer_norm(a, gain, bias), layer_norm(a, gain, bias)))
+        return total(mul(layer_norm(a, gain, bias), layer_norm(a, gain, bias)))
     check_op(build, [(4, 6), (1, 6), (1, 6)], seed=29)
 
 
 def test_grad_shape_surgery():
-    def build(t, p):
-        joined = concat_cols([slice_cols(p, 0, 2), slice_cols(p, 2, 5)])
+    def build(t, p, q):
+        joined = concat_cols([p, q])
         took = take_rows(joined, [2, 0, 1, 2])
         return mean_all(mul(reshape(took, 2, 10), reshape(took, 2, 10)))
-    check_op(build, [(3, 5)], seed=30)
+    check_op(build, [(3, 2), (3, 3)], seed=30)
 
 
 def test_grad_dropout_frozen_mask():
     # a fresh generator with a fixed seed per call makes f deterministic
     def build(t, p):
         out = dropout(p, 0.4, rng=np.random.default_rng(99), training=True)
-        return sum_all(mul(out, out))
+        return total(mul(out, out))
     check_op(build, [(5, 5)], seed=31)
 
 
@@ -333,7 +344,7 @@ def test_grad_check_detects_nondeterminism():
         state["calls"] += 1
         tape = Tape()
         p = tape.param("p", params["p"])
-        return scale(sum_all(p), float(state["calls"]))
+        return scale(total(p), float(state["calls"]))
 
     with pytest.raises(ValueError, match="not deterministic"):
         grad_check(f, {"p": np.ones((2, 2), dtype=np.float32)})
@@ -346,7 +357,7 @@ def test_grad_check_flags_corrupted_backward():
         out = mul(p, p)
         # corrupt the backward rule of the product node
         out.bwd = lambda g: None
-        return sum_all(out)
+        return total(out)
 
     report = grad_check(f, {"p": rnd(2, 2, seed=32)})
     assert not report.passed
@@ -362,7 +373,7 @@ def test_grad_check_report_summary_format():
 def test_grad_check_eps_range_enforced():
     def f(params):
         tape = Tape()
-        return sum_all(tape.param("p", params["p"]))
+        return total(tape.param("p", params["p"]))
 
     with pytest.raises(ValueError):
         grad_check(f, {"p": np.ones((1, 1), dtype=np.float32)}, eps=1.0)
@@ -387,13 +398,5 @@ def small_matrix(draw, max_rows=6, max_cols=6, magnitude=1000.0):
 @given(small_matrix())
 @settings(max_examples=60, deadline=None)
 def test_softmax_rows_stochastic_property(m):
-    out = softmax_rows(Tape().constant(m))
+    out = softmax_rows(m)
     np.testing.assert_allclose(out.value.astype(np.float64).sum(axis=1), 1.0, atol=1e-6)
-
-
-@given(small_matrix(magnitude=5.0))
-@settings(max_examples=40, deadline=None)
-def test_transpose_involution(m):
-    tape = Tape()
-    out = transpose(transpose(tape.constant(m)))
-    np.testing.assert_array_equal(out.value, m)

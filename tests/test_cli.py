@@ -177,6 +177,21 @@ def test_eval_overlap_matrix_csv(workspace, tmp_path, capsys):
     lines = out_csv.read_text().strip().splitlines()
     assert len(lines) >= 2  # header plus one row per script
 
+
+def test_eval_overlap_with_no_ids_is_usage_error(workspace, tmp_path, capsys):
+    root, _ = workspace
+    ids_file = tmp_path / "ids.txt"
+    ids_file.write_text("\n  \n", encoding="utf-8")
+    code, _, err = run(capsys, "eval", "--manifest", str(root / "data" / "manifest.json"),
+                       "--checkpoint", str(root / "run" / "epoch_001.sdvc"),
+                       "--split", "test", "--mode", "script",
+                       "--overlap", str(ids_file), "--overlap-out", str(tmp_path / "m.csv"))
+    assert code == 1
+    assert "no video ids" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_eval_missing_checkpoint_is_data_error(workspace, capsys):
     root, _ = workspace
     code, _, err = run(capsys, "eval", "--manifest", str(root / "data" / "manifest.json"),

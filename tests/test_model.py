@@ -27,6 +27,7 @@ from sdvsum.model import (
 )
 from sdvsum.rng import Rng
 from sdvsum.sdve import write_checkpoint_file
+from sdvsum.training import bce_loss
 
 
 def unit_rows(rng, n, d):
@@ -393,7 +394,15 @@ def test_identical_scorer_inputs_identical_scores():
     assert f[3, 0] == f[1, 0]
 
 
-@pytest.mark.parametrize("infer", [score_frames, attention_matrices])
+def _gradient_step(X, Y, w, cfg):
+    """Forward, BCE loss and backward on one tape, with no clean-up call."""
+    tape = sdvsum.model.Tape()
+    f = model_forward(tape, X, Y, w, cfg, rng_gen=Rng(27).stream("dropout", 0),
+                      training=True)
+    return tape.backward(bce_loss(f, np.ones(X.shape[0], dtype=np.float32)))
+
+
+@pytest.mark.parametrize("infer", [score_frames, attention_matrices, _gradient_step])
 def test_inference_tape_is_freed_without_the_cyclic_gc(monkeypatch, infer):
     tapes = []
 
