@@ -23,7 +23,8 @@ import numpy as np
 
 from .config import RunConfig, parse_config
 from .datasets import generate_synthetic, load_manifest
-from .errors import ConfigError, DataFormatError, ManifestError, NumericError, UsageError
+from .errors import (ConfigError, ConfigMismatchError, DataFormatError, ManifestError,
+                     NumericError, UsageError)
 from .metrics import evaluate_generic, evaluate_script_driven, overlap_matrix
 from .model import (
     ModelConfig,
@@ -111,9 +112,13 @@ def _apply_seed(config: RunConfig, seed_flag) -> None:
     if seed_flag is not None:
         if not 0 <= seed_flag < 2**64:
             raise UsageError(f"--seed must be an unsigned 64-bit integer, got {seed_flag}")
-        config.seed = seed_flag
-        config.train.seed = seed_flag
-        config.synth.seed = seed_flag
+        config.assign("seed", seed_flag)
+
+
+def _check_width(source: str, width: int, checkpoint, model_config: ModelConfig) -> None:
+    if width != model_config.dim:
+        raise ConfigMismatchError(f"{source} has width {width} but checkpoint {checkpoint} "
+                                  f"has dim {model_config.dim}")
 
 
 def _model_for_manifest(config: RunConfig, dimension: int) -> ModelConfig:
@@ -166,13 +171,12 @@ def _cmd_eval(args) -> int:
             raise UsageError(f"--overlap file {args.overlap} lists no video ids")
     manifest = load_manifest(args.manifest)
     weights, model_config = load_checkpoint(args.checkpoint)
+    _check_width(f"manifest {args.manifest}", manifest.dimension, args.checkpoint, model_config)
     score_fn = make_score_fn(weights, model_config)
-    cache: dict = {}
-    mode = "script_driven" if args.mode == "script" else "generic"
-    if mode == "script_driven":
-        result = evaluate_script_driven(score_fn, manifest, args.split, cache=cache)
+    if args.mode == "script":
+        result = evaluate_script_driven(score_fn, manifest, args.split)
     else:
-        result = evaluate_generic(score_fn, manifest, args.split, cache=cache)
+        result = evaluate_generic(score_fn, manifest, args.split)
         if result.degenerate_tau or result.degenerate_rho:
             print(
                 f"note: excluded from rank-correlation averages: "
@@ -180,9 +184,9 @@ def _cmd_eval(args) -> int:
                 f"{result.degenerate_rho} (rho)",
                 file=sys.stderr,
             )
+    matrix = overlap_matrix(result, ids) if args.overlap else None
     print(result.to_json())
-    if args.overlap:
-        matrix = overlap_matrix(score_fn, manifest, ids, mode, cache=cache)
+    if matrix is not None:
         Path(args.overlap_out).write_text(matrix.to_csv(), encoding="utf-8")
         print(f"overlap matrix written to {args.overlap_out}", file=sys.stderr)
     return 0
@@ -226,6 +230,8 @@ def _cmd_summarize(args) -> int:
     weights, model_config = load_checkpoint(args.checkpoint)
     x = read_embeddings(args.frames)
     y = read_embeddings(args.script)
+    _check_width(f"--frames {args.frames}", x.shape[1], args.checkpoint, model_config)
+    _check_width(f"--script {args.script}", y.shape[1], args.checkpoint, model_config)
     scores = score_frames(x, y, weights, model_config)
     n = scores.shape[0]
     selection = select_top_fraction(scores, args.budget_frac)
@@ -257,9 +263,7 @@ def _cmd_ablate(args) -> int:
         variant.validate()
         report = train_run(manifest, variant, config.train, out / name)
         weights, _ = load_checkpoint(out / name / report.checkpoint)
-        cache: dict = {}
-        result = evaluate_script_driven(make_score_fn(weights, variant), manifest,
-                                        "test", cache=cache)
+        result = evaluate_script_driven(make_score_fn(weights, variant), manifest, "test")
         rows.append({
             "name": name,
             "text_rep": text_rep,

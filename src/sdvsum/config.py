@@ -6,16 +6,21 @@ default, unknown keys are rejected, and ``#`` starts a comment. Defaults
 follow the reference implementation details (dim 512, heads 8, lr 5e-5,
 dropout 0.5, L2 1e-4, batch 4, 50 epochs).
 
-Two keys fan out: ``dim`` sets both the model and the synthetic-corpus
-embedding dimension (when absent each keeps its own default: 512 for the
-model, 64 for synthesis); ``seed`` seeds both training and synthesis and can
-be overridden by the CLI ``--seed`` flag.
+The keys are the config dataclasses' own fields: every bool, int, float or
+str field of ``RunConfig``, ``ModelConfig``, ``TrainConfig`` and ``SynthSpec``
+is a key of the same name and type (``int | None`` reads as ``int``), so a
+field added to one of them is a key with no other edit. A key sets every
+field of that name, which is how two keys fan out: ``dim`` sets both the
+model and the synthetic-corpus embedding dimension (when absent each keeps
+its own default: 512 for the model, 64 for synthesis); ``seed`` seeds both
+training and synthesis and can be overridden by the CLI ``--seed`` flag.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .datasets import SynthSpec
 from .errors import ConfigError
@@ -24,45 +29,6 @@ from .training import TrainConfig
 
 __all__ = ["RunConfig", "parse_config", "KNOWN_KEYS"]
 
-_MODEL_KEYS = {
-    "heads": int,
-    "use_scaling": bool,
-    "text_rep": str,
-    "single_vector_t": int,
-    "dropout_rate": float,
-    "encoder_layers": int,
-    "ffn_dim": int,
-    "scorer_head": str,
-}
-_TRAIN_KEYS = {
-    "learning_rate": float,
-    "l2_factor": float,
-    "batch_size": int,
-    "epochs": int,
-    "adam_beta1": float,
-    "adam_beta2": float,
-    "adam_eps": float,
-    "mode": str,
-}
-_SYNTH_KEYS = {
-    "topics": int,
-    "videos_train": int,
-    "videos_validation": int,
-    "videos_test": int,
-    "frames_min": int,
-    "frames_max": int,
-    "sentences_min": int,
-    "sentences_max": int,
-    "noise": float,
-    "positive_fraction": float,
-    "summaries_per_video": int,
-}
-_SHARED_KEYS = {"dim": int, "seed": int}
-_PATH_KEYS = {"manifest": str, "checkpoint": str, "out": str}
-
-KNOWN_KEYS = (set(_MODEL_KEYS) | set(_TRAIN_KEYS) | set(_SYNTH_KEYS)
-              | set(_SHARED_KEYS) | set(_PATH_KEYS))
-
 
 @dataclass
 class RunConfig:
@@ -70,13 +36,34 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     synth: SynthSpec = field(default_factory=SynthSpec)
     manifest: str | None = None
-    checkpoint: str | None = None
     out: str | None = None
     seed: int = 42
     explicit: frozenset = frozenset()
 
     def was_set(self, key: str) -> bool:
         return key in self.explicit
+
+    def assign(self, key: str, value) -> None:
+        """Set ``key`` on this config and on every section with a field of that name."""
+        for section in (self, self.model, self.train, self.synth):
+            if key in {f.name for f in fields(section)}:
+                setattr(section, key, value)
+
+
+def _scalar_fields(cls) -> dict[str, type]:
+    """Name -> type of each field of ``cls`` that holds one bool, int, float or str."""
+    hints = get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        kinds = [k for k in get_args(hints[f.name]) or (hints[f.name],) if k is not type(None)]
+        if len(kinds) == 1 and kinds[0] in (bool, int, float, str):
+            out[f.name] = kinds[0]
+    return out
+
+
+_KEY_TYPES = {key: kind for cls in (RunConfig, ModelConfig, TrainConfig, SynthSpec)
+              for key, kind in _scalar_fields(cls).items()}
+KNOWN_KEYS = frozenset(_KEY_TYPES)
 
 
 def _convert(key: str, value: str, kind, origin: str, lineno: int):
@@ -118,28 +105,11 @@ def parse_config(path=None) -> RunConfig:
                 raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
-            for table in (_MODEL_KEYS, _TRAIN_KEYS, _SYNTH_KEYS, _SHARED_KEYS, _PATH_KEYS):
-                if key in table:
-                    values[key] = _convert(key, value, table[key], origin, lineno)
-                    break
+            values[key] = _convert(key, value, _KEY_TYPES[key], origin, lineno)
 
     config = RunConfig(explicit=frozenset(values))
     for key, value in values.items():
-        if key in _MODEL_KEYS:
-            setattr(config.model, key, value)
-        elif key in _TRAIN_KEYS:
-            setattr(config.train, key, value)
-        elif key in _SYNTH_KEYS:
-            setattr(config.synth, key, value)
-        elif key in _PATH_KEYS:
-            setattr(config, key, value)
-        elif key == "dim":
-            config.model.dim = value
-            config.synth.dim = value
-        elif key == "seed":
-            config.seed = value
-            config.train.seed = value
-            config.synth.seed = value
+        config.assign(key, value)
     config.model.validate()
     config.train.validate()
     config.synth.validate()

@@ -41,7 +41,6 @@ __all__ = [
     "LoadedSummary",
     "LoadedVideo",
     "load_video",
-    "load_videos",
     "load_split",
     "SynthSpec",
     "generate_synthetic",
@@ -256,25 +255,15 @@ def load_video(manifest: DatasetManifest, entry: VideoEntry) -> LoadedVideo:
     )
 
 
-def load_videos(manifest: DatasetManifest, entries: list[VideoEntry],
-                cache: dict[str, LoadedVideo] | None = None) -> list[LoadedVideo]:
-    """Load the given videos in order; an optional cache persists across calls."""
-    out = []
-    for entry in entries:
-        if cache is not None and entry.id in cache:
-            out.append(cache[entry.id])
-            continue
-        video = load_video(manifest, entry)
-        if cache is not None:
-            cache[entry.id] = video
-        out.append(video)
-    return out
-
-
 def load_split(manifest: DatasetManifest, split: str,
                cache: dict[str, LoadedVideo] | None = None) -> list[LoadedVideo]:
     """Load every video of a split; an optional cache persists across epochs."""
-    return load_videos(manifest, manifest.split_videos(split), cache)
+    cache = {} if cache is None else cache
+    entries = manifest.split_videos(split)
+    for entry in entries:
+        if entry.id not in cache:
+            cache[entry.id] = load_video(manifest, entry)
+    return [cache[entry.id] for entry in entries]
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,10 @@ class VersionMismatchError(DataFormatError):
     """Container version is not the supported one."""
 
 
+class NonFiniteValueError(DataFormatError):
+    """Container payload holds NaN or infinity."""
+
+
 class TensorNameError(DataFormatError):
     """Checkpoint tensor names do not match the configured model."""
 

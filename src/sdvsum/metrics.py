@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import ShapeError
-from .datasets import DatasetManifest, LoadedVideo, load_split, load_videos
+from .datasets import DatasetManifest, load_split
 from .errors import ManifestError
 from .selection import select_top_fraction
 
@@ -177,12 +177,15 @@ class EvalResult:
         }, indent=1)
 
 
-def _score_videos(score_fn, videos: list[LoadedVideo], mode: str,
-                  fraction: float) -> list[EvalRecord]:
+def _evaluate(score_fn, manifest: DatasetManifest, split: str, mode: str,
+              fraction: float, cache) -> EvalResult:
     """The protocol's per-video loop, one record per video. script_driven:
     summary j comes from script j and is scored against reference j.
     generic: one description-conditioned summary is scored against every
     reference, and its scores are rank-correlated with their average."""
+    videos = load_split(manifest, split, cache)
+    if not videos:
+        raise ManifestError(f"split {split!r} is empty")
     records = []
     for v in videos:
         tau = rho = None
@@ -204,15 +207,6 @@ def _score_videos(score_fn, videos: list[LoadedVideo], mode: str,
                 per.append(fscore_binary(sel, s.labels))
         records.append(EvalRecord(video_id=v.id, per_summary=per,
                                   fscore=float(np.mean(per)), tau=tau, rho=rho))
-    return records
-
-
-def _evaluate(score_fn, manifest: DatasetManifest, split: str, mode: str,
-              fraction: float, cache) -> EvalResult:
-    videos = load_split(manifest, split, cache)
-    if not videos:
-        raise ManifestError(f"split {split!r} is empty")
-    records = _score_videos(score_fn, videos, mode, fraction)
     taus = [r.tau for r in records if r.tau is not None]
     rhos = [r.rho for r in records if r.rho is not None]
     generic = mode == "generic"
@@ -258,21 +252,16 @@ class OverlapMatrix:
         return "\n".join(lines) + "\n"
 
 
-def overlap_matrix(score_fn, manifest: DatasetManifest, video_ids: list[str],
-                   mode: str, fraction: float = TOP_FRACTION,
-                   cache=None) -> OverlapMatrix:
-    """Per-video, per-annotator F-Scores: the protocol's ``per_summary`` rows
-    for the given videos, which must all have the same number of summaries."""
-    if mode not in ("script_driven", "generic"):
-        raise ValueError(f"mode must be script_driven or generic, got {mode!r}")
-    by_id = {e.id: e for e in manifest.videos}
+def overlap_matrix(result: EvalResult, video_ids: list[str]) -> OverlapMatrix:
+    """Per-video, per-annotator F-Scores: the evaluation's ``per_summary``
+    rows for the given videos, which must lie in the evaluated split and all
+    have the same number of summaries."""
+    rows = {r.video_id: r.per_summary for r in result.records}
     for vid in video_ids:
-        if vid not in by_id:
-            raise ManifestError(f"video {vid!r} is not in the manifest")
-    videos = load_videos(manifest, [by_id[vid] for vid in video_ids], cache)
-    for v in videos:
-        if len(v.summaries) != len(videos[0].summaries):
-            raise ManifestError(f"video {v.id!r} has {len(v.summaries)} summaries, "
-                                f"expected {len(videos[0].summaries)}")
-    rows = [r.per_summary for r in _score_videos(score_fn, videos, mode, fraction)]
-    return OverlapMatrix(video_ids=list(video_ids), values=np.array(rows, dtype=np.float64))
+        if vid not in rows:
+            raise ManifestError(f"video {vid!r} is not in the evaluated {result.split!r} split")
+        if len(rows[vid]) != len(rows[video_ids[0]]):
+            raise ManifestError(f"video {vid!r} has {len(rows[vid])} summaries, "
+                                f"expected {len(rows[video_ids[0]])}")
+    return OverlapMatrix(video_ids=list(video_ids),
+                         values=np.array([rows[vid] for vid in video_ids], dtype=np.float64))

@@ -46,7 +46,8 @@ from .autodiff import (
     sigmoid,
     take_rows,
 )
-from .errors import ConfigError, ConfigMismatchError, TensorNameError, TensorShapeError
+from .errors import (ConfigError, ConfigMismatchError, DataFormatError, TensorNameError,
+                     TensorShapeError)
 from .rng import Rng
 
 __all__ = [
@@ -300,8 +301,7 @@ def _text_representation(tape: Tape, y: Node, weights, config: ModelConfig) -> N
 
 
 def model_forward(tape: Tape, x, y, weights, config: ModelConfig,
-                  rng_gen=None, training: bool = False,
-                  collect: list[np.ndarray] | None = None) -> Node:
+                  rng_gen=None, training: bool = False) -> Node:
     """Full network: text rep -> cross-modal attention -> dropout+norm -> scorer.
 
     ``x`` and ``y`` may be arrays or existing nodes on ``tape``. Returns the
@@ -313,7 +313,7 @@ def model_forward(tape: Tape, x, y, weights, config: ModelConfig,
     if not isinstance(y, Node):
         y = tape.constant(y)
     y_rep = _text_representation(tape, y, weights, config)
-    z = cross_modal_attention(tape, x, y_rep, weights, config, rng_gen, training, collect)
+    z = cross_modal_attention(tape, x, y_rep, weights, config, rng_gen, training)
     z = dropout(z, config.dropout_rate, rng_gen, training)
     z = layer_norm(z, _p(tape, weights, "post.ln.gain"), _p(tape, weights, "post.ln.bias"))
     return scorer_forward(tape, z, weights, config, rng_gen, training)
@@ -369,7 +369,10 @@ def save_checkpoint(weights: dict[str, np.ndarray], config: ModelConfig, path) -
 def load_checkpoint(path, expect: ModelConfig | None = None
                     ) -> tuple[dict[str, np.ndarray], ModelConfig]:
     blob, tensors = sdve.read_checkpoint_file(path)
-    config = ModelConfig.from_dict(blob)
+    try:
+        config = ModelConfig.from_dict(blob)
+    except (TypeError, ValueError) as e:
+        raise DataFormatError(f"checkpoint {path}: bad model config: {e}") from e
     if expect is not None and expect.to_dict() != config.to_dict():
         raise ConfigMismatchError(
             f"checkpoint {path} was written with config {config.to_dict()}, "

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     BadMagicError,
     DimensionOverflowError,
+    NonFiniteValueError,
     TensorNameError,
     TensorShapeError,
     TrailingBytesError,
@@ -110,6 +111,8 @@ class _Reader:
     def matrix(self, rows: int, cols: int, what: str) -> np.ndarray:
         raw = self.take(rows * cols * 4, what)
         a = np.frombuffer(raw, dtype="<f4").reshape(rows, cols)
+        if not np.isfinite(a).all():
+            raise NonFiniteValueError(f"{self.path}: {what} holds NaN or infinite values")
         return np.ascontiguousarray(a).astype(np.float32, copy=False)
 
     def done(self) -> None:

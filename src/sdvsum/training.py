@@ -222,7 +222,12 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
     ``out_dir``. The report's checkpoint field is the best epoch's file name
     relative to ``out_dir``, so reports are identical across output locations.
     """
-    from .model import save_checkpoint   # local import keeps module load light
+    # Looked up on each call, not bound at import: perfbench/tracing.py wraps
+    # model.save_checkpoint and this module's evaluate_script_driven to split
+    # an epoch's time, and its train_samples_per_s divides by the epoch minus
+    # validation and checkpoint time, so a binding made at import would
+    # escape the wrapper and silently change that metric.
+    from .model import save_checkpoint
 
     model_config.validate()
     train_config.validate()

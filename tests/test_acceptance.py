@@ -509,8 +509,9 @@ def test_criterion_9_overlap_structure(reference_dataset, sdvsum_runs):
     score_fn = make_score_fn(run["weights"], run["config"])
     ids = [v.id for v in manifest.split_videos("test")]
     cache: dict = {}
-    script_m = overlap_matrix(score_fn, manifest, ids, "script_driven", cache=cache)
-    generic_m = overlap_matrix(score_fn, manifest, ids, "generic", cache=cache)
+    script_m = overlap_matrix(evaluate_script_driven(score_fn, manifest, "test", cache=cache),
+                              ids)
+    generic_m = overlap_matrix(evaluate_generic(score_fn, manifest, "test", cache=cache), ids)
 
     # generic rows must be explainable by exactly one prediction per video:
     # re-deriving the row from that single selection reproduces every entry,

@@ -3,14 +3,18 @@
 import hashlib
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sdvsum.cli
 from sdvsum.cli import ABLATION_VARIANTS, main
-from sdvsum.model import load_checkpoint
-from sdvsum.sdve import read_embeddings, write_embeddings
+from sdvsum.model import ModelConfig, init_weights, load_checkpoint, save_checkpoint
+from sdvsum.rng import Rng
+from sdvsum.sdve import (read_checkpoint_file, read_embeddings, write_checkpoint_file,
+                         write_embeddings)
 
 SPEC_TEXT = """
 topics = 4
@@ -192,6 +196,33 @@ def test_eval_overlap_with_no_ids_is_usage_error(workspace, tmp_path, capsys):
     assert not (tmp_path / "m.csv").exists()
 
 
+def test_eval_overlap_scores_each_pair_once(workspace, tmp_path, capsys, monkeypatch):
+    root, _ = workspace
+    manifest = json.loads((root / "data" / "manifest.json").read_text())
+    pairs = sum(len(v["summaries"]) for v in manifest["videos"] if v["split"] == "test")
+    calls = []
+
+    def counting_score_fn(weights, config, make=sdvsum.cli.make_score_fn):
+        score_fn = make(weights, config)
+        return lambda x, y: calls.append(1) or score_fn(x, y)
+
+    monkeypatch.setattr(sdvsum.cli, "make_score_fn", counting_score_fn)
+    for split, expected_code in (("test", 0), ("train", 2)):
+        ids_file = tmp_path / f"{split}.txt"
+        ids_file.write_text("\n".join(v["id"] for v in manifest["videos"]
+                                      if v["split"] == split), encoding="utf-8")
+        out_csv = tmp_path / f"{split}.csv"
+        calls.clear()
+        code, _, err = run(capsys, "eval", "--manifest", str(root / "data" / "manifest.json"),
+                           "--checkpoint", str(root / "run" / "epoch_001.sdvc"),
+                           "--split", "test", "--mode", "script",
+                           "--overlap", str(ids_file), "--overlap-out", str(out_csv))
+        assert code == expected_code
+        assert len(calls) == pairs
+        assert out_csv.exists() == (code == 0)
+    assert "not in the evaluated 'test' split" in err
+
+
 def test_eval_missing_checkpoint_is_data_error(workspace, capsys):
     root, _ = workspace
     code, _, err = run(capsys, "eval", "--manifest", str(root / "data" / "manifest.json"),
@@ -304,6 +335,80 @@ def test_summarize_corrupt_embeddings_is_data_error(workspace, tmp_path, capsys)
                      "--checkpoint", str(root / "run" / "epoch_001.sdvc"),
                      "--frames", str(bad), "--script", str(bad))
     assert code == 2
+
+
+def _test_video(root):
+    manifest = json.loads((root / "data" / "manifest.json").read_text())
+    return next(v for v in manifest["videos"] if v["split"] == "test")
+
+
+def _summarize(root, frames=None, script=None, checkpoint=None):
+    video = _test_video(root)
+    return ["summarize", "--checkpoint", str(checkpoint or root / "run" / "epoch_001.sdvc"),
+            "--frames", str(frames or root / "data" / video["frames"]),
+            "--script", str(script or root / "data" / video["summaries"][0]["script"])]
+
+
+def _eval(root, manifest=None, checkpoint=None):
+    return ["eval", "--manifest", str(manifest or root / "data" / "manifest.json"),
+            "--checkpoint", str(checkpoint or root / "run" / "epoch_001.sdvc"),
+            "--split", "test", "--mode", "script"]
+
+
+def _written(path, m):
+    write_embeddings(m, path)
+    return path
+
+
+def _poisoned(src, dst, value):
+    m = read_embeddings(src).copy()
+    m[0, 0] = value
+    return _written(dst, m)
+
+
+def _corpus_with_inf_frames(root, tmp):
+    shutil.copytree(root / "data", tmp / "data")
+    frames = tmp / "data" / _test_video(root)["frames"]
+    _poisoned(frames, frames, np.inf)
+    return tmp / "data" / "manifest.json"
+
+
+def _checkpoint_with(root, tmp, edit):
+    blob, tensors = read_checkpoint_file(root / "run" / "epoch_001.sdvc")
+    tensors = {name: t.copy() for name, t in tensors.items()}
+    edit(blob, tensors)
+    write_checkpoint_file(blob, tensors, tmp / "edited.sdvc")
+    return tmp / "edited.sdvc"
+
+
+def _narrow_checkpoint(tmp):
+    config = ModelConfig(dim=8, heads=4)
+    save_checkpoint(init_weights(config, Rng(0)), config, tmp / "narrow.sdvc")
+    return tmp / "narrow.sdvc"
+
+
+MALFORMED = {
+    "nan_frames": lambda root, tmp: _summarize(
+        root, frames=_poisoned(root / "data" / _test_video(root)["frames"],
+                               tmp / "nan.sdve", np.nan)),
+    "inf_corpus_frames": lambda root, tmp: _eval(root, manifest=_corpus_with_inf_frames(root, tmp)),
+    "nan_checkpoint_tensor": lambda root, tmp: _eval(root, checkpoint=_checkpoint_with(
+        root, tmp, lambda blob, tensors: tensors["post.ln.gain"].fill(np.nan))),
+    "frames_width": lambda root, tmp: _summarize(root, checkpoint=_narrow_checkpoint(tmp)),
+    "script_width": lambda root, tmp: _summarize(root, script=_written(
+        tmp / "narrow.sdve", np.ones((3, 8)))),
+    "manifest_dimension": lambda root, tmp: _eval(root, checkpoint=_narrow_checkpoint(tmp)),
+    "config_blob_type": lambda root, tmp: _eval(root, checkpoint=_checkpoint_with(
+        root, tmp, lambda blob, tensors: blob.update(dim=str(blob["dim"])))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_data_error(workspace, tmp_path, capsys, case):
+    root, _ = workspace
+    code, _, err = run(capsys, *MALFORMED[case](root, tmp_path))
+    assert code == 2
+    assert err.startswith("data error: ")
 
 
 def test_ablate_runs_five_variants(workspace, tmp_path, capsys):

@@ -1,9 +1,18 @@
 """Flat key=value run configuration: defaults, fan-out keys, rejection rules."""
 
+import re
+from dataclasses import dataclass, fields
+from pathlib import Path
+
 import pytest
 
-from sdvsum.config import KNOWN_KEYS, parse_config
+from sdvsum.config import KNOWN_KEYS, _scalar_fields, parse_config
+from sdvsum.datasets import SynthSpec
 from sdvsum.errors import ConfigError
+from sdvsum.model import ModelConfig
+from sdvsum.training import TrainConfig
+
+REFERENCE_CFG = Path(__file__).resolve().parents[1] / "scripts" / "reference.cfg"
 
 
 def write(tmp_path, text):
@@ -24,7 +33,7 @@ def test_empty_file_gives_reference_defaults(tmp_path):
     assert cfg.train.batch_size == 4
     assert cfg.train.epochs == 50
     assert cfg.seed == 42
-    assert cfg.manifest is None and cfg.checkpoint is None and cfg.out is None
+    assert cfg.manifest is None and cfg.out is None
 
 
 def test_none_path_same_as_empty(tmp_path):
@@ -108,3 +117,31 @@ def test_known_keys_cover_all_tables():
     for key in ("heads", "learning_rate", "topics", "dim", "seed", "manifest"):
         assert key in KNOWN_KEYS
     assert "dropout" not in KNOWN_KEYS  # the full name dropout_rate is the key
+
+
+def test_keys_are_the_section_fields():
+    sections = {f.name for cls in (ModelConfig, TrainConfig, SynthSpec) for f in fields(cls)}
+    assert KNOWN_KEYS == sections | {"manifest", "out"}
+    assert "checkpoint" not in KNOWN_KEYS
+
+
+def test_a_new_field_is_a_key_of_its_type():
+    @dataclass
+    class Extended(TrainConfig):
+        warmup_steps: int | None = None
+        schedule: str = "constant"
+
+    keys = _scalar_fields(Extended)
+    assert keys["warmup_steps"] is int and keys["schedule"] is str
+    assert {k: keys[k] for k in ("learning_rate", "batch_size", "mode")} \
+        == {"learning_rate": float, "batch_size": int, "mode": str}
+    assert _scalar_fields(ModelConfig)["ffn_dim"] is int
+    assert _scalar_fields(ModelConfig)["use_scaling"] is bool
+
+
+def test_reference_cfg_lists_every_key(tmp_path):
+    text = REFERENCE_CFG.read_text(encoding="utf-8")
+    listed = re.findall(r"^# (\w+) = ", text, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(KNOWN_KEYS)
+    # every listed line parses once uncommented
+    parse_config(write(tmp_path, re.sub(r"^# (\w+ = )", r"\1", text, flags=re.MULTILINE)))

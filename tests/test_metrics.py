@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from sdvsum.datasets import SynthSpec, generate_synthetic
+from sdvsum.errors import ManifestError
 from sdvsum.metrics import (
+    EvalRecord,
+    EvalResult,
     evaluate_generic,
     evaluate_script_driven,
     fscore_binary,
@@ -248,9 +251,19 @@ def similarity(x, y):
                                             ("generic", evaluate_generic)])
 def test_overlap_rows_are_evaluation_per_summary(corpus, mode, evaluate):
     ids = [v.id for v in corpus.split_videos("test")][::-1]
-    per_summary = {r.video_id: r.per_summary
-                   for r in evaluate(similarity, corpus, "test").records}
-    matrix = overlap_matrix(similarity, corpus, ids, mode)
+    result = evaluate(similarity, corpus, "test")
+    per_summary = {r.video_id: r.per_summary for r in result.records}
+    matrix = overlap_matrix(result, ids)
     assert matrix.video_ids == ids
     assert matrix.values.shape == (3, 3)
     assert np.array_equal(matrix.values, np.array([per_summary[v] for v in ids]))
+
+
+def test_overlap_rows_must_come_from_the_evaluation():
+    result = EvalResult(split="test", mode="script_driven", fscore=0.0, tau=None, rho=None,
+                        records=[EvalRecord("a", [10.0, 20.0], 15.0),
+                                 EvalRecord("b", [30.0], 30.0)])
+    with pytest.raises(ManifestError, match="'c' is not in the evaluated 'test' split"):
+        overlap_matrix(result, ["a", "c"])
+    with pytest.raises(ManifestError, match="'b' has 1 summaries, expected 2"):
+        overlap_matrix(result, ["a", "b"])

@@ -8,6 +8,7 @@ import pytest
 from sdvsum.errors import (
     BadMagicError,
     DimensionOverflowError,
+    NonFiniteValueError,
     TensorNameError,
     TensorShapeError,
     TrailingBytesError,
@@ -112,6 +113,16 @@ def test_zero_extent_rejected(tmp_path):
     p.write_bytes(b"SDVE" + struct.pack("<III", 1, 0, 3))
     with pytest.raises(Exception):
         read_embeddings(p)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_payload_rejected(tmp_path, value):
+    write_embeddings(np.array([[1.0, value]]), tmp_path / "m.sdve")
+    with pytest.raises(NonFiniteValueError):
+        read_embeddings(tmp_path / "m.sdve")
+    write_checkpoint_file({}, {"w": np.array([[value]])}, tmp_path / "c.sdvc")
+    with pytest.raises(NonFiniteValueError, match="'w'"):
+        read_checkpoint_file(tmp_path / "c.sdvc")
 
 
 def test_write_rejects_non_matrix(tmp_path):
