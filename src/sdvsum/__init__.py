@@ -3,7 +3,7 @@ with its training, selection and evaluation protocols, on a small
 reverse-mode autodiff core.
 """
 
-from .autodiff import GradCheckReport, Node, ShapeError, Tape, grad_check, matrix
+from .autodiff import Node, ShapeError, Tape, matrix
 from .config import RunConfig, parse_config
 from .datasets import (
     DatasetManifest,

@@ -3,8 +3,8 @@
 Every value is a 2-D float32 array. A :class:`Tape` records operations in
 creation order, which is by construction a topological order, so the backward
 sweep is a single reverse walk over the tape. Gradients are accumulated into
-per-node buffers and returned as a name -> array map for the tape's named
-parameters.
+per-node buffers; a named parameter's buffer is the caller's array of that
+name (fresh zeros by default), so several tapes can sum into one set.
 
 A tape holds its nodes only weakly, while each node holds its tape and its
 parents: with no reference cycle, a tape and its nodes are freed as soon as
@@ -18,8 +18,6 @@ encodings, labels) cost nothing beyond their forward value.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -45,8 +43,6 @@ __all__ = [
     "take_rows",
     "reshape",
     "mean_all",
-    "GradCheckReport",
-    "grad_check",
 ]
 
 _F32 = np.float32
@@ -121,7 +117,7 @@ class Tape:
     def __init__(self):
         self.nodes: list[weakref.ref] = []
         self.params: weakref.WeakValueDictionary[str, Node] = weakref.WeakValueDictionary()
-        # every registered name, so parameters whose nodes are gone get zeros
+        # every registered name, so backward knows which gradient buffers it needs
         self._param_shapes: dict[str, tuple[int, int]] = {}
 
     def leaf(self, value, name: str | None = None, needs_grad: bool = False) -> Node:
@@ -151,31 +147,32 @@ class Tape:
             self._param_shapes[name] = value.shape
         return node
 
-    def backward(self, loss: Node) -> dict[str, np.ndarray]:
-        """Run the reverse sweep from a scalar loss node.
+    def backward(self, loss: Node, into: dict | None = None) -> dict[str, np.ndarray]:
+        """Reverse sweep from a scalar loss node, adding d(loss)/d(param) into ``into``.
 
-        Gradient accumulators are zeroed on entry, so calling backward twice
-        recomputes the same gradients rather than doubling them. Returns
-        d(loss)/d(param) for every registered parameter; parameters that the
-        loss does not reach get zero gradients.
+        ``into`` (fresh zeros by default, and returned) maps each registered
+        parameter to a float32 buffer of its shape; unreached ones keep their value.
         """
         if loss.tape is not self:
             raise ValueError("loss node belongs to a different tape")
         if loss.value.shape != (1, 1):
             raise ShapeError(f"backward needs a 1x1 loss node, got shape {loss.shape}")
+        if into is None:
+            into = {name: np.zeros(shape, dtype=_F32) for name, shape in self._param_shapes.items()}
+        wrong = [name for name, shape in self._param_shapes.items()
+                 if name not in into or into[name].shape != shape]
+        if wrong:
+            raise ShapeError(f"backward: no gradient buffer of the parameter's shape for {wrong}")
         live = [node for node in (ref() for ref in self.nodes) if node is not None]
         for node in live:
             node.grad = None
+        for name, p in self.params.items():
+            p.grad = into[name]
         loss.grad = np.ones((1, 1), dtype=_F32)
         for node in reversed(live):
             if node.bwd is not None and node.grad is not None:
                 node.bwd(node.grad)
-        out = {}
-        for name, shape in self._param_shapes.items():
-            p = self.params.get(name)
-            grad = None if p is None else p.grad
-            out[name] = np.zeros(shape, dtype=_F32) if grad is None else grad
-        return out
+        return into
 
 
 def _accum(node: Node, g: np.ndarray) -> None:
@@ -510,77 +507,3 @@ def mean_all(a: Node) -> Node:
         _accum(a, np.full_like(a.value, g[0, 0] / _F32(n)))
 
     return _op(out, (a,), bwd)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-@dataclass
-class GradCheckReport:
-    """Per-parameter worst relative error between analytic and numeric gradients."""
-
-    errors: dict[str, float]
-    tol: float
-
-    @property
-    def max_error(self) -> float:
-        return max(self.errors.values()) if self.errors else 0.0
-
-    @property
-    def passed(self) -> bool:
-        return self.max_error <= self.tol
-
-    def summary(self) -> str:
-        state = "PASS" if self.passed else "FAIL"
-        return f"grad_check {state}: max relative error {self.max_error:.3e} (tol {self.tol:.1e})"
-
-
-def grad_check(
-    f: Callable[[dict[str, np.ndarray]], Node],
-    params: dict[str, np.ndarray],
-    eps: float = 1e-3,
-    tol: float = 1e-3,
-) -> GradCheckReport:
-    """Compare analytic gradients of ``f`` against central finite differences.
-
-    ``f`` must build a fresh tape, register every array in ``params`` via
-    ``tape.param`` under the same name, and return the scalar loss node. It is
-    evaluated twice up front; any disagreement means ``f`` is not
-    deterministic (e.g. live dropout) and is rejected.
-
-    The relative error for one gradient entry is |a - n| / max(1, |a|, |n|),
-    i.e. it degrades to an absolute tolerance where both gradients are small,
-    which is the honest resolution limit of float32 forward passes.
-    """
-    if not 1e-5 <= eps <= 1e-2:
-        raise ValueError(f"eps must be in [1e-5, 1e-2], got {eps}")
-
-    loss = f(params)
-    loss_again = f(params)
-    if loss.value[0, 0] != loss_again.value[0, 0]:
-        raise ValueError(
-            "f is not deterministic: two forward passes disagree "
-            f"({loss.item()} vs {loss_again.item()}); freeze dropout masks first"
-        )
-    analytic = loss.tape.backward(loss)
-
-    errors: dict[str, float] = {}
-    for name, theta in params.items():
-        ana = analytic[name].astype(np.float64)
-        num = np.zeros(theta.shape, dtype=np.float64)
-        flat = theta.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + _F32(eps)
-            hi = float(f(params).value[0, 0])
-            hi_theta = float(flat[i])
-            flat[i] = orig - _F32(eps)
-            lo = float(f(params).value[0, 0])
-            lo_theta = float(flat[i])
-            flat[i] = orig
-            # use the actually-representable step, not the nominal eps
-            num.reshape(-1)[i] = (hi - lo) / (hi_theta - lo_theta)
-        denom = np.maximum(1.0, np.maximum(np.abs(ana), np.abs(num)))
-        errors[name] = float(np.max(np.abs(ana - num) / denom))
-    return GradCheckReport(errors=errors, tol=tol)

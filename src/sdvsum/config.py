@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import get_args, get_type_hints
 
 from .datasets import SynthSpec
 from .errors import ConfigError
-from .model import ModelConfig
+from .model import ModelConfig, scalar_fields
 from .training import TrainConfig
 
 __all__ = ["RunConfig", "parse_config", "KNOWN_KEYS"]
@@ -50,19 +49,8 @@ class RunConfig:
                 setattr(section, key, value)
 
 
-def _scalar_fields(cls) -> dict[str, type]:
-    """Name -> type of each field of ``cls`` that holds one bool, int, float or str."""
-    hints = get_type_hints(cls)
-    out = {}
-    for f in fields(cls):
-        kinds = [k for k in get_args(hints[f.name]) or (hints[f.name],) if k is not type(None)]
-        if len(kinds) == 1 and kinds[0] in (bool, int, float, str):
-            out[f.name] = kinds[0]
-    return out
-
-
 _KEY_TYPES = {key: kind for cls in (RunConfig, ModelConfig, TrainConfig, SynthSpec)
-              for key, kind in _scalar_fields(cls).items()}
+              for key, kind in scalar_fields(cls).items()}
 KNOWN_KEYS = frozenset(_KEY_TYPES)
 
 

@@ -94,15 +94,14 @@ def kendall_tau_b(a, b) -> float | None:
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks with tied values assigned the mean of their rank range."""
+    n = x.shape[0]
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.shape[0], dtype=np.float64)
-    i = 0
-    while i < x.shape[0]:
-        j = i
-        while j + 1 < x.shape[0] and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    xs = x[order]
+    # sorted positions [i, j] of each run of equal values
+    i = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    j = np.append(i[1:], n) - 1
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat((i + j) / 2.0 + 1.0, j - i + 1)
     return ranks
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -53,6 +54,7 @@ from .rng import Rng
 __all__ = [
     "TEXT_REPS",
     "SCORER_HEADS",
+    "scalar_fields",
     "ModelConfig",
     "tensor_shapes",
     "parameter_count",
@@ -71,6 +73,24 @@ __all__ = [
 
 TEXT_REPS = ("multi_vector", "single_vector")
 SCORER_HEADS = ("direct", "hidden")
+
+
+def scalar_fields(cls) -> dict[str, type]:
+    """Name -> type of each field of ``cls`` that holds one bool, int, float or str."""
+    hints = get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        kinds = [k for k in get_args(hints[f.name]) or (hints[f.name],) if k is not type(None)]
+        if len(kinds) == 1 and kinds[0] in (bool, int, float, str):
+            out[f.name] = kinds[0]
+    return out
+
+
+def _fits(value, kind: type) -> bool:
+    """Whether a JSON value can stand for a ``kind`` field: a bool is no number, a float no int."""
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 @dataclass
@@ -118,10 +138,15 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
+        kinds = scalar_fields(cls)
+        unknown = set(d) - set(kinds)
         if unknown:
             raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
+        for key, value in d.items():
+            # a field whose default is None (ffn_dim) may be null
+            if not (_fits(value, kinds[key]) or value is None and getattr(cls, key) is None):
+                raise ConfigError(f"model config key {key!r} needs a {kinds[key].__name__}, "
+                                  f"got {value!r}")
         config = cls(**d)
         config.validate()
         return config

@@ -9,8 +9,11 @@ per-frame mean of all reference summaries, under mean squared error.
 "Batch size 4" over variable-length videos is gradient accumulation: losses
 of up to ``batch_size`` samples are averaged before a single Adam step, which
 is mathematically the batched update without any padding or masking. The
-remainder group at epoch end still steps (averaged over its actual size).
-L2 regularization is coupled: ``l2_factor * theta`` is added to the gradient
+weights, the group gradient and Adam's moments are flat float32 buffers whose
+views are the named tensors. Each sample's backward adds straight into the
+gradient buffer; a group (the remainder group at epoch end included) ends in
+one divide by its actual size, one Adam step and one zero-fill. L2
+regularization is coupled: ``l2_factor * theta`` is added to the gradient
 before the Adam moments.
 
 After every epoch the model is scored on the validation split with dropout
@@ -141,21 +144,24 @@ def mse_loss(f: Node, target: np.ndarray) -> Node:
 
 @dataclass
 class OptimizerState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
+    scratch: np.ndarray   # adam_step's work buffer, the size of the weights
     step: int = 0
 
     @classmethod
-    def for_weights(cls, weights: dict[str, np.ndarray]) -> "OptimizerState":
-        return cls(
-            m={k: np.zeros_like(w) for k, w in weights.items()},
-            v={k: np.zeros_like(w) for k, w in weights.items()},
-        )
+    def for_weights(cls, w: np.ndarray) -> "OptimizerState":
+        return cls(m=np.zeros_like(w), v=np.zeros_like(w), scratch=np.empty_like(w))
 
 
-def adam_step(weights: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: OptimizerState, config: TrainConfig) -> None:
-    """One in-place Adam update with coupled L2 on the gradients."""
+def adam_step(w: np.ndarray, g: np.ndarray, state: OptimizerState,
+              config: TrainConfig) -> None:
+    """One in-place Adam update of ``w`` with coupled L2 on the gradient ``g``.
+
+    ``g`` doubles as scratch and holds no gradient afterwards. Each element
+    gets the float32 operations of ``g' = g + l2*w``, ``m = b1*m + (1-b1)*g'``,
+    ``v = b2*v + (1-b2)*(g'*g')``, ``w -= lr*(m/c1) / (sqrt(v/c2) + eps)``.
+    """
     state.step += 1
     t = state.step
     b1, b2 = np.float32(config.adam_beta1), np.float32(config.adam_beta2)
@@ -163,15 +169,15 @@ def adam_step(weights: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     eps = np.float32(config.adam_eps)
     c1 = np.float32(1.0 - config.adam_beta1 ** t)
     c2 = np.float32(1.0 - config.adam_beta2 ** t)
-    for name, w in weights.items():
-        g = grads[name] + np.float32(config.l2_factor) * w
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * (g * g)
-        w -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    m, v, s = state.m, state.v, state.scratch
+    g += np.multiply(w, np.float32(config.l2_factor), out=s)
+    m *= b1
+    m += np.multiply(g, 1 - b1, out=s)
+    v *= b2
+    v += np.multiply(np.multiply(g, g, out=g), 1 - b2, out=g)
+    np.multiply(np.divide(m, c1, out=s), lr, out=s)
+    np.add(np.sqrt(np.divide(v, c2, out=g), out=g), eps, out=g)
+    w -= np.divide(s, g, out=s)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +220,12 @@ def _generic_samples(videos: list[LoadedVideo]) -> list[tuple[str, np.ndarray, n
     return samples
 
 
+def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Each array of ``like`` as a same-shaped view of ``flat``, laid out in order."""
+    parts = np.split(flat, np.cumsum([a.size for a in like.values()])[:-1])
+    return {name: p.reshape(a.shape) for (name, a), p in zip(like.items(), parts)}
+
+
 def train_run(manifest: DatasetManifest, model_config: ModelConfig,
               train_config: TrainConfig, out_dir, on_epoch=None) -> TrainReport:
     """Train, validate each epoch, checkpoint each epoch, select the best.
@@ -242,9 +254,13 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
     if not manifest.split_videos("validation"):
         raise ManifestError("validation split is empty")
 
-    weights = init_weights(model_config, rng)
-    state = OptimizerState.for_weights(weights)
+    init = init_weights(model_config, rng)
+    w = np.concatenate([a.reshape(-1) for a in init.values()])
+    g = np.zeros_like(w)
+    weights, grads = _views(w, init), _views(g, init)
+    state = OptimizerState.for_weights(w)
     generic = train_config.mode == "generic"
+    batch = train_config.batch_size
 
     if generic:
         base_samples = _generic_samples(train_videos)
@@ -261,19 +277,7 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
         drop_gen = rng.stream("dropout", epoch)
 
         epoch_losses: list[float] = []
-        group_grads: dict[str, np.ndarray] | None = None
-        group_size = 0
-
-        def flush_group():
-            nonlocal group_grads, group_size
-            if group_size == 0:
-                return
-            averaged = {k: g / np.float32(group_size) for k, g in group_grads.items()}
-            adam_step(weights, averaged, state, train_config)
-            group_grads = None
-            group_size = 0
-
-        for i in order:
+        for n, i in enumerate(order, 1):
             vid, x, y, target = base_samples[i]
             tape = Tape()
             f = model_forward(tape, x, y, weights, model_config,
@@ -285,16 +289,11 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
                     f"non-finite training loss at epoch {epoch}, sample {vid!r}"
                 )
             epoch_losses.append(value)
-            grads = tape.backward(loss)
-            if group_grads is None:
-                group_grads = grads
-            else:
-                for k in group_grads:
-                    group_grads[k] += grads[k]
-            group_size += 1
-            if group_size == train_config.batch_size:
-                flush_group()
-        flush_group()
+            tape.backward(loss, into=grads)
+            if n % batch == 0 or n == len(order):
+                g /= np.float32((n - 1) % batch + 1)   # the group's actual size
+                adam_step(w, g, state, train_config)
+                g.fill(0)
 
         score_fn = make_score_fn(weights, model_config)
         if generic:

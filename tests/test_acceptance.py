@@ -22,7 +22,6 @@ from sdvsum.autodiff import (
     clamp,
     concat_cols,
     dropout,
-    grad_check,
     layer_norm,
     log,
     matmul,
@@ -61,6 +60,7 @@ from sdvsum.selection import fixed_fragmentation, fragment_knapsack, select_top_
 from sdvsum.training import TrainConfig, bce_loss, train_run
 
 from conftest import ACCEPT_EPOCHS, SDVSUM_MODEL, VARIANT3_MODEL
+from gradcheck import grad_check
 
 
 def _report(n: int, ok: bool, detail: str) -> None:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sdvsum.autodiff import (
-    GradCheckReport,
     ShapeError,
     Tape,
     add,
@@ -11,7 +10,6 @@ from sdvsum.autodiff import (
     clamp,
     concat_cols,
     dropout,
-    grad_check,
     layer_norm,
     log,
     matmul,
@@ -26,6 +24,8 @@ from sdvsum.autodiff import (
     take_rows,
 )
 from sdvsum.rng import Rng
+
+from gradcheck import GradCheckReport, grad_check
 
 
 def rnd(*shape, seed=0, lo=-1.0, hi=1.0):
@@ -236,6 +236,39 @@ def test_unreached_parameter_gets_zero_gradient():
     tape.param("unused", rnd(3, 3, seed=14))
     grads = tape.backward(mean_all(w))
     np.testing.assert_array_equal(grads["unused"], np.zeros((3, 3)))
+
+
+def _sigmoid_layer_loss(x_seed):
+    """Loss through one sigmoid layer on fresh inputs, plus a registered unused parameter."""
+    tape = Tape()
+    w = tape.param("w", rnd(3, 2, seed=15))
+    b = tape.param("b", rnd(1, 2, seed=16))
+    unused = tape.param("unused", rnd(2, 2, seed=17))
+    x = tape.constant(rnd(4, 3, seed=x_seed))
+    return tape, mean_all(sigmoid(add(matmul(x, w), b))), unused
+
+
+def test_backward_into_sums_gradients_in_place():
+    fresh = [tape.backward(loss) for tape, loss, _ in map(_sigmoid_layer_loss, (20, 21))]
+    into = {"w": np.zeros((3, 2), dtype=np.float32), "b": np.zeros((1, 2), dtype=np.float32),
+            "unused": np.full((2, 2), 7.0, dtype=np.float32)}
+    buffers = dict(into)
+    for tape, loss, _ in map(_sigmoid_layer_loss, (20, 21)):
+        assert tape.backward(loss, into=into) is into
+    for name in ("w", "b"):
+        assert into[name] is buffers[name]
+        assert into[name].tobytes() == (fresh[0][name] + fresh[1][name]).tobytes()
+    np.testing.assert_array_equal(into["unused"], np.full((2, 2), 7.0))
+
+
+def test_backward_into_needs_every_registered_parameter():
+    tape, loss, _ = _sigmoid_layer_loss(22)
+    into = {"w": np.zeros((3, 2), dtype=np.float32), "unused": np.zeros((2, 2), dtype=np.float32)}
+    with pytest.raises(ShapeError, match="'b'"):
+        tape.backward(loss, into=into)
+    into["b"] = np.zeros((2, 2), dtype=np.float32)
+    with pytest.raises(ShapeError, match="'b'"):
+        tape.backward(loss, into=into)
 
 
 def test_mixing_tapes_rejected():

@@ -400,6 +400,12 @@ MALFORMED = {
     "manifest_dimension": lambda root, tmp: _eval(root, checkpoint=_narrow_checkpoint(tmp)),
     "config_blob_type": lambda root, tmp: _eval(root, checkpoint=_checkpoint_with(
         root, tmp, lambda blob, tensors: blob.update(dim=str(blob["dim"])))),
+    "config_blob_bool_string": lambda root, tmp: _eval(root, checkpoint=_checkpoint_with(
+        root, tmp, lambda blob, tensors: blob.update(use_scaling="false"))),
+    "config_blob_float_dim": lambda root, tmp: _eval(root, checkpoint=_checkpoint_with(
+        root, tmp, lambda blob, tensors: blob.update(dim=float(blob["dim"])))),
+    "config_blob_bool_heads": lambda root, tmp: _eval(root, checkpoint=_checkpoint_with(
+        root, tmp, lambda blob, tensors: blob.update(heads=True))),
 }
 
 

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from sdvsum.config import KNOWN_KEYS, _scalar_fields, parse_config
+from sdvsum.config import KNOWN_KEYS, parse_config
 from sdvsum.datasets import SynthSpec
 from sdvsum.errors import ConfigError
-from sdvsum.model import ModelConfig
+from sdvsum.model import ModelConfig, scalar_fields
 from sdvsum.training import TrainConfig
 
 REFERENCE_CFG = Path(__file__).resolve().parents[1] / "scripts" / "reference.cfg"
@@ -131,12 +131,12 @@ def test_a_new_field_is_a_key_of_its_type():
         warmup_steps: int | None = None
         schedule: str = "constant"
 
-    keys = _scalar_fields(Extended)
+    keys = scalar_fields(Extended)
     assert keys["warmup_steps"] is int and keys["schedule"] is str
     assert {k: keys[k] for k in ("learning_rate", "batch_size", "mode")} \
         == {"learning_rate": float, "batch_size": int, "mode": str}
-    assert _scalar_fields(ModelConfig)["ffn_dim"] is int
-    assert _scalar_fields(ModelConfig)["use_scaling"] is bool
+    assert scalar_fields(ModelConfig)["ffn_dim"] is int
+    assert scalar_fields(ModelConfig)["use_scaling"] is bool
 
 
 def test_reference_cfg_lists_every_key(tmp_path):

@@ -9,6 +9,7 @@ from sdvsum.errors import ManifestError
 from sdvsum.metrics import (
     EvalRecord,
     EvalResult,
+    _average_ranks,
     evaluate_generic,
     evaluate_script_driven,
     fscore_binary,
@@ -156,13 +157,18 @@ def test_tau_monotone_transform_invariance():
     assert t1 == pytest.approx(t2, abs=1e-12)
 
 
-def test_tau_matches_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        n = int(rng.integers(2, 50))
+def tied_instances(seed):
+    """200 short instances, then one long heavily tied one, on a coarse value grid."""
+    rng = np.random.default_rng(seed)
+    for k in range(201):
+        n = int(rng.integers(2, 50)) if k < 200 else 2000
         # coarse grid so ties are common
-        a = rng.integers(0, 6, size=n).astype(float)
-        b = rng.integers(0, 6, size=n).astype(float)
+        yield (rng.integers(0, 6, size=n).astype(float),
+               rng.integers(0, 6, size=n).astype(float))
+
+
+def test_tau_matches_oracle():
+    for a, b in tied_instances(3):
         got = kendall_tau_b(a, b)
         want = tau_b_oracle(a.tolist(), b.tolist())
         if want is None:
@@ -191,11 +197,8 @@ def test_rho_zero_variance_is_degenerate():
 
 
 def test_rho_matches_oracle():
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        n = int(rng.integers(2, 50))
-        a = rng.integers(0, 6, size=n).astype(float)
-        b = rng.integers(0, 6, size=n).astype(float)
+    for a, b in tied_instances(4):
+        assert np.array_equal(_average_ranks(a), ranks_oracle(a.tolist()))
         got = spearman_rho(a, b)
         want = rho_oracle(a.tolist(), b.tolist())
         if want is None:

@@ -451,6 +451,23 @@ def test_checkpoint_expect_mismatch(tmp_path):
         load_checkpoint(path, expect=ModelConfig(dim=16, heads=2))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("use_scaling", "false"), ("dim", 16.0), ("heads", True), ("dropout_rate", False),
+    ("text_rep", 1), ("ffn_dim", 64.0), ("single_vector_t", None),
+])
+def test_config_from_dict_rejects_mistyped_values(key, value):
+    blob = ModelConfig(dim=16, heads=4).to_dict()
+    blob[key] = value
+    with pytest.raises(ConfigError, match=key):
+        ModelConfig.from_dict(blob)
+
+
+def test_config_from_dict_accepts_null_ffn_dim_and_whole_number_rates():
+    blob = dict(ModelConfig(dim=16, heads=4).to_dict(), dropout_rate=0)
+    assert blob["ffn_dim"] is None
+    assert ModelConfig.from_dict(blob).dropout_rate == 0.0
+
+
 def test_checkpoint_rejects_missing_tensor(tmp_path):
     cfg = ModelConfig(dim=16, heads=4)
     w = init_weights(cfg, Rng(24))

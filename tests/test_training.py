@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from sdvsum import training
-from sdvsum.autodiff import ShapeError, Tape, grad_check, sigmoid
-from sdvsum.datasets import SynthSpec, generate_synthetic
+from sdvsum.autodiff import ShapeError, Tape, sigmoid
+from sdvsum.datasets import SynthSpec, generate_synthetic, load_split
 from sdvsum.errors import ConfigError, LabelError, ManifestError, NumericError
-from sdvsum.model import ModelConfig, load_checkpoint
+from sdvsum.model import ModelConfig, init_weights, load_checkpoint, model_forward
+from sdvsum.rng import Rng
 from sdvsum.training import (
     OptimizerState,
     TrainConfig,
@@ -21,6 +22,8 @@ from sdvsum.training import (
     mse_loss,
     train_run,
 )
+
+from gradcheck import grad_check
 
 TINY = SynthSpec(topics=4, dim=16, videos_train=3, videos_validation=1,
                  videos_test=1, frames_min=12, frames_max=16, sentences_min=3,
@@ -145,55 +148,49 @@ def test_average_ground_truth_order_invariant():
 
 
 def test_adam_zero_everything_is_fixed_point():
-    w = {"a": np.zeros((2, 2), dtype=np.float32)}
+    w = np.zeros(4, dtype=np.float32)
     state = OptimizerState.for_weights(w)
-    adam_step(w, {"a": np.zeros((2, 2), dtype=np.float32)}, state, TrainConfig(l2_factor=0.5))
-    assert np.array_equal(w["a"], np.zeros((2, 2), dtype=np.float32))
+    adam_step(w, np.zeros(4, dtype=np.float32), state, TrainConfig(l2_factor=0.5))
+    assert np.array_equal(w, np.zeros(4, dtype=np.float32))
     assert state.step == 1
 
 
 def test_adam_first_step_magnitude():
     # g'=l2*theta=0.1; bias-corrected m_hat/sqrt(v_hat)=1, so the step is ~lr
     cfg = TrainConfig(learning_rate=1e-2, l2_factor=0.1)
-    w = {"a": np.ones((1, 1), dtype=np.float32)}
-    adam_step(w, {"a": np.zeros((1, 1), dtype=np.float32)},
-              OptimizerState.for_weights(w), cfg)
-    assert w["a"][0, 0] == pytest.approx(1.0 - 1e-2, abs=1e-6)
+    w = np.ones(1, dtype=np.float32)
+    adam_step(w, np.zeros(1, dtype=np.float32), OptimizerState.for_weights(w), cfg)
+    assert w[0] == pytest.approx(1.0 - 1e-2, abs=1e-6)
 
 
 def test_adam_matches_float64_reference():
     cfg = TrainConfig(learning_rate=3e-3, l2_factor=1e-2)
     rng = np.random.default_rng(2)
-    w = {"a": rng.normal(size=(3, 4)).astype(np.float32),
-         "b": rng.normal(size=(1, 4)).astype(np.float32)}
-    ref = {k: v.astype(np.float64) for k, v in w.items()}
-    m = {k: np.zeros_like(v) for k, v in ref.items()}
-    v2 = {k: np.zeros_like(v) for k, v in ref.items()}
+    w = rng.normal(size=16).astype(np.float32)
+    ref = w.astype(np.float64)
+    m = np.zeros_like(ref)
+    v2 = np.zeros_like(ref)
     state = OptimizerState.for_weights(w)
     for t in range(1, 4):
-        grads = {k: rng.normal(size=val.shape).astype(np.float32)
-                 for k, val in w.items()}
+        grads = rng.normal(size=w.shape).astype(np.float32)
+        g = grads.astype(np.float64) + cfg.l2_factor * ref
         adam_step(w, grads, state, cfg)
-        for k in ref:
-            g = grads[k].astype(np.float64) + cfg.l2_factor * ref[k]
-            m[k] = cfg.adam_beta1 * m[k] + (1 - cfg.adam_beta1) * g
-            v2[k] = cfg.adam_beta2 * v2[k] + (1 - cfg.adam_beta2) * g * g
-            mh = m[k] / (1 - cfg.adam_beta1 ** t)
-            vh = v2[k] / (1 - cfg.adam_beta2 ** t)
-            ref[k] = ref[k] - cfg.learning_rate * mh / (np.sqrt(vh) + cfg.adam_eps)
-    for k in ref:
-        assert np.abs(w[k] - ref[k]).max() < 1e-5
+        m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * g
+        v2 = cfg.adam_beta2 * v2 + (1 - cfg.adam_beta2) * g * g
+        mh = m / (1 - cfg.adam_beta1 ** t)
+        vh = v2 / (1 - cfg.adam_beta2 ** t)
+        ref = ref - cfg.learning_rate * mh / (np.sqrt(vh) + cfg.adam_eps)
+    assert np.abs(w - ref).max() < 1e-5
 
 
 def test_adam_pure_l2_shrinks_norms():
     cfg = TrainConfig(learning_rate=1e-3, l2_factor=1e-2)
-    w = {"a": np.ones((4, 4), dtype=np.float32)}
+    w = np.ones(16, dtype=np.float32)
     state = OptimizerState.for_weights(w)
-    zero = {"a": np.zeros((4, 4), dtype=np.float32)}
-    prev = np.linalg.norm(w["a"])
+    prev = np.linalg.norm(w)
     for _ in range(5):
-        adam_step(w, zero, state, cfg)
-        cur = np.linalg.norm(w["a"])
+        adam_step(w, np.zeros(16, dtype=np.float32), state, cfg)
+        cur = np.linalg.norm(w)
         assert cur < prev
         prev = cur
 
@@ -201,17 +198,42 @@ def test_adam_pure_l2_shrinks_norms():
 def test_adam_deterministic_trajectory():
     cfg = TrainConfig(learning_rate=1e-3)
     rng = np.random.default_rng(3)
-    init = rng.normal(size=(2, 3)).astype(np.float32)
-    grads = [rng.normal(size=(2, 3)).astype(np.float32) for _ in range(4)]
+    init = rng.normal(size=6).astype(np.float32)
+    grads = [rng.normal(size=6).astype(np.float32) for _ in range(4)]
 
     def run():
-        w = {"a": init.copy()}
+        w = init.copy()
         state = OptimizerState.for_weights(w)
         for g in grads:
-            adam_step(w, {"a": g.copy()}, state, cfg)
-        return w["a"]
+            adam_step(w, g.copy(), state, cfg)
+        return w
 
     assert np.array_equal(run(), run())
+
+
+def test_adam_is_bitwise_the_float32_expression():
+    # the in-place update against the plain float32 expression it replaces
+    cfg = TrainConfig(learning_rate=3e-3, l2_factor=1e-2)
+    rng = np.random.default_rng(4)
+    w = (rng.normal(size=4096) * np.logspace(-6, 2, 4096)).astype(np.float32)
+    ref = w.copy()
+    m, v = np.zeros_like(ref), np.zeros_like(ref)
+    b1, b2 = np.float32(cfg.adam_beta1), np.float32(cfg.adam_beta2)
+    lr, eps = np.float32(cfg.learning_rate), np.float32(cfg.adam_eps)
+    state = OptimizerState.for_weights(w)
+    for t in range(1, 4):
+        grad = (rng.normal(size=w.shape) * np.logspace(2, -6, w.size)).astype(np.float32)
+        g = grad + np.float32(cfg.l2_factor) * ref
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * (g * g)
+        c1 = np.float32(1.0 - cfg.adam_beta1 ** t)
+        c2 = np.float32(1.0 - cfg.adam_beta2 ** t)
+        ref -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        adam_step(w, grad, state, cfg)
+        assert w.tobytes() == ref.tobytes()
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +260,24 @@ def test_train_run_generic_one_sample_per_video(tiny, tmp_path, monkeypatch):
     cfg = dataclasses.replace(FAST, epochs=1, mode="generic")
     train_run(tiny, MODEL, cfg, tmp_path / "g")
     assert len(calls) == 1  # 3 videos, batch 4 -> one remainder group
+
+
+def test_remainder_group_is_averaged_over_its_actual_size(tiny, tmp_path, monkeypatch):
+    # generic mode: 3 train videos, batch 4 -> one step on the mean of 3 gradients
+    seen = []
+    real = training.adam_step
+    monkeypatch.setattr(training, "adam_step",
+                        lambda w, g, state, cfg: (seen.append(g.copy()), real(w, g, state, cfg)))
+    cfg = dataclasses.replace(FAST, epochs=1, mode="generic")
+    train_run(tiny, MODEL, cfg, tmp_path / "g")
+    weights = init_weights(MODEL, Rng(cfg.seed))
+    total = np.zeros_like(seen[0])
+    for _, x, y, target in training._generic_samples(load_split(tiny, "train", {})):
+        tape = Tape()
+        grads = tape.backward(mse_loss(model_forward(tape, x, y, weights, MODEL), target))
+        total += np.concatenate([grads[name].reshape(-1) for name in weights])
+    assert len(seen) == 1
+    np.testing.assert_allclose(seen[0], total / 3, rtol=1e-5, atol=1e-8)
 
 
 def test_train_run_outputs_and_best_selection(tiny, tmp_path):
