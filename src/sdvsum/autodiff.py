@@ -13,6 +13,10 @@ the caller drops the result nodes. There is no release step.
 Nodes that no parameter feeds into carry ``needs_grad=False`` and are skipped
 during the backward sweep, so constant inputs (frame embeddings, positional
 encodings, labels) cost nothing beyond their forward value.
+
+Several samples can share one tape stacked along rows. Row-wise ops need
+nothing for that; ``attention`` and ``mean_all`` take segment offsets
+``(0, n1, n1 + n2, ..., N)`` that keep each sample to its own rows.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ __all__ = [
     "log",
     "clamp",
     "layer_norm",
+    "segment_offsets",
+    "dropout_mask",
     "dropout",
     "attention",
     "concat_cols",
@@ -133,7 +139,7 @@ class Tape:
 
         Arrays that are already 2-D float32 and contiguous skip re-validation:
         parameters are checked where they are created (initialization,
-        checkpoint load), and one tape per training sample would otherwise
+        checkpoint load), and one tape per training group would otherwise
         re-scan every weight on every step.
         """
         node = self.params.get(name)
@@ -355,8 +361,19 @@ def layer_norm(a: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
     return _op(out, (a, gain, bias), bwd)
 
 
-def _dropout_mask(shape, rate: float, rng: np.random.Generator | None,
-                  training: bool) -> np.ndarray | None:
+def segment_offsets(offsets, rows: int) -> tuple[int, ...]:
+    """Validated segment boundaries ``(0, ..., rows)``; ``None`` is one segment."""
+    if offsets is None:
+        return (0, rows)
+    out = tuple(int(o) for o in offsets)
+    if (len(out) < 2 or out[0] != 0 or out[-1] != rows
+            or any(a >= b for a, b in zip(out, out[1:]))):
+        raise ShapeError(f"segment offsets {out} do not split {rows} rows into non-empty runs")
+    return out
+
+
+def dropout_mask(shape, rate: float, rng: np.random.Generator | None,
+                 training: bool) -> np.ndarray | None:
     """Inverted-dropout multiplier, or None when off (inference mode or rate 0).
 
     When off it draws nothing, so evaluation never depends on an RNG stream.
@@ -371,77 +388,101 @@ def _dropout_mask(shape, rate: float, rng: np.random.Generator | None,
     return keep.astype(_F32) * _F32(1.0 / (1.0 - rate))
 
 
-def dropout(a: Node, rate: float, rng: np.random.Generator | None = None,
-            training: bool = False) -> Node:
-    """Inverted dropout: zero with probability ``rate``, scale survivors.
-
-    In inference mode (or at rate 0) this returns ``a`` itself.
-    """
-    m = _dropout_mask(a.shape, rate, rng, training)
-    if m is None:
+def dropout(a: Node, mask: np.ndarray | None) -> Node:
+    """Multiply by a ``dropout_mask`` of a's shape; with no mask, ``a`` itself."""
+    if mask is None:
         return a
-    out = a.value * m
+    if mask.shape != a.shape:
+        raise ShapeError(f"dropout: mask of shape {mask.shape} for {a.shape}")
+    out = a.value * mask
 
     def bwd(g):
-        _accum(a, g * m)
+        _accum(a, g * mask)
 
     return _op(out, (a,), bwd)
 
 
+def _rows(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def attention(q: Node, k: Node, v: Node, heads: int, logit_scale: float = 1.0,
-              rate: float = 0.0, rng: np.random.Generator | None = None,
-              training: bool = False, collect: list[np.ndarray] | None = None) -> Node:
+              masks: list[np.ndarray | None] | None = None,
+              collect: list[np.ndarray] | None = None,
+              q_offsets=None, k_offsets=None) -> Node:
     """Multi-head attention: head h is softmax(Q_h K_hᵀ / logit_scale) V_h.
 
     ``q`` is N x (H*hd), ``k`` and ``v`` are M x (H*hd), and head h owns
     columns [h*hd, (h+1)*hd) of each and of the N x (H*hd) result. Softmax
     rows are divided by their float64 sums, which keeps them within a few
-    float32 ulps of 1 at any length. Dropout hits the attention matrices (one
-    (H, N, M) mask draw); ``collect`` receives each head's N x M attention
-    matrix before dropout.
+    float32 ulps of 1 at any length.
+
+    With ``q_offsets`` and ``k_offsets`` (equally many segments), the query
+    rows of segment s attend only to the key rows of segment s; the op runs
+    each segment as its own block, so no cross-segment logits are formed.
+    ``masks`` holds one (H, n_s, m_s) ``dropout_mask`` per segment (or None)
+    for the attention matrices; ``collect`` receives each segment's per-head
+    attention matrices, before dropout.
     """
     n, width = q.shape
     m = k.shape[0]
     if heads < 1 or width % heads or k.shape[1] != width or v.shape != k.shape:
         raise ShapeError(f"attention: {heads} heads over q {q.shape}, k {k.shape}, v {v.shape}")
+    qo, ko = segment_offsets(q_offsets, n), segment_offsets(k_offsets, m)
+    if len(qo) != len(ko) or masks is not None and len(masks) != len(qo) - 1:
+        raise ShapeError(f"attention: {len(qo) - 1} query and {len(ko) - 1} key segments, "
+                         f"{'no' if masks is None else len(masks)} masks")
     hd = width // heads
-    # contiguous per-head stacks: Q and V as (H, rows, hd), K as Kᵀ (H, hd, M)
-    qs = np.ascontiguousarray(q.value.reshape(n, heads, hd).transpose(1, 0, 2))
-    kts = np.ascontiguousarray(k.value.reshape(m, heads, hd).transpose(1, 2, 0))
-    vs = np.ascontiguousarray(v.value.reshape(m, heads, hd).transpose(1, 0, 2))
     c = _F32(1.0 / logit_scale)   # at 1.0 the products below are exact
+    segments, outs = [], []
+    for s, (a, b, lo, hi) in enumerate(zip(qo, qo[1:], ko, ko[1:])):
+        # contiguous per-head stacks: Q and V as (H, rows, hd), K as Kᵀ (H, hd, M)
+        qs = np.ascontiguousarray(q.value[a:b].reshape(b - a, heads, hd).transpose(1, 0, 2))
+        kts = np.ascontiguousarray(k.value[lo:hi].reshape(hi - lo, heads, hd).transpose(1, 2, 0))
+        vs = np.ascontiguousarray(v.value[lo:hi].reshape(hi - lo, heads, hd).transpose(1, 0, 2))
 
-    # softmax in place on the logits: one (H, N, M) buffer, no temporaries
-    att = qs @ kts
-    att *= c
-    att -= att.max(axis=2, keepdims=True)
-    np.exp(att, out=att)
-    att /= att.sum(axis=2, keepdims=True, dtype=np.float64).astype(_F32)
-    if collect is not None:
-        collect.extend(att)
-    mask = _dropout_mask(att.shape, rate, rng, training)
-    dropped = att if mask is None else att * mask
-    out = np.concatenate(dropped @ vs, axis=1)   # heads side by side
+        # softmax in place on the logits: one (H, n, m) buffer, no temporaries
+        att = qs @ kts
+        att *= c
+        att -= att.max(axis=2, keepdims=True)
+        np.exp(att, out=att)
+        att /= att.sum(axis=2, keepdims=True, dtype=np.float64).astype(_F32)
+        if collect is not None:
+            collect.extend(att)
+        mask = None if masks is None else masks[s]
+        if mask is not None and mask.shape != att.shape:
+            raise ShapeError(f"attention: segment {s} mask {mask.shape} for {att.shape}")
+        dropped = att if mask is None else att * mask
+        outs.append(np.concatenate(dropped @ vs, axis=1))   # heads side by side
+        segments.append((a, b, qs, kts, vs, att, mask, dropped))
 
     def bwd(g):
-        gs = np.ascontiguousarray(g.reshape(n, heads, hd).transpose(1, 0, 2))
-        if v.needs_grad:
-            _accum(v, np.concatenate(dropped.transpose(0, 2, 1) @ gs, axis=1))
-        if not (q.needs_grad or k.needs_grad):
-            return
-        d = gs @ vs.transpose(0, 2, 1)
-        if mask is not None:
-            d *= mask
-        d -= (d * att).sum(axis=2, keepdims=True)
-        d *= att
-        d *= c
-        if q.needs_grad:
-            _accum(q, np.concatenate(d @ kts.transpose(0, 2, 1), axis=1))
-        if k.needs_grad:
-            dkt = qs.transpose(0, 2, 1) @ d
-            _accum(k, np.ascontiguousarray(dkt.transpose(2, 0, 1)).reshape(m, width))
+        gq, gk, gv = [], [], []
+        for a, b, qs, kts, vs, att, mask, dropped in segments:
+            gs = np.ascontiguousarray(g[a:b].reshape(b - a, heads, hd).transpose(1, 0, 2))
+            if v.needs_grad:
+                gv.append(np.concatenate(dropped.transpose(0, 2, 1) @ gs, axis=1))
+            if not (q.needs_grad or k.needs_grad):
+                continue
+            d = gs @ vs.transpose(0, 2, 1)
+            if mask is not None:
+                d *= mask
+            d -= (d * att).sum(axis=2, keepdims=True)
+            d *= att
+            d *= c
+            if q.needs_grad:
+                gq.append(np.concatenate(d @ kts.transpose(0, 2, 1), axis=1))
+            if k.needs_grad:
+                dkt = qs.transpose(0, 2, 1) @ d
+                gk.append(np.ascontiguousarray(dkt.transpose(2, 0, 1)).reshape(-1, width))
+        if gv:
+            _accum(v, _rows(gv))
+        if gq:
+            _accum(q, _rows(gq))
+        if gk:
+            _accum(k, _rows(gk))
 
-    return _op(out, (q, k, v), bwd)
+    return _op(_rows(outs), (q, k, v), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -499,11 +540,18 @@ def reshape(a: Node, rows: int, cols: int) -> Node:
 # reductions
 
 
-def mean_all(a: Node) -> Node:
-    n = a.value.size
-    out = np.array([[a.value.sum(dtype=np.float64) / n]], dtype=_F32)
+def mean_all(a: Node, offsets=None) -> Node:
+    """Mean of all entries as 1 x 1; with row ``offsets``, one row per segment
+    holding the mean of that segment's entries."""
+    bounds = segment_offsets(offsets, a.shape[0])
+    sizes = [(hi - lo) * a.shape[1] for lo, hi in zip(bounds, bounds[1:])]
+    out = np.array([[a.value[lo:hi].sum(dtype=np.float64) / size]
+                    for lo, hi, size in zip(bounds, bounds[1:], sizes)], dtype=_F32)
 
     def bwd(g):
-        _accum(a, np.full_like(a.value, g[0, 0] / _F32(n)))
+        full = np.empty_like(a.value)
+        for lo, hi, size, gs in zip(bounds, bounds[1:], sizes, g[:, 0]):
+            full[lo:hi] = gs / _F32(size)
+        _accum(a, full)
 
     return _op(out, (a,), bwd)

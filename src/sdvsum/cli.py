@@ -33,6 +33,7 @@ from .model import (
     parameter_count,
     score_frames,
 )
+from .sdve import atomic_write
 from .selection import fixed_fragmentation, fragment_knapsack, select_top_fraction
 from .training import train_run
 
@@ -187,7 +188,8 @@ def _cmd_eval(args) -> int:
     matrix = overlap_matrix(result, ids) if args.overlap else None
     print(result.to_json())
     if matrix is not None:
-        Path(args.overlap_out).write_text(matrix.to_csv(), encoding="utf-8")
+        with atomic_write(args.overlap_out, "w", encoding="utf-8") as fh:
+            fh.write(matrix.to_csv())
         print(f"overlap matrix written to {args.overlap_out}", file=sys.stderr)
     return 0
 
@@ -276,7 +278,7 @@ def _cmd_ablate(args) -> int:
         print(f"{name}: test F-Score {result.fscore:.2f} "
               f"({parameter_count(variant)} parameters)", flush=True)
 
-    with open(out / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(out / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)

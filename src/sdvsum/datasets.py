@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, LabelError, ManifestError
 from .rng import Rng
-from .sdve import read_embedding_header, read_embeddings, write_embeddings
+from .sdve import atomic_write, read_embedding_header, read_embeddings, write_embeddings
 from .selection import validate_fragments
 
 __all__ = [
@@ -200,7 +200,8 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
             for v in manifest.videos
         ],
     }
-    path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=1) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -365,22 +366,24 @@ def _topic_counts(n: int, p: float, k: int, g) -> list[int]:
     return [c for c in counts if c > 0]
 
 
-def _script_topics(slots: list[int], counts: list[int], target: int,
-                   lo: int, hi: int, cap: int, g) -> list[int]:
+def _subset_totals(counts: list[int], cap: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Every subset of 2..cap topic slots (slot counts are tiny), with its frame count."""
+    return [(sum(counts[i] for i in combo), combo)
+            for size in range(2, min(cap, len(counts)) + 1)
+            for combo in itertools.combinations(range(len(counts)), size)]
+
+
+def _script_topics(slots: list[int], counts: list[int], subsets, target: int,
+                   lo: int, hi: int, g) -> list[int]:
     """Topic-slot subset whose frame count approaches ``target``.
 
-    Enumerates all subsets of size 2..cap (slot counts are tiny), keeps those
-    whose totals land in [lo, hi], and picks uniformly among the near-best by
-    distance to the target; the randomness is what varies the annotators.
-    Falls back to the closest single slot only when no pair fits the band.
+    Keeps the ``_subset_totals`` whose totals land in [lo, hi], and picks
+    uniformly among the near-best by distance to the target; the randomness
+    is what varies the annotators. Falls back to the closest single slot only
+    when no pair fits the band.
     """
-    idx = range(len(slots))
-    candidates: list[tuple[int, tuple[int, ...]]] = []
-    for size in range(2, min(cap, len(slots)) + 1):
-        for combo in itertools.combinations(idx, size):
-            total = sum(counts[i] for i in combo)
-            if lo <= total <= hi:
-                candidates.append((abs(total - target), combo))
+    candidates = [(abs(total - target), combo) for total, combo in subsets
+                  if lo <= total <= hi]
     if candidates:
         best = min(gap for gap, _ in candidates)
         pool = [combo for gap, combo in candidates if gap <= best + 2]
@@ -439,11 +442,11 @@ def generate_synthetic(spec: SynthSpec, out_dir) -> DatasetManifest:
 
             lo = max(1, math.ceil(n * p / 2))
             hi = max(lo, math.floor(n * min(2 * p, 0.9)))
-            cap = max(1, spec.topics // 2)
+            subsets = _subset_totals(counts, max(1, spec.topics // 2))
             summaries = []
             for j in range(spec.summaries_per_video):
                 target = int(np.clip(round(n * p * g.uniform(0.85, 1.15)), lo, hi))
-                script_set = _script_topics(slots, counts, target, lo, hi, cap, g)
+                script_set = _script_topics(slots, counts, subsets, target, lo, hi, g)
                 labels = np.isin(topic_of_frame, script_set).astype(np.float32)
 
                 m = int(g.integers(spec.sentences_min, spec.sentences_max + 1))

@@ -21,6 +21,11 @@ Inside the encoder stack, self-attention always uses the conventional
 sqrt(D/H) scaling; ``use_scaling`` only governs the cross-modal stage.
 Dropout is applied to attention matrices and to the post-attention stage,
 nowhere else.
+
+One forward pass can score several samples stacked along rows (a training
+group): frame and sentence offsets mark each sample's rows, both attention
+blocks keep every sample to its own frames and sentences, and the row-wise
+layers run once for the whole stack.
 """
 
 from __future__ import annotations
@@ -40,10 +45,12 @@ from .autodiff import (
     attention,
     concat_cols,
     dropout,
+    dropout_mask,
     layer_norm,
     matmul,
     relu,
     reshape,
+    segment_offsets,
     sigmoid,
     take_rows,
 )
@@ -226,18 +233,31 @@ def init_weights(config: ModelConfig, rng: Rng) -> dict[str, np.ndarray]:
     return weights
 
 
+# dim -> read-only position table of the most rows asked for so far
+_POSITIONS: dict[int, np.ndarray] = {}
+
+
 def positional_encoding(n: int, dim: int) -> np.ndarray:
-    """Sinusoidal position matrix: PE[p, 2i] = sin(p/10000^(2i/D)), odd cols cos."""
+    """Sinusoidal position matrix: PE[p, 2i] = sin(p/10000^(2i/D)), odd cols cos.
+
+    Read-only: the first ``n`` rows of a cached per-dimension table. Each
+    entry depends only on its own position, so a row of the table is bitwise
+    the row a table of any length would hold.
+    """
     if dim % 2 != 0:
         raise ValueError(f"positional encoding needs an even dimension, got {dim}")
     if n < 1:
         raise ValueError(f"positional encoding needs n >= 1, got {n}")
-    pos = np.arange(n, dtype=np.float64)[:, None]
-    rate = np.power(10000.0, -np.arange(0, dim, 2, dtype=np.float64) / dim)[None, :]
-    pe = np.empty((n, dim), dtype=np.float64)
-    pe[:, 0::2] = np.sin(pos * rate)
-    pe[:, 1::2] = np.cos(pos * rate)
-    return pe.astype(np.float32)
+    table = _POSITIONS.get(dim)
+    if table is None or table.shape[0] < n:
+        pos = np.arange(n, dtype=np.float64)[:, None]
+        rate = np.power(10000.0, -np.arange(0, dim, 2, dtype=np.float64) / dim)[None, :]
+        pe = np.empty((n, dim), dtype=np.float64)
+        pe[:, 0::2] = np.sin(pos * rate)
+        pe[:, 1::2] = np.cos(pos * rate)
+        table = _POSITIONS[dim] = pe.astype(np.float32)
+        table.flags.writeable = False
+    return table[:n]
 
 
 def _p(tape: Tape, weights: dict[str, np.ndarray], name: str) -> Node:
@@ -249,38 +269,46 @@ def _p(tape: Tape, weights: dict[str, np.ndarray], name: str) -> Node:
 
 
 def _multi_head(tape: Tape, q_in: Node, kv_in: Node, weights, prefix: str,
-                heads: int, logit_scale: float, drop: float, rng_gen, training: bool,
-                collect: list[np.ndarray] | None = None) -> Node:
+                heads: int, logit_scale: float, masks=None,
+                collect: list[np.ndarray] | None = None,
+                q_offsets=None, k_offsets=None) -> Node:
     """Attention block; one matmul per Q/K/V against all heads' weights side by side."""
     joint = []
     for x, kind in ((q_in, "q"), (kv_in, "k"), (kv_in, "v")):
         w = concat_cols([_p(tape, weights, f"{prefix}.h{h}.w{kind}") for h in range(heads)])
         b = concat_cols([_p(tape, weights, f"{prefix}.h{h}.b{kind}") for h in range(heads)])
         joint.append(add(matmul(x, w), b))
-    att = attention(*joint, heads, logit_scale, drop, rng_gen, training, collect)
+    att = attention(*joint, heads, logit_scale, masks, collect, q_offsets, k_offsets)
     return add(matmul(att, _p(tape, weights, f"{prefix}.out.w")),
                _p(tape, weights, f"{prefix}.out.b"))
 
 
-def condense_text(tape: Tape, y: Node, weights, config: ModelConfig) -> Node:
+def condense_text(tape: Tape, y: Node, weights, config: ModelConfig, offsets=None) -> Node:
     """Concatenate T uniformly spaced sentence embeddings and project to 1 x D.
 
     Row i of the sample is floor(i*M/T): the exact-fit case M=T walks every
-    sentence once, M<T repeats sentences, M>T strides uniformly.
+    sentence once, M<T repeats sentences, M>T strides uniformly. With
+    sentence ``offsets`` each stacked script gives its own row.
     """
     if config.text_rep != "single_vector":
         raise ConfigError("condense_text is only defined for text_rep='single_vector'")
-    m, t = y.shape[0], config.single_vector_t
-    idx = [(i * m) // t for i in range(t)]
-    flat = reshape(take_rows(y, idx), 1, t * config.dim)
+    bounds, t = segment_offsets(offsets, y.shape[0]), config.single_vector_t
+    idx = [lo + (i * (hi - lo)) // t for lo, hi in zip(bounds, bounds[1:]) for i in range(t)]
+    flat = reshape(take_rows(y, idx), len(bounds) - 1, t * config.dim)
     return add(matmul(flat, _p(tape, weights, "condenser.w")),
                _p(tape, weights, "condenser.b"))
 
 
 def cross_modal_attention(tape: Tape, x: Node, y_rep: Node, weights,
-                          config: ModelConfig, rng_gen=None, training: bool = False,
-                          collect: list[np.ndarray] | None = None) -> Node:
-    """Frames attend to text; heads concatenated, projected, positions added."""
+                          config: ModelConfig, masks=None,
+                          collect: list[np.ndarray] | None = None,
+                          x_offsets=None, y_offsets=None) -> Node:
+    """Frames attend to text; heads concatenated, projected, positions added.
+
+    Stacked samples (``x_offsets``/``y_offsets``) attend to their own text
+    rows, and each sample's positions count from 0. ``masks`` are the
+    per-sample attention dropout masks.
+    """
     d = config.dim
     if x.shape[1] != d or y_rep.shape[1] != d:
         raise ShapeError(
@@ -288,19 +316,23 @@ def cross_modal_attention(tape: Tape, x: Node, y_rep: Node, weights,
         )
     logit_scale = math.sqrt(d) if config.use_scaling else 1.0
     z = _multi_head(tape, x, y_rep, weights, "attn", config.heads, logit_scale,
-                    config.dropout_rate, rng_gen, training, collect)
-    return add(z, tape.constant(positional_encoding(x.shape[0], d)))
+                    masks, collect, x_offsets, y_offsets)
+    bounds = segment_offsets(x_offsets, x.shape[0])
+    positions = [positional_encoding(hi - lo, d) for lo, hi in zip(bounds, bounds[1:])]
+    return add(z, tape.constant(np.concatenate(positions)))
 
 
-def scorer_forward(tape: Tape, z: Node, weights, config: ModelConfig,
-                   rng_gen=None, training: bool = False) -> Node:
-    """Encoder stack plus sigmoid scoring head; input is the post-norm Z."""
+def scorer_forward(tape: Tape, z: Node, weights, config: ModelConfig, offsets=None) -> Node:
+    """Encoder stack plus sigmoid scoring head; input is the post-norm Z.
+
+    Stacked samples (row ``offsets``) attend only to their own frames.
+    """
     d = config.dim
     for l in range(config.encoder_layers):
         # the encoder layer itself runs dropout-free; the rate applies to the
         # cross-modal attention matrices and the post-attention stage only
         att = _multi_head(tape, z, z, weights, f"enc{l}.attn", config.heads,
-                          math.sqrt(config.head_dim), 0.0, rng_gen, training)
+                          math.sqrt(config.head_dim), q_offsets=offsets, k_offsets=offsets)
         z = layer_norm(add(z, att),
                        _p(tape, weights, f"enc{l}.ln1.gain"),
                        _p(tape, weights, f"enc{l}.ln1.bias"))
@@ -319,29 +351,55 @@ def scorer_forward(tape: Tape, z: Node, weights, config: ModelConfig,
     return sigmoid(logits)
 
 
-def _text_representation(tape: Tape, y: Node, weights, config: ModelConfig) -> Node:
+def _text_representation(tape: Tape, y: Node, weights, config: ModelConfig,
+                         offsets=None) -> tuple[Node, tuple[int, ...]]:
+    """The text rows the frames attend to, and each sample's offsets into them."""
+    bounds = segment_offsets(offsets, y.shape[0])
     if config.text_rep == "single_vector":
-        return condense_text(tape, y, weights, config)
-    return y
+        return condense_text(tape, y, weights, config, bounds), tuple(range(len(bounds)))
+    return y, bounds
+
+
+def _dropout_masks(config: ModelConfig, rng_gen, training: bool, x_offsets, y_offsets):
+    """Per-sample cross-modal attention masks, and the stacked post-attention mask.
+
+    Drawn sample by sample, each sample's (H, n, m) attention mask and then
+    its (n, D) post-attention mask: the order in which a forward pass of that
+    sample alone draws them, so stacking leaves the masks unchanged.
+    """
+    att, post = [], []
+    for a, b, lo, hi in zip(x_offsets, x_offsets[1:], y_offsets, y_offsets[1:]):
+        att.append(dropout_mask((config.heads, b - a, hi - lo), config.dropout_rate,
+                                rng_gen, training))
+        post.append(dropout_mask((b - a, config.dim), config.dropout_rate, rng_gen, training))
+    if att[0] is None:
+        return None, None
+    return att, np.concatenate(post)
 
 
 def model_forward(tape: Tape, x, y, weights, config: ModelConfig,
-                  rng_gen=None, training: bool = False) -> Node:
+                  rng_gen=None, training: bool = False,
+                  x_offsets=None, y_offsets=None) -> Node:
     """Full network: text rep -> cross-modal attention -> dropout+norm -> scorer.
 
     ``x`` and ``y`` may be arrays or existing nodes on ``tape``. Returns the
     N x 1 score node; inference mode (training=False) is deterministic and
-    needs no RNG.
+    needs no RNG. Samples stacked along rows are scored as if each ran
+    alone: ``x_offsets`` and ``y_offsets`` are their frame and sentence
+    boundaries ``(0, n1, n1 + n2, ..., N)`` (one sample by default).
     """
     if not isinstance(x, Node):
         x = tape.constant(x)
     if not isinstance(y, Node):
         y = tape.constant(y)
-    y_rep = _text_representation(tape, y, weights, config)
-    z = cross_modal_attention(tape, x, y_rep, weights, config, rng_gen, training)
-    z = dropout(z, config.dropout_rate, rng_gen, training)
+    x_offsets = segment_offsets(x_offsets, x.shape[0])
+    y_rep, y_offsets = _text_representation(tape, y, weights, config, y_offsets)
+    att_masks, post_mask = _dropout_masks(config, rng_gen, training, x_offsets, y_offsets)
+    z = cross_modal_attention(tape, x, y_rep, weights, config, att_masks,
+                              x_offsets=x_offsets, y_offsets=y_offsets)
+    z = dropout(z, post_mask)
     z = layer_norm(z, _p(tape, weights, "post.ln.gain"), _p(tape, weights, "post.ln.bias"))
-    return scorer_forward(tape, z, weights, config, rng_gen, training)
+    return scorer_forward(tape, z, weights, config, x_offsets)
 
 
 def score_frames(x: np.ndarray, y: np.ndarray, weights, config: ModelConfig) -> np.ndarray:
@@ -360,10 +418,9 @@ def attention_matrices(x: np.ndarray, y: np.ndarray, weights,
                        config: ModelConfig) -> list[np.ndarray]:
     """Per-head cross-modal attention matrices A_h in inference mode."""
     tape = Tape()
-    y_rep = _text_representation(tape, tape.constant(y), weights, config)
+    y_rep, _ = _text_representation(tape, tape.constant(y), weights, config)
     collected: list[np.ndarray] = []
-    cross_modal_attention(tape, tape.constant(x), y_rep, weights, config,
-                          training=False, collect=collected)
+    cross_modal_attention(tape, tape.constant(x), y_rep, weights, config, collect=collected)
     return collected
 
 

@@ -12,11 +12,16 @@ the model module (e.g. ``attn.h3.wq``).
 
 Each malformation is reported with a distinct exception type so negative
 tests can pin the failure mode, not just "something raised".
+
+Every file the package writes goes through :func:`atomic_write`, so an
+interrupted write never leaves a half-written file in place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -33,6 +38,7 @@ from .errors import (
 )
 
 __all__ = [
+    "atomic_write",
     "EMBED_MAGIC",
     "CHECKPOINT_MAGIC",
     "FORMAT_VERSION",
@@ -52,6 +58,29 @@ _MAX_ELEMENTS = 2**31 - 1
 
 _U32 = struct.Struct("<I")
 _U16 = struct.Struct("<H")
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb", **open_args):
+    """Open a temp file beside ``path``; once the block ends, it replaces ``path``.
+
+    If the block raises, the temp file is removed and any file already at
+    ``path`` is left as it was: readers see the old contents or the new,
+    never part of them.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, mode, **open_args)
+    except OSError as e:   # name the file the caller asked for, not the temp file
+        raise type(e)(e.errno, e.strerror, os.fspath(path)) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _check_dims(rows: int, cols: int, path) -> None:
@@ -133,7 +162,7 @@ def _as_f32_matrix(m, path) -> np.ndarray:
 def write_embeddings(m, path) -> None:
     """Write one matrix as an SDVE file."""
     a = _as_f32_matrix(m, path)
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(EMBED_MAGIC)
         fh.write(_U32.pack(FORMAT_VERSION))
         fh.write(_U32.pack(a.shape[0]))
@@ -178,7 +207,7 @@ def write_checkpoint_file(config: dict, tensors: dict[str, np.ndarray], path) ->
         chunks.append(_U32.pack(a.shape[0]))
         chunks.append(_U32.pack(a.shape[1]))
         chunks.append(a.astype("<f4", copy=False).tobytes(order="C"))
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(b"".join(chunks))
 
 

@@ -6,15 +6,19 @@ against that summary's labels. ``generic`` uses one sample per video: the
 full-video description embedding conditions the model and the target is the
 per-frame mean of all reference summaries, under mean squared error.
 
-"Batch size 4" over variable-length videos is gradient accumulation: losses
-of up to ``batch_size`` samples are averaged before a single Adam step, which
-is mathematically the batched update without any padding or masking. The
-weights, the group gradient and Adam's moments are flat float32 buffers whose
-views are the named tensors. Each sample's backward adds straight into the
-gradient buffer; a group (the remainder group at epoch end included) ends in
-one divide by its actual size, one Adam step and one zero-fill. L2
-regularization is coupled: ``l2_factor * theta`` is added to the gradient
-before the Adam moments.
+"Batch size 4" over variable-length videos is a group of up to ``batch_size``
+samples whose losses are averaged before a single Adam step, without any
+padding. The group's samples are stacked along rows into one tape: one
+forward pass, in which every sample attends only to its own frames and
+sentences, one loss and one backward. Consecutive samples share a tape while
+their frames total at most ``STACK_ROWS``; a longer sample runs alone, since
+stacking saves nothing at that length and costs memory. The weights, the
+group gradient and Adam's moments are flat float32 buffers whose views are
+the named tensors. Each backward adds the sum of its samples' gradients
+straight into the gradient buffer; a group (the remainder group at epoch end
+included) ends in one divide by its actual size, one Adam step and one
+zero-fill. L2 regularization is coupled: ``l2_factor * theta`` is added to
+the gradient before the Adam moments.
 
 After every epoch the model is scored on the validation split with dropout
 disabled; the checkpoint with the highest validation F-Score (earliest epoch
@@ -48,10 +52,13 @@ from .errors import ConfigError, LabelError, ManifestError, NumericError
 from .metrics import average_ground_truth, evaluate_generic, evaluate_script_driven
 from .model import ModelConfig, init_weights, make_score_fn, model_forward
 from .rng import Rng
+from .sdve import atomic_write
 
 __all__ = [
     "TRAIN_MODES",
     "BCE_CLAMP",
+    "STACK_ROWS",
+    "ADAM_SLICE",
     "TrainConfig",
     "bce_loss",
     "mse_loss",
@@ -67,6 +74,14 @@ TRAIN_MODES = ("script_driven", "generic")
 
 # float32 safety margin against log(0) at saturated sigmoid outputs
 BCE_CLAMP = 1e-7
+
+# most frames stacked into one training tape: at 512-frame samples stacking
+# saved no time and raised the training memory peak by about half
+STACK_ROWS = 512
+
+# elements per pass of adam_step: 256 KB per float32 buffer, so the slices of
+# the update's five buffers stay in cache between its operations
+ADAM_SLICE = 1 << 16
 
 
 @dataclass
@@ -113,11 +128,21 @@ def _as_column(values: np.ndarray, n: int, what: str) -> np.ndarray:
     return a
 
 
-def bce_loss(f: Node, labels: np.ndarray) -> Node:
+def _segment_mean(per_row: Node, offsets, collect: list[float] | None) -> Node:
+    """Mean over segments of each segment's mean; ``collect`` gets the segment means."""
+    per_sample = mean_all(per_row, offsets)
+    if collect is not None:
+        collect.extend(per_sample.value[:, 0].tolist())
+    return mean_all(per_sample)
+
+
+def bce_loss(f: Node, labels: np.ndarray, offsets=None,
+             collect: list[float] | None = None) -> Node:
     """Mean binary cross-entropy of scores against 0/1 labels.
 
     Scores are clamped to [1e-7, 1 - 1e-7] before the logs, so a saturated
-    sigmoid cannot produce log(0).
+    sigmoid cannot produce log(0). For stacked samples (row ``offsets``) it
+    is the mean of the samples' losses, which ``collect`` receives.
     """
     n = f.shape[0]
     y = _as_column(labels, n, "labels")
@@ -127,15 +152,20 @@ def bce_loss(f: Node, labels: np.ndarray) -> Node:
     c = clamp(f, BCE_CLAMP, 1.0 - BCE_CLAMP)
     pos = mul(tape.constant(y), log(c))
     neg = mul(tape.constant(1.0 - y), log(affine(c, -1.0, 1.0)))
-    return scale(mean_all(add(pos, neg)), -1.0)
+    return _segment_mean(scale(add(pos, neg), -1.0), offsets, collect)
 
 
-def mse_loss(f: Node, target: np.ndarray) -> Node:
-    """Mean squared error of scores against real-valued targets in [0, 1]."""
+def mse_loss(f: Node, target: np.ndarray, offsets=None,
+             collect: list[float] | None = None) -> Node:
+    """Mean squared error of scores against real-valued targets in [0, 1].
+
+    For stacked samples (row ``offsets``) it is the mean of the samples'
+    losses, which ``collect`` receives.
+    """
     n = f.shape[0]
     t = _as_column(target, n, "target")
     diff = sub(f, f.tape.constant(t))
-    return mean_all(mul(diff, diff))
+    return _segment_mean(mul(diff, diff), offsets, collect)
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +176,13 @@ def mse_loss(f: Node, target: np.ndarray) -> Node:
 class OptimizerState:
     m: np.ndarray
     v: np.ndarray
-    scratch: np.ndarray   # adam_step's work buffer, the size of the weights
+    scratch: np.ndarray   # adam_step's work buffer, one slice long
     step: int = 0
 
     @classmethod
     def for_weights(cls, w: np.ndarray) -> "OptimizerState":
-        return cls(m=np.zeros_like(w), v=np.zeros_like(w), scratch=np.empty_like(w))
+        return cls(m=np.zeros_like(w), v=np.zeros_like(w),
+                   scratch=np.empty(min(w.size, ADAM_SLICE), dtype=w.dtype))
 
 
 def adam_step(w: np.ndarray, g: np.ndarray, state: OptimizerState,
@@ -161,23 +192,29 @@ def adam_step(w: np.ndarray, g: np.ndarray, state: OptimizerState,
     ``g`` doubles as scratch and holds no gradient afterwards. Each element
     gets the float32 operations of ``g' = g + l2*w``, ``m = b1*m + (1-b1)*g'``,
     ``v = b2*v + (1-b2)*(g'*g')``, ``w -= lr*(m/c1) / (sqrt(v/c2) + eps)``.
+    The update runs over ``ADAM_SLICE``-element slices; being elementwise, it
+    gives the same bits as one pass over the whole buffers.
     """
     state.step += 1
     t = state.step
     b1, b2 = np.float32(config.adam_beta1), np.float32(config.adam_beta2)
     lr = np.float32(config.learning_rate)
     eps = np.float32(config.adam_eps)
+    l2 = np.float32(config.l2_factor)
     c1 = np.float32(1.0 - config.adam_beta1 ** t)
     c2 = np.float32(1.0 - config.adam_beta2 ** t)
-    m, v, s = state.m, state.v, state.scratch
-    g += np.multiply(w, np.float32(config.l2_factor), out=s)
-    m *= b1
-    m += np.multiply(g, 1 - b1, out=s)
-    v *= b2
-    v += np.multiply(np.multiply(g, g, out=g), 1 - b2, out=g)
-    np.multiply(np.divide(m, c1, out=s), lr, out=s)
-    np.add(np.sqrt(np.divide(v, c2, out=g), out=g), eps, out=g)
-    w -= np.divide(s, g, out=s)
+    for lo in range(0, w.size, ADAM_SLICE):
+        hi = min(lo + ADAM_SLICE, w.size)
+        ws, gs, m, v = w[lo:hi], g[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        s = state.scratch[:hi - lo]
+        gs += np.multiply(ws, l2, out=s)
+        m *= b1
+        m += np.multiply(gs, 1 - b1, out=s)
+        v *= b2
+        v += np.multiply(np.multiply(gs, gs, out=gs), 1 - b2, out=gs)
+        np.multiply(np.divide(m, c1, out=s), lr, out=s)
+        np.add(np.sqrt(np.divide(v, c2, out=gs), out=gs), eps, out=gs)
+        ws -= np.divide(s, gs, out=s)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +255,53 @@ def _generic_samples(videos: list[LoadedVideo]) -> list[tuple[str, np.ndarray, n
         target = average_ground_truth([s.labels for s in v.summaries])
         samples.append((v.id, v.frames, v.description, target))
     return samples
+
+
+def _stacks(samples: list[tuple]):
+    """Runs of consecutive samples with at most ``STACK_ROWS`` frames in all.
+
+    A sample longer than that forms a run of its own.
+    """
+    run: list[tuple] = []
+    rows = 0
+    for sample in samples:
+        n = sample[1].shape[0]
+        if run and rows + n > STACK_ROWS:
+            yield run
+            run, rows = [], 0
+        run.append(sample)
+        rows += n
+    if run:
+        yield run
+
+
+def _stacked(arrays) -> tuple[np.ndarray, list[int]]:
+    """The arrays joined along rows, and the row offsets where each starts."""
+    return np.concatenate(arrays), np.cumsum([0] + [a.shape[0] for a in arrays]).tolist()
+
+
+def _add_gradient(stack: list[tuple], weights, grads, model_config: ModelConfig,
+                  drop_gen, generic: bool, epoch: int) -> list[float]:
+    """Add the sum of the stacked samples' gradients into ``grads``; return their losses.
+
+    One tape runs the forward, the loss and the backward. It is freed on
+    return, before the next stack's forward or the Adam step.
+    """
+    vids, xs, ys, targets = zip(*stack)
+    x, x_offsets = _stacked(xs)
+    y, y_offsets = _stacked(ys)
+    tape = Tape()
+    f = model_forward(tape, x, y, weights, model_config, drop_gen, True, x_offsets, y_offsets)
+    losses: list[float] = []
+    loss = (mse_loss if generic else bce_loss)(f, _stacked(targets)[0], x_offsets, losses)
+    if not math.isfinite(loss.item()):
+        bad = [vid for vid, value in zip(vids, losses) if not math.isfinite(value)]
+        raise NumericError(
+            f"non-finite training loss at epoch {epoch}, sample {(bad or vids)[0]!r}"
+        )
+    # the loss is the stack's mean: times its size, the backward adds the sum
+    tape.backward(scale(loss, len(stack)), into=grads)
+    return losses
 
 
 def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -277,23 +361,14 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
         drop_gen = rng.stream("dropout", epoch)
 
         epoch_losses: list[float] = []
-        for n, i in enumerate(order, 1):
-            vid, x, y, target = base_samples[i]
-            tape = Tape()
-            f = model_forward(tape, x, y, weights, model_config,
-                              rng_gen=drop_gen, training=True)
-            loss = mse_loss(f, target) if generic else bce_loss(f, target)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise NumericError(
-                    f"non-finite training loss at epoch {epoch}, sample {vid!r}"
-                )
-            epoch_losses.append(value)
-            tape.backward(loss, into=grads)
-            if n % batch == 0 or n == len(order):
-                g /= np.float32((n - 1) % batch + 1)   # the group's actual size
-                adam_step(w, g, state, train_config)
-                g.fill(0)
+        for start in range(0, len(order), batch):
+            group = [base_samples[i] for i in order[start:start + batch]]
+            for stack in _stacks(group):
+                epoch_losses += _add_gradient(stack, weights, grads, model_config,
+                                              drop_gen, generic, epoch)
+            g /= np.float32(len(group))   # the group's actual size
+            adam_step(w, g, state, train_config)
+            g.fill(0)
 
         score_fn = make_score_fn(weights, model_config)
         if generic:
@@ -314,5 +389,6 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
         if on_epoch is not None:
             on_epoch(record)
 
-    (out_dir / "train_report.jsonl").write_text(report.to_json_lines(), encoding="utf-8")
+    with atomic_write(out_dir / "train_report.jsonl", "w", encoding="utf-8") as fh:
+        fh.write(report.to_json_lines())
     return report

@@ -22,6 +22,7 @@ from sdvsum.autodiff import (
     clamp,
     concat_cols,
     dropout,
+    dropout_mask,
     layer_norm,
     log,
     matmul,
@@ -98,6 +99,13 @@ def _weighted(x):
     return mean_all(mul(x, x.tape.constant(c)))
 
 
+def _two_segment_attention(q, k, v):
+    """Queries 0-1 attend to keys 0-2 and queries 2-4 to keys 3-4, with dropout."""
+    g = Rng(3).stream("dropout", 2)   # made per call, so the masks are the same each time
+    masks = [dropout_mask((2, 2, 3), 0.5, g, True), dropout_mask((2, 3, 2), 0.5, g, True)]
+    return attention(q, k, v, 2, 1.0, masks, None, [0, 2, 5], [0, 3, 5])
+
+
 def _op_checks():
     """(name, params, builder) for every differentiable tape operation."""
 
@@ -130,10 +138,10 @@ def _op_checks():
          lambda t, pr: _weighted(layer_norm(p(t, pr, "a"), p(t, pr, "g"),
                                             p(t, pr, "b")))),
         ("dropout_train", {"a": rnd(4, 4, seed=20)},
-         lambda t, pr: _weighted(dropout(p(t, pr, "a"), 0.5,
-                                         Rng(3).stream("dropout", 0), True))),
+         lambda t, pr: _weighted(dropout(p(t, pr, "a"), dropout_mask(
+             (4, 4), 0.5, Rng(3).stream("dropout", 0), True)))),
         ("dropout_eval", {"a": rnd(4, 4, seed=21)},
-         lambda t, pr: _weighted(dropout(p(t, pr, "a"), 0.7, None, False))),
+         lambda t, pr: _weighted(dropout(p(t, pr, "a"), dropout_mask((4, 4), 0.7, None, False)))),
         ("attention", {"q": rnd(3, 4, seed=3), "k": rnd(5, 4, seed=16),
                        "v": rnd(5, 4, seed=24)},
          lambda t, pr: _weighted(attention(p(t, pr, "q"), p(t, pr, "k"),
@@ -148,8 +156,13 @@ def _op_checks():
         ("attention_dropout", {"q": rnd(4, 4, seed=33), "k": rnd(3, 4, seed=34),
                                "v": rnd(3, 4, seed=35)},
          lambda t, pr: _weighted(attention(p(t, pr, "q"), p(t, pr, "k"),
-                                           p(t, pr, "v"), 2, 1.0, 0.5,
-                                           Rng(3).stream("dropout", 1), True))),
+                                           p(t, pr, "v"), 2, 1.0, [dropout_mask(
+                                               (2, 4, 3), 0.5, Rng(3).stream("dropout", 1),
+                                               True)]))),
+        ("attention_segments_dropout", {"q": rnd(5, 4, seed=36), "k": rnd(5, 4, seed=37),
+                                        "v": rnd(5, 4, seed=38)},
+         lambda t, pr: _weighted(_two_segment_attention(
+             p(t, pr, "q"), p(t, pr, "k"), p(t, pr, "v")))),
         ("concat_cols", {"a": rnd(3, 2, seed=22), "b": rnd(3, 3, seed=23)},
          lambda t, pr: _weighted(concat_cols([p(t, pr, "a"), p(t, pr, "b")]))),
         ("take_rows", {"a": rnd(4, 3, seed=25)},
@@ -158,6 +171,8 @@ def _op_checks():
          lambda t, pr: _weighted(reshape(p(t, pr, "a"), 2, 6))),
         ("mean_all", {"a": rnd(3, 4, seed=28)},
          lambda t, pr: mean_all(mul(p(t, pr, "a"), p(t, pr, "a")))),
+        ("mean_all_segments", {"a": rnd(3, 4, seed=39)},
+         lambda t, pr: _weighted(mean_all(mul(p(t, pr, "a"), p(t, pr, "a")), [0, 1, 3]))),
     ]
     return checks
 

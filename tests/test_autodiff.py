@@ -10,6 +10,7 @@ from sdvsum.autodiff import (
     clamp,
     concat_cols,
     dropout,
+    dropout_mask,
     layer_norm,
     log,
     matmul,
@@ -169,14 +170,14 @@ def test_concat_cols_block_identity():
 def test_dropout_identity_contracts():
     tape = Tape()
     a = tape.constant(rnd(4, 4, seed=8))
-    assert dropout(a, 0.0, training=True, rng=np.random.default_rng(0)) is a
-    assert dropout(a, 0.5, training=False) is a
+    assert dropout(a, dropout_mask(a.shape, 0.0, np.random.default_rng(0), True)) is a
+    assert dropout(a, dropout_mask(a.shape, 0.5, None, False)) is a
 
 
 def test_dropout_survivor_fraction():
     tape = Tape()
     a = tape.constant(np.ones((100, 100)))
-    out = dropout(a, 0.5, rng=Rng(3).stream("dropout"), training=True)
+    out = dropout(a, dropout_mask(a.shape, 0.5, Rng(3).stream("dropout"), True))
     survivors = (out.value != 0).mean()
     assert 0.47 <= survivors <= 0.53
     np.testing.assert_allclose(out.value[out.value != 0], 2.0)
@@ -185,7 +186,7 @@ def test_dropout_survivor_fraction():
 def test_dropout_training_without_rng_rejected():
     tape = Tape()
     with pytest.raises(ValueError):
-        dropout(tape.constant(np.ones((2, 2))), 0.5, training=True)
+        dropout(tape.constant(np.ones((2, 2))), dropout_mask((2, 2), 0.5, None, True))
 
 
 def test_take_rows_with_repetition():
@@ -194,6 +195,90 @@ def test_take_rows_with_repetition():
     out = take_rows(a, [1, 1, 0])
     np.testing.assert_array_equal(out.value, [[3, 4], [3, 4], [1, 2]])
 
+
+def one_block_attention(q, k, v, heads, c, mask, g):
+    """Attention over one block, in the numpy calls of the unsegmented op.
+
+    Returns the output, the Q, K and V gradients for upstream gradient g, and
+    the attention matrices before dropout.
+    """
+    n, width = q.shape
+    m, hd = k.shape[0], width // heads
+    qs = np.ascontiguousarray(q.reshape(n, heads, hd).transpose(1, 0, 2))
+    kts = np.ascontiguousarray(k.reshape(m, heads, hd).transpose(1, 2, 0))
+    vs = np.ascontiguousarray(v.reshape(m, heads, hd).transpose(1, 0, 2))
+    att = qs @ kts
+    att *= c
+    att -= att.max(axis=2, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=2, keepdims=True, dtype=np.float64).astype(np.float32)
+    dropped = att if mask is None else att * mask
+    out = np.concatenate(dropped @ vs, axis=1)
+    gs = np.ascontiguousarray(g.reshape(n, heads, hd).transpose(1, 0, 2))
+    gv = np.concatenate(dropped.transpose(0, 2, 1) @ gs, axis=1)
+    d = gs @ vs.transpose(0, 2, 1)
+    if mask is not None:
+        d *= mask
+    d -= (d * att).sum(axis=2, keepdims=True)
+    d *= att
+    d *= c
+    gq = np.concatenate(d @ kts.transpose(0, 2, 1), axis=1)
+    gk = np.ascontiguousarray((qs.transpose(0, 2, 1) @ d).transpose(2, 0, 1)).reshape(m, width)
+    return out, gq, gk, gv, att
+
+
+@pytest.mark.parametrize("q_offsets,k_offsets", [
+    (None, None), ([0, 9], [0, 7]), ([0, 2, 9], [0, 1, 7]), ([0, 1, 4, 5, 9], [0, 2, 3, 5, 7]),
+])
+@pytest.mark.parametrize("rate", [0.0, 0.5])
+def test_segmented_attention_is_bitwise_each_segment_alone(q_offsets, k_offsets, rate):
+    q, g = rnd(9, 6, seed=40), rnd(9, 6, seed=41)
+    k, v = rnd(7, 6, seed=42), rnd(7, 6, seed=43)
+    qo, ko = q_offsets or [0, 9], k_offsets or [0, 7]
+    stream = np.random.default_rng(44)
+    masks = [dropout_mask((3, b - a, hi - lo), rate, stream, rate > 0)
+             for a, b, lo, hi in zip(qo, qo[1:], ko, ko[1:])]
+    tape = Tape()
+    qn, kn, vn = (tape.param(name, a) for name, a in (("q", q), ("k", k), ("v", v)))
+    collected = []
+    out = attention(qn, kn, vn, 3, 0.8, masks if rate else None, collected, q_offsets, k_offsets)
+    out.bwd(g)
+
+    c = np.float32(1.0 / 0.8)
+    for s, (a, b, lo, hi) in enumerate(zip(qo, qo[1:], ko, ko[1:])):
+        want = one_block_attention(q[a:b], k[lo:hi], v[lo:hi], 3, c, masks[s], g[a:b])
+        assert out.value[a:b].tobytes() == want[0].tobytes()
+        assert qn.grad[a:b].tobytes() == want[1].tobytes()
+        # a key or value row of one segment gets gradient from its own queries only
+        assert kn.grad[lo:hi].tobytes() == want[2].tobytes()
+        assert vn.grad[lo:hi].tobytes() == want[3].tobytes()
+        assert all(np.array_equal(collected[3 * s + h], want[4][h]) for h in range(3))
+    assert len(collected) == 3 * (len(qo) - 1)
+
+
+def test_segment_offsets_are_checked():
+    tape = Tape()
+    q, kv = tape.constant(rnd(4, 2)), tape.constant(rnd(3, 2))
+    for qo, ko in [([0, 2, 4], [0, 3]), ([0, 4, 4], [0, 1, 3]), ([0, 2, 5], [0, 1, 3]),
+                   ([1, 4], [0, 3])]:
+        with pytest.raises(ShapeError):
+            attention(q, kv, kv, 1, q_offsets=qo, k_offsets=ko)
+    with pytest.raises(ShapeError):
+        attention(q, kv, kv, 1, masks=[None, None])
+    with pytest.raises(ShapeError):
+        attention(q, kv, kv, 1, masks=[np.ones((1, 3, 4), dtype=np.float32)])
+    with pytest.raises(ShapeError):
+        dropout(q, np.ones((2, 4), dtype=np.float32))
+
+
+def test_mean_all_per_segment():
+    tape = Tape()
+    x = tape.leaf(np.arange(10, dtype=np.float32).reshape(5, 2), needs_grad=True)
+    seg = mean_all(x, [0, 1, 5])
+    np.testing.assert_array_equal(seg.value, [[0.5], [5.5]])
+    tape.backward(mean_all(seg))
+    np.testing.assert_array_equal(x.grad, [[0.25, 0.25]] + [[0.0625, 0.0625]] * 4)
+    assert mean_all(x, [0, 5]).value.tobytes() == mean_all(x).value.tobytes()
 
 # ---------------------------------------------------------------------------
 # backward sweep
@@ -365,7 +450,7 @@ def test_grad_shape_surgery():
 def test_grad_dropout_frozen_mask():
     # a fresh generator with a fixed seed per call makes f deterministic
     def build(t, p):
-        out = dropout(p, 0.4, rng=np.random.default_rng(99), training=True)
+        out = dropout(p, dropout_mask(p.shape, 0.4, np.random.default_rng(99), True))
         return total(mul(out, out))
     check_op(build, [(5, 5)], seed=31)
 

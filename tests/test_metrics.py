@@ -1,6 +1,8 @@
 """Metric oracles: F-Score, Kendall tau-b, Spearman rho vs brute force;
 the overlap matrix as a view of the evaluation records."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,40 @@ def test_tau_matches_oracle():
         else:
             assert got == pytest.approx(want, abs=1e-9)
 
+
+
+def pair_sign_tau(a, b):
+    """tau-b by the signs of all n(n-1)/2 pair differences, in float64."""
+    i, j = np.triu_indices(len(a), 1)
+    sx, sy = np.sign(a[j] - a[i]), np.sign(b[j] - b[i])
+    t0 = len(a) * (len(a) - 1) // 2
+    ties_x, ties_y = int((sx == 0).sum()), int((sy == 0).sum())
+    if ties_x == t0 or ties_y == t0:
+        return None
+    return float((sx * sy).sum()) / float(np.sqrt((t0 - ties_x) * (t0 - ties_y)))
+
+
+def test_tau_is_bitwise_the_pair_sign_formula():
+    # the merge-sort count against the quadratic pair enumeration, with ties and ±0
+    for a, b in tied_instances(7):
+        assert kendall_tau_b(a, b) == pair_sign_tau(a, b)
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=512).round(1)
+    b = np.where(rng.random(512) < 0.5, -0.0, 0.0) + rng.integers(0, 3, size=512)
+    assert kendall_tau_b(a, b) == pair_sign_tau(a, b)
+
+
+def test_tau_memory_is_linear_at_real_video_lengths():
+    rng = np.random.default_rng(9)
+    a, b = rng.normal(size=20_000), rng.integers(0, 50, size=20_000).astype(float)
+    tracemalloc.start()
+    try:
+        tau = kendall_tau_b(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tau is not None and abs(tau) < 0.05   # independent inputs
+    assert peak < 50 * 2**20
 
 # ---------------------------------------------------------------------------
 # Spearman rho

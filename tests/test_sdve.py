@@ -1,5 +1,6 @@
 """Binary container formats: byte-level layout, round-trips, negative controls."""
 
+import errno
 import struct
 
 import numpy as np
@@ -15,7 +16,9 @@ from sdvsum.errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
+from sdvsum import sdve
 from sdvsum.sdve import (
+    atomic_write,
     read_checkpoint_file,
     read_embedding_header,
     read_embeddings,
@@ -211,3 +214,36 @@ def test_hypothesis_round_trip(tmp_path):
         assert np.array_equal(read_embeddings(p), m)
 
     inner()
+
+
+def test_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "c.sdvc"
+    write_checkpoint_file({"v": 1}, {"w": np.ones((2, 3), dtype=np.float32)}, target)
+    old = target.read_bytes()
+
+    # the disk fills up halfway through the payload
+    with pytest.raises(OSError):
+        with atomic_write(target) as fh:
+            fh.write(old[:10])
+            raise OSError(errno.ENOSPC, "No space left on device")
+    assert target.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.sdvc"]
+
+    # the last step fails: a whole new checkpoint is written but never replaces the old
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, "Permission denied", str(dst))
+
+    monkeypatch.setattr(sdve.os, "replace", refuse)
+    with pytest.raises(PermissionError):
+        write_checkpoint_file({"v": 2}, {"w": np.zeros((2, 3), dtype=np.float32)}, target)
+    assert target.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.sdvc"]
+    monkeypatch.undo()
+
+    write_embeddings(np.zeros((1, 1)), target)
+    assert read_embeddings(target).shape == (1, 1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.sdvc"]
+
+    # a write into a missing directory names the file asked for
+    with pytest.raises(FileNotFoundError, match="missing.c.sdvc'"):
+        write_embeddings(np.zeros((1, 1)), tmp_path / "missing" / "c.sdvc")

@@ -212,10 +212,12 @@ def test_adam_deterministic_trajectory():
 
 
 def test_adam_is_bitwise_the_float32_expression():
-    # the in-place update against the plain float32 expression it replaces
+    # the sliced in-place update against the plain float32 expression it
+    # replaces, over three whole slices and a remainder
     cfg = TrainConfig(learning_rate=3e-3, l2_factor=1e-2)
     rng = np.random.default_rng(4)
-    w = (rng.normal(size=4096) * np.logspace(-6, 2, 4096)).astype(np.float32)
+    size = 3 * training.ADAM_SLICE + 123
+    w = (rng.normal(size=size) * np.logspace(-6, 2, size)).astype(np.float32)
     ref = w.copy()
     m, v = np.zeros_like(ref), np.zeros_like(ref)
     b1, b2 = np.float32(cfg.adam_beta1), np.float32(cfg.adam_beta2)
@@ -336,6 +338,70 @@ def test_train_run_reports_nonfinite_loss(tiny, tmp_path, monkeypatch):
         def item(self):
             return float("nan")
 
-    monkeypatch.setattr(training, "bce_loss", lambda f, labels: FakeLoss())
+    monkeypatch.setattr(training, "bce_loss", lambda f, labels, *stacking: FakeLoss())
     with pytest.raises(NumericError, match="epoch 1"):
         train_run(tiny, MODEL, FAST, tmp_path / "n")
+
+
+# ---------------------------------------------------------------------------
+# stacked groups
+
+
+@pytest.mark.parametrize("mode", ["script_driven", "generic"])
+@pytest.mark.parametrize("text_rep", ["multi_vector", "single_vector"])
+def test_stacked_group_gradient_is_the_mean_of_sample_gradients(tiny, tmp_path, monkeypatch,
+                                                                mode, text_rep):
+    # the first group's gradient, one stacked tape, against each of its samples
+    # run alone on its own tape with the same dropout stream, in the same order
+    model = ModelConfig(dim=16, heads=4, dropout_rate=0.5, text_rep=text_rep,
+                        single_vector_t=3)
+    cfg = dataclasses.replace(FAST, epochs=1, mode=mode)
+    seen = []
+    real = training.adam_step
+    monkeypatch.setattr(training, "adam_step",
+                        lambda w, g, state, c: (seen.append(g.copy()), real(w, g, state, c)))
+    train_run(tiny, model, cfg, tmp_path / "s")
+
+    videos = load_split(tiny, "train", {})
+    if mode == "generic":
+        samples = training._generic_samples(videos)
+    else:
+        samples = [(v.id, v.frames, s.script, s.labels) for v in videos for s in v.summaries]
+    rng = Rng(cfg.seed)
+    order = rng.stream("shuffle", 1).permutation(len(samples))
+    drop = rng.stream("dropout", 1)
+    weights = init_weights(model, rng)
+    group = [samples[i] for i in order[:cfg.batch_size]]
+    loss_fn = mse_loss if mode == "generic" else bce_loss
+    total = np.zeros_like(seen[0])
+    for _, x, y, target in group:
+        tape = Tape()
+        f = model_forward(tape, x, y, weights, model, rng_gen=drop, training=True)
+        grads = tape.backward(loss_fn(f, target))
+        total += np.concatenate([grads[name].reshape(-1) for name in weights])
+    assert len(group) > 1
+    np.testing.assert_allclose(seen[0], total / len(group), rtol=1e-5, atol=1e-7)
+
+
+def test_a_group_is_one_tape_unless_its_frames_exceed_the_row_budget():
+    frames = lambda n: np.zeros((n, 2), dtype=np.float32)  # noqa: E731
+    sizes = lambda runs: [[s[1].shape[0] for s in run] for run in runs]  # noqa: E731
+    samples = [("v", frames(n), None, None) for n in (60, 60, 60, 60)]
+    assert sizes(training._stacks(samples)) == [[60, 60, 60, 60]]
+    samples = [("v", frames(n), None, None) for n in (100, 600, 300, 212, 1)]
+    assert sizes(training._stacks(samples)) == [[100], [600], [300, 212], [1]]
+    assert training.STACK_ROWS == 512
+
+
+def test_train_run_runs_one_forward_per_stack(tiny, tmp_path, monkeypatch):
+    # 30 samples of 12-16 frames, batch 4: 8 groups, each one stacked forward
+    rows = []
+    real = training.model_forward
+
+    def spy(tape, x, y, *args):
+        rows.append(x.shape[0])
+        return real(tape, x, y, *args)
+
+    monkeypatch.setattr(training, "model_forward", spy)
+    train_run(tiny, MODEL, dataclasses.replace(FAST, epochs=1), tmp_path / "r")
+    assert len(rows) == 8 and all(48 <= n <= 64 for n in rows[:7])
