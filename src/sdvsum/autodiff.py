@@ -30,7 +30,7 @@ __all__ = [
     "matrix",
     "Node",
     "Tape",
-    "matmul",
+    "linear",
     "add",
     "sub",
     "mul",
@@ -45,7 +45,6 @@ __all__ = [
     "dropout_mask",
     "dropout",
     "attention",
-    "concat_cols",
     "take_rows",
     "reshape",
     "mean_all",
@@ -158,6 +157,7 @@ class Tape:
 
         ``into`` (fresh zeros by default, and returned) maps each registered
         parameter to a float32 buffer of its shape; unreached ones keep their value.
+        An op node's gradient is dropped once pushed to its parents; leaves keep theirs.
         """
         if loss.tape is not self:
             raise ValueError("loss node belongs to a different tape")
@@ -178,6 +178,7 @@ class Tape:
         for node in reversed(live):
             if node.bwd is not None and node.grad is not None:
                 node.bwd(node.grad)
+                node.grad = None
         return into
 
 
@@ -205,34 +206,56 @@ def _op(value: np.ndarray, parents: tuple[Node, ...], bwd) -> Node:
 # linear algebra
 
 
-def matmul(a: Node, b: Node) -> Node:
-    """Matrix product; backward is dA = g Bᵀ, dB = Aᵀ g."""
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    out = a.value @ b.value
+def _join(blocks: list[Node]) -> np.ndarray:
+    return blocks[0].value if len(blocks) == 1 else np.concatenate(
+        [p.value for p in blocks], axis=1)
+
+
+def _split(blocks: list[Node], g: np.ndarray) -> None:
+    """Push column block i of ``g`` to ``blocks[i]``."""
+    lo = 0
+    for p in blocks:
+        if p.needs_grad:
+            _accum(p, g[:, lo:lo + p.shape[1]])
+        lo += p.shape[1]
+
+
+def linear(x: Node, w, b) -> Node:
+    """Projection x W + b, the 1-row bias b broadcast over x's rows.
+
+    ``w`` and ``b`` are each one node or a list of column blocks (one per
+    attention head, say), joined in order; backward is dx = g Wᵀ,
+    dW = xᵀ g and db = Σ_rows g, split back into the blocks.
+    """
+    ws = w if isinstance(w, list) else [w]
+    bs = b if isinstance(b, list) else [b]
+    wv, bv = _join(ws), _join(bs)
+    if wv.shape[0] != x.shape[1] or bv.shape != (1, wv.shape[1]):
+        raise ShapeError(f"linear: x {x.shape} does not fit W {wv.shape} and b {bv.shape}")
+    out = x.value @ wv
+    out += bv
+    w_grad, b_grad = (any(p.needs_grad for p in blocks) for blocks in (ws, bs))
 
     def bwd(g):
-        if a.needs_grad:
-            _accum(a, g @ b.value.T)
-        if b.needs_grad:
-            _accum(b, a.value.T @ g)
+        if x.needs_grad:
+            _accum(x, g @ wv.T)
+        if w_grad:
+            _split(ws, x.value.T @ g)
+        if b_grad:
+            _split(bs, g.sum(axis=0, keepdims=True))
 
-    return _op(out, (a, b), bwd)
+    return _op(out, (x, *ws, *bs), bwd)
 
 
 def add(a: Node, b: Node) -> Node:
-    """Elementwise sum; ``b`` may be a 1-row bias broadcast over a's rows."""
-    if a.shape == b.shape:
-        def bwd(g):
-            _accum(a, g)
-            _accum(b, g)
-    elif b.shape == (1, a.shape[1]):
-        def bwd(g):
-            _accum(a, g)
-            if b.needs_grad:
-                _accum(b, g.sum(axis=0, keepdims=True))
-    else:
+    """Elementwise sum of equal-shaped operands."""
+    if a.shape != b.shape:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+
+    def bwd(g):
+        _accum(a, g)
+        _accum(b, g)
+
     return _op(a.value + b.value, (a, b), bwd)
 
 
@@ -487,27 +510,6 @@ def attention(q: Node, k: Node, v: Node, heads: int, logit_scale: float = 1.0,
 
 # ---------------------------------------------------------------------------
 # shape surgery
-
-
-def concat_cols(parts: list[Node]) -> Node:
-    """Concatenate along columns; all parts must share the row count."""
-    if not parts:
-        raise ValueError("concat_cols of an empty list")
-    rows = parts[0].shape[0]
-    for p in parts[1:]:
-        if p.shape[0] != rows:
-            raise ShapeError(
-                f"concat_cols: row counts differ, {parts[0].shape} vs {p.shape}"
-            )
-    out = np.concatenate([p.value for p in parts], axis=1)
-    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
-
-    def bwd(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.needs_grad:
-                _accum(p, np.ascontiguousarray(g[:, lo:hi]))
-
-    return _op(out, tuple(parts), bwd)
 
 
 def take_rows(a: Node, indices: list[int]) -> Node:

@@ -79,7 +79,7 @@ def parse_config(path=None) -> RunConfig:
         origin = str(path)
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config {origin}: {e}") from e
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()

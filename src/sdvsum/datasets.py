@@ -82,12 +82,11 @@ class DatasetManifest:
 
 def _rows_checked(manifest: DatasetManifest, rel: str, vid: str, what: str, cols: int) -> int:
     """Row count of an SDVE file that must exist and have ``cols`` columns."""
-    path = manifest.resolve(rel)
-    if not path.is_file():
-        raise ManifestError(f"video {vid!r}: missing {what} file {rel!r}")
     try:
-        rows, got = read_embedding_header(path)
-    except Exception as e:
+        rows, got = read_embedding_header(manifest.resolve(rel))
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise ManifestError(f"video {vid!r}: missing {what} file {rel!r}") from None
+    except Exception as e:   # any other OSError (a name too long, say) or a bad header
         raise ManifestError(f"video {vid!r}: unreadable {what} file {rel!r}: {e}") from e
     if got != cols:
         raise ManifestError(
@@ -105,7 +104,7 @@ def _typed(value, kind: type, what: str):
 def _fragment_pairs(raw, vid: str) -> list[tuple[int, int]]:
     pairs = []
     for f in _typed(raw, list, f"video {vid!r}: fragments"):
-        if not (isinstance(f, list) and len(f) == 2 and all(isinstance(x, int) for x in f)):
+        if not (isinstance(f, list) and len(f) == 2 and all(type(x) is int for x in f)):
             raise ManifestError(f"video {vid!r}: fragment {f!r} is not a [start, end] pair")
         pairs.append((f[0], f[1]))
     return pairs
@@ -147,12 +146,12 @@ def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:   # ValueError: not UTF-8, not JSON
         raise ManifestError(f"cannot read manifest {path}: {e}") from e
     if not isinstance(doc, dict) or "dimension" not in doc or "videos" not in doc:
         raise ManifestError(f"{path}: manifest needs top-level 'dimension' and 'videos'")
     dim = doc["dimension"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:   # JSON true/false are Python ints
         raise ManifestError(f"{path}: dimension must be a positive integer, got {dim!r}")
 
     videos = []

@@ -6,7 +6,8 @@ and values from text). Per head, attention is ``softmax(Q K^T)`` -- unscaled
 by default; ``use_scaling`` divides the logits by sqrt(D) first. All heads
 run as one stacked ``attention`` tape op on Q, K and V projected for every
 head at once. Its output, the heads side by side, is projected by a D x D
-linear, and a fixed sinusoidal positional encoding is added. After a
+linear, and a fixed sinusoidal positional encoding is added. Every dense
+layer is one ``linear`` tape op, which joins the per-head Q/K/V tensors. After a
 dropout + layer-norm stage the frame representations pass through a small
 Transformer encoder stack and a sigmoid scoring head, giving one importance
 score in (0, 1) per frame.
@@ -43,11 +44,10 @@ from .autodiff import (
     Tape,
     add,
     attention,
-    concat_cols,
     dropout,
     dropout_mask,
     layer_norm,
-    matmul,
+    linear,
     relu,
     reshape,
     segment_offsets,
@@ -268,19 +268,22 @@ def _p(tape: Tape, weights: dict[str, np.ndarray], name: str) -> Node:
     return tape.param(name, value)
 
 
+def _dense(tape: Tape, x: Node, weights, prefix: str, suffix: str = "") -> Node:
+    """The ``linear`` layer of weight ``<prefix>.w<suffix>`` and bias ``<prefix>.b<suffix>``."""
+    return linear(x, _p(tape, weights, f"{prefix}.w{suffix}"),
+                  _p(tape, weights, f"{prefix}.b{suffix}"))
+
+
 def _multi_head(tape: Tape, q_in: Node, kv_in: Node, weights, prefix: str,
                 heads: int, logit_scale: float, masks=None,
                 collect: list[np.ndarray] | None = None,
                 q_offsets=None, k_offsets=None) -> Node:
-    """Attention block; one matmul per Q/K/V against all heads' weights side by side."""
-    joint = []
-    for x, kind in ((q_in, "q"), (kv_in, "k"), (kv_in, "v")):
-        w = concat_cols([_p(tape, weights, f"{prefix}.h{h}.w{kind}") for h in range(heads)])
-        b = concat_cols([_p(tape, weights, f"{prefix}.h{h}.b{kind}") for h in range(heads)])
-        joint.append(add(matmul(x, w), b))
+    """Attention block: one ``linear`` per Q/K/V over the heads' weight blocks, in head order."""
+    joint = [linear(x, [_p(tape, weights, f"{prefix}.h{h}.w{kind}") for h in range(heads)],
+                    [_p(tape, weights, f"{prefix}.h{h}.b{kind}") for h in range(heads)])
+             for x, kind in ((q_in, "q"), (kv_in, "k"), (kv_in, "v"))]
     att = attention(*joint, heads, logit_scale, masks, collect, q_offsets, k_offsets)
-    return add(matmul(att, _p(tape, weights, f"{prefix}.out.w")),
-               _p(tape, weights, f"{prefix}.out.b"))
+    return _dense(tape, att, weights, f"{prefix}.out")
 
 
 def condense_text(tape: Tape, y: Node, weights, config: ModelConfig, offsets=None) -> Node:
@@ -295,8 +298,7 @@ def condense_text(tape: Tape, y: Node, weights, config: ModelConfig, offsets=Non
     bounds, t = segment_offsets(offsets, y.shape[0]), config.single_vector_t
     idx = [lo + (i * (hi - lo)) // t for lo, hi in zip(bounds, bounds[1:]) for i in range(t)]
     flat = reshape(take_rows(y, idx), len(bounds) - 1, t * config.dim)
-    return add(matmul(flat, _p(tape, weights, "condenser.w")),
-               _p(tape, weights, "condenser.b"))
+    return _dense(tape, flat, weights, "condenser")
 
 
 def cross_modal_attention(tape: Tape, x: Node, y_rep: Node, weights,
@@ -336,19 +338,13 @@ def scorer_forward(tape: Tape, z: Node, weights, config: ModelConfig, offsets=No
         z = layer_norm(add(z, att),
                        _p(tape, weights, f"enc{l}.ln1.gain"),
                        _p(tape, weights, f"enc{l}.ln1.bias"))
-        hidden = relu(add(matmul(z, _p(tape, weights, f"enc{l}.ffn.w1")),
-                          _p(tape, weights, f"enc{l}.ffn.b1")))
-        ffn = add(matmul(hidden, _p(tape, weights, f"enc{l}.ffn.w2")),
-                  _p(tape, weights, f"enc{l}.ffn.b2"))
-        z = layer_norm(add(z, ffn),
+        hidden = relu(_dense(tape, z, weights, f"enc{l}.ffn", "1"))
+        z = layer_norm(add(z, _dense(tape, hidden, weights, f"enc{l}.ffn", "2")),
                        _p(tape, weights, f"enc{l}.ln2.gain"),
                        _p(tape, weights, f"enc{l}.ln2.bias"))
     if config.scorer_head == "hidden":
-        z = relu(add(matmul(z, _p(tape, weights, "scorer.hidden.w")),
-                     _p(tape, weights, "scorer.hidden.b")))
-    logits = add(matmul(z, _p(tape, weights, "scorer.head.w")),
-                 _p(tape, weights, "scorer.head.b"))
-    return sigmoid(logits)
+        z = relu(_dense(tape, z, weights, "scorer.hidden"))
+    return sigmoid(_dense(tape, z, weights, "scorer.head"))
 
 
 def _text_representation(tape: Tape, y: Node, weights, config: ModelConfig,

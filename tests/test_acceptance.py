@@ -20,12 +20,11 @@ from sdvsum.autodiff import (
     affine,
     attention,
     clamp,
-    concat_cols,
     dropout,
     dropout_mask,
     layer_norm,
+    linear,
     log,
-    matmul,
     mean_all,
     mul,
     relu,
@@ -113,8 +112,14 @@ def _op_checks():
         return tape.param(name, params[name])
 
     checks = [
-        ("matmul", {"a": rnd(3, 4, seed=1), "b": rnd(4, 2, seed=2)},
-         lambda t, pr: _weighted(matmul(p(t, pr, "a"), p(t, pr, "b")))),
+        ("linear", {"x": rnd(3, 4, seed=1), "w": rnd(4, 2, seed=2), "b": rnd(1, 2, seed=40)},
+         lambda t, pr: _weighted(linear(p(t, pr, "x"), p(t, pr, "w"), p(t, pr, "b")))),
+        ("linear_blocks", {"x": rnd(2, 4, seed=22), "w0": rnd(4, 1, seed=23),
+                           "w1": rnd(4, 3, seed=41), "w2": rnd(4, 2, seed=42),
+                           "b0": rnd(1, 1, seed=43), "b1": rnd(1, 3, seed=44),
+                           "b2": rnd(1, 2, seed=45)},
+         lambda t, pr: _weighted(linear(p(t, pr, "x"), [p(t, pr, f"w{i}") for i in range(3)],
+                                        [p(t, pr, f"b{i}") for i in range(3)]))),
         ("add", {"a": rnd(3, 3, seed=4), "b": rnd(3, 3, seed=5)},
          lambda t, pr: _weighted(add(p(t, pr, "a"), p(t, pr, "b")))),
         ("sub", {"a": rnd(3, 3, seed=6), "b": rnd(3, 3, seed=7)},
@@ -163,8 +168,6 @@ def _op_checks():
                                         "v": rnd(5, 4, seed=38)},
          lambda t, pr: _weighted(_two_segment_attention(
              p(t, pr, "q"), p(t, pr, "k"), p(t, pr, "v")))),
-        ("concat_cols", {"a": rnd(3, 2, seed=22), "b": rnd(3, 3, seed=23)},
-         lambda t, pr: _weighted(concat_cols([p(t, pr, "a"), p(t, pr, "b")]))),
         ("take_rows", {"a": rnd(4, 3, seed=25)},
          lambda t, pr: _weighted(take_rows(p(t, pr, "a"), [2, 0, 2, 3]))),
         ("reshape", {"a": rnd(3, 4, seed=26)},

@@ -8,12 +8,11 @@ from sdvsum.autodiff import (
     affine,
     attention,
     clamp,
-    concat_cols,
     dropout,
     dropout_mask,
     layer_norm,
+    linear,
     log,
-    matmul,
     matrix,
     mean_all,
     mul,
@@ -60,38 +59,52 @@ def test_matrix_is_float32():
 # forward semantics
 
 
+# The matrix product, the bias-row broadcast and the column-block join are
+# all parts of the one ``linear`` op; the tests keep the names of the ops
+# (matmul, add, concat_cols) that did each before.
+
+
+def product(a, b):
+    """``a @ b`` as a ``linear`` op with a zero bias."""
+    return linear(a, b, a.tape.constant(np.zeros((1, b.shape[1]))))
+
+
 def test_matmul_identity():
     tape = Tape()
     m = rnd(2, 2, seed=1)
-    out = matmul(tape.constant(np.eye(2)), tape.constant(m))
+    out = product(tape.constant(np.eye(2)), tape.constant(m))
     np.testing.assert_array_equal(out.value, m)
 
 
 def test_matmul_hand_case():
     tape = Tape()
-    out = matmul(tape.constant([[1, 2], [3, 4]]), tape.constant([[5], [6]]))
+    out = product(tape.constant([[1, 2], [3, 4]]), tape.constant([[5], [6]]))
     np.testing.assert_array_equal(out.value, [[17], [39]])
 
 
 def test_matmul_shape_error_names_both_shapes():
     tape = Tape()
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-        matmul(tape.constant(np.zeros((2, 3))), tape.constant(np.zeros((2, 3))))
+        product(tape.constant(np.zeros((2, 3))), tape.constant(np.zeros((2, 3))))
+    with pytest.raises(ShapeError, match=r"\(1, 2\)"):
+        linear(tape.constant(np.zeros((2, 3))), tape.constant(np.zeros((3, 3))),
+               tape.constant(np.zeros((1, 2))))
 
 
 def test_matmul_associativity():
     tape = Tape()
     a, b, c = rnd(4, 5, seed=2), rnd(5, 6, seed=3), rnd(6, 3, seed=4)
-    left = matmul(matmul(tape.constant(a), tape.constant(b)), tape.constant(c))
-    right = matmul(tape.constant(a), matmul(tape.constant(b), tape.constant(c)))
+    left = product(product(tape.constant(a), tape.constant(b)), tape.constant(c))
+    right = product(tape.constant(a), product(tape.constant(b), tape.constant(c)))
     np.testing.assert_allclose(left.value, right.value, atol=1e-4)
 
 
 def test_add_broadcast_bias_row():
     tape = Tape()
-    a = tape.constant(np.zeros((3, 2)))
+    x = tape.constant(np.zeros((3, 2)))
     b = tape.constant([[1.0, 2.0]])
-    np.testing.assert_array_equal(add(a, b).value, [[1, 2]] * 3)
+    np.testing.assert_array_equal(linear(x, tape.constant(np.ones((2, 2))), b).value,
+                                  [[1, 2]] * 3)
 
 
 def softmax_rows(logits):
@@ -162,9 +175,31 @@ def test_sigmoid_extreme_inputs_finite():
 def test_concat_cols_block_identity():
     tape = Tape()
     a, b = rnd(5, 32, seed=6), rnd(5, 32, seed=7)
-    out = concat_cols([tape.constant(a), tape.constant(b)])
+    out = linear(tape.constant(np.eye(5)), [tape.constant(a), tape.constant(b)],
+                 tape.constant(np.zeros((1, 64))))
     assert out.shape == (5, 64)
     np.testing.assert_array_equal(out.value[:, :32], a)
+
+
+def test_linear_over_blocks_is_bitwise_linear_over_the_joined_block():
+    x, g = rnd(6, 5, seed=50), rnd(6, 9, seed=51)
+    w, b = rnd(5, 9, seed=52), rnd(1, 9, seed=53)
+    cuts = [0, 2, 3, 9]
+    whole = Tape()
+    xw, ww, bw = (whole.param(n, a) for n, a in (("x", x), ("w", w), ("b", b)))
+    joined = linear(xw, ww, bw)
+    joined.bwd(g)
+    split = Tape()
+    xs = split.param("x", x)
+    ws = [split.param(f"w{i}", w[:, lo:hi]) for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
+    bs = [split.param(f"b{i}", b[:, lo:hi]) for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
+    blocks = linear(xs, ws, bs)
+    blocks.bwd(g)
+    assert blocks.value.tobytes() == joined.value.tobytes()
+    assert xs.grad.tobytes() == xw.grad.tobytes()
+    for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        assert ws[i].grad.tobytes() == np.ascontiguousarray(ww.grad[:, lo:hi]).tobytes()
+        assert bs[i].grad.tobytes() == np.ascontiguousarray(bw.grad[:, lo:hi]).tobytes()
 
 
 def test_dropout_identity_contracts():
@@ -295,7 +330,7 @@ def test_backward_linear_outer_structure():
     tape = Tape()
     w = tape.param("w", rnd(3, 2, seed=10))
     x = np.array([[2.0], [5.0]], dtype=np.float32)
-    grads = tape.backward(mean_all(matmul(w, tape.constant(x))))
+    grads = tape.backward(mean_all(product(w, tape.constant(x))))
     np.testing.assert_allclose(grads["w"], np.tile(x.T, (3, 1)) / 3)
 
 
@@ -315,6 +350,23 @@ def test_backward_twice_does_not_double_gradients():
     np.testing.assert_array_equal(first["w"], second["w"])
 
 
+def test_backward_frees_op_gradients_and_keeps_leaf_gradients():
+    tape = Tape()
+    x = tape.leaf(rnd(4, 3, seed=18), needs_grad=True)
+    w, b = tape.param("w", rnd(3, 2, seed=19)), tape.param("b", rnd(1, 2, seed=20))
+    hidden = linear(x, w, b)
+    loss = mean_all(mul(sigmoid(hidden), relu(hidden)))
+    first = {k: v.copy() for k, v in tape.backward(loss).items()}
+    x_grad = x.grad.copy()
+    nodes = [ref() for ref in tape.nodes]
+    ops = [n for n in nodes if n.parents]
+    assert len(ops) == 5 and all(n.grad is None for n in ops)
+    assert all(n.grad is not None for n in nodes if not n.parents)
+    second = tape.backward(loss)
+    assert all(first[k].tobytes() == second[k].tobytes() for k in first)
+    assert x.grad.tobytes() == x_grad.tobytes()
+
+
 def test_unreached_parameter_gets_zero_gradient():
     tape = Tape()
     w = tape.param("w", rnd(2, 2, seed=13))
@@ -330,7 +382,7 @@ def _sigmoid_layer_loss(x_seed):
     b = tape.param("b", rnd(1, 2, seed=16))
     unused = tape.param("unused", rnd(2, 2, seed=17))
     x = tape.constant(rnd(4, 3, seed=x_seed))
-    return tape, mean_all(sigmoid(add(matmul(x, w), b))), unused
+    return tape, mean_all(sigmoid(linear(x, w, b))), unused
 
 
 def test_backward_into_sums_gradients_in_place():
@@ -399,7 +451,7 @@ def test_grad_quadratic_is_tight():
 
 
 def test_grad_matmul():
-    check_op(lambda t, a, b: total(matmul(a, b)), [(3, 4), (4, 2)], seed=21)
+    check_op(lambda t, x, w, b: total(linear(x, w, b)), [(3, 4), (4, 2), (1, 2)], seed=21)
 
 
 def test_grad_sub_scale_affine():
@@ -410,7 +462,10 @@ def test_grad_sub_scale_affine():
 
 
 def test_grad_add_with_bias_broadcast():
-    check_op(lambda t, a, b: total(mul(add(a, b), add(a, b))), [(4, 3), (1, 3)], seed=23)
+    def build(t, a, b):
+        eye = t.constant(np.eye(3))
+        return total(mul(linear(a, eye, b), linear(a, eye, b)))
+    check_op(build, [(4, 3), (1, 3)], seed=23)
 
 
 def test_grad_relu_away_from_kink():
@@ -441,7 +496,7 @@ def test_grad_layer_norm_all_inputs():
 
 def test_grad_shape_surgery():
     def build(t, p, q):
-        joined = concat_cols([p, q])
+        joined = linear(t.constant(np.eye(3)), [p, q], t.constant(np.zeros((1, 5))))
         took = take_rows(joined, [2, 0, 1, 2])
         return mean_all(mul(reshape(took, 2, 10), reshape(took, 2, 10)))
     check_op(build, [(3, 2), (3, 3)], seed=30)

@@ -106,12 +106,14 @@ MALFORMED = {
     "entry is a string": lambda d: d.update(videos=["v0"]),
     "frames is a number": lambda d: d["videos"][0].update(frames=3),
     "videos is a string": lambda d: d.update(videos="abc"),
+    "dimension is a boolean": lambda d: d.update(dimension=True),
+    "fragment bound is a boolean": lambda d: d["videos"][0].update(fragments=[[False, 6]]),
 }
 
 
 @pytest.mark.parametrize("mutate", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_manifest_is_manifest_error(tmp_path, mutate):
-    path = write_minimal(tmp_path)
+    path = write_minimal(tmp_path, dim=1)   # width 1: a dimension of true (== 1) would fit
     doc = json.loads(path.read_text())
     mutate(doc)
     path.write_text(json.dumps(doc))

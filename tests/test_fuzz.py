@@ -1,0 +1,162 @@
+"""Property tests: malformed inputs fail through the documented error classes.
+
+Byte mutations of valid SDVE and SDVC files, random config text and random
+JSON manifests must either load or raise the class the CLI maps to an exit
+code (``DataFormatError`` -> 2, ``ConfigError`` -> 1), never anything else.
+"""
+
+import json
+import string
+
+import numpy as np
+import pytest
+
+from sdvsum.config import KNOWN_KEYS, parse_config
+from sdvsum.datasets import load_manifest
+from sdvsum.errors import ConfigError, DataFormatError, ManifestError
+from sdvsum.model import ModelConfig, init_weights, load_checkpoint, save_checkpoint
+from sdvsum.rng import Rng
+from sdvsum.sdve import read_embeddings, write_embeddings
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """Bytes of a valid SDVE file and a valid SDVC checkpoint."""
+    root = tmp_path_factory.mktemp("fuzz")
+    write_embeddings(np.random.default_rng(0).normal(size=(3, 4)), root / "e.sdve")
+    config = ModelConfig(dim=4, heads=2, ffn_dim=4)
+    save_checkpoint(init_weights(config, Rng(0)), config, root / "c.sdvc")
+    return (root / "e.sdve").read_bytes(), (root / "c.sdvc").read_bytes()
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """``data`` after one to three truncations, extensions or byte overwrites."""
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("truncate", "extend", "overwrite")))
+        if kind == "truncate":
+            del out[draw(st.integers(0, len(out))):]
+        elif kind == "extend":
+            out += draw(st.binary(min_size=1, max_size=16))
+        elif out:
+            at = draw(st.integers(0, len(out) - 1))
+            patch = draw(st.binary(min_size=1, max_size=8))
+            out[at:at + len(patch)] = patch
+    return bytes(out)
+
+
+def _returns_or_raises(load, path, allowed):
+    try:
+        load(path)
+    except allowed:
+        pass
+
+
+@given(data=st.data())
+@FUZZ
+def test_mutated_sdve_returns_or_raises_data_format_error(valid_files, tmp_path, data):
+    path = tmp_path / "m.sdve"
+    path.write_bytes(data.draw(mutated(valid_files[0])))
+    _returns_or_raises(read_embeddings, path, DataFormatError)
+
+
+@given(data=st.data())
+@FUZZ
+def test_mutated_sdvc_returns_or_raises_data_format_error(valid_files, tmp_path, data):
+    path = tmp_path / "m.sdvc"
+    raw = valid_files[1]
+    # half the examples hit the header and config blob, which the payload would swamp
+    head = data.draw(st.booleans())
+    blob = data.draw(mutated(raw[:200] if head else raw))
+    path.write_bytes(blob + raw[200:] if head else blob)
+    _returns_or_raises(load_checkpoint, path, DataFormatError)
+
+
+_VALUE = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["true", "false", "True", "multi_vector", "hidden", "generic", "", "=",
+                     "9" * 5000]),
+    st.text(string.printable, max_size=12),
+)
+_LINE = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(sorted(KNOWN_KEYS)), _VALUE),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=30),
+)
+
+
+@given(lines=st.lists(_LINE, max_size=8))
+@FUZZ
+def test_random_config_text_raises_only_config_error(tmp_path, lines):
+    path = tmp_path / "run.cfg"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    _returns_or_raises(parse_config, path, ConfigError)
+
+
+@given(raw=st.binary(max_size=64))
+@example(raw=b"\x80")   # not UTF-8
+@FUZZ
+def test_random_config_bytes_raise_only_config_error(tmp_path, raw):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(raw)
+    _returns_or_raises(parse_config, path, ConfigError)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10) | st.floats(allow_nan=False)
+    | st.sampled_from(["", "train", "test", "v0", "v0/frames.sdve", "v0/labels.sdve",
+                       "v0/script.sdve", "x" * 300]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=12,
+)
+_VALID_ENTRY = {"id": "v0", "split": "train", "frames": "v0/frames.sdve",
+                "summaries": [{"labels": "v0/labels.sdve", "script": "v0/script.sdve"}]}
+_SUMMARY = st.dictionaries(st.sampled_from(("labels", "script")), _JSON, max_size=2)
+# a valid entry with some of its fields replaced, so the checks behind the first ones run
+_ENTRY = st.builds(lambda over: {**_VALID_ENTRY, **over}, st.dictionaries(
+    st.sampled_from(("id", "split", "frames", "summaries", "description", "fragments")),
+    _JSON | st.lists(_SUMMARY, max_size=2), max_size=2))
+_MANIFEST = st.one_of(
+    _JSON,
+    st.fixed_dictionaries({"dimension": _JSON, "videos": st.lists(_ENTRY | _JSON, max_size=3)}),
+    st.fixed_dictionaries({"dimension": st.sampled_from([4, True, 4.0, -4]),
+                           "videos": st.lists(_ENTRY, max_size=3)}),
+)
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    """A directory holding one valid video's files, for manifests to point at."""
+    root = tmp_path_factory.mktemp("manifest")
+    (root / "v0").mkdir()
+    g = np.random.default_rng(0)
+    write_embeddings(g.normal(size=(6, 4)), root / "v0" / "frames.sdve")
+    write_embeddings(g.normal(size=(2, 4)), root / "v0" / "script.sdve")
+    write_embeddings(np.array([[1.0], [1], [0], [0], [0], [0]]), root / "v0" / "labels.sdve")
+    return root
+
+
+@given(doc=_MANIFEST)
+@example(doc={"dimension": 4, "videos": [{**_VALID_ENTRY, "frames": "x" * 300}]})
+@FUZZ
+def test_random_manifest_raises_only_manifest_error(manifest_dir, doc):
+    path = manifest_dir / "manifest.json"
+    path.write_text(json.dumps(doc))
+    _returns_or_raises(load_manifest, path, ManifestError)
+
+
+@given(raw=st.binary(max_size=64))
+@example(raw=b"\x80")
+@FUZZ
+def test_random_manifest_bytes_raise_only_manifest_error(manifest_dir, raw):
+    path = manifest_dir / "manifest.json"
+    path.write_bytes(raw)
+    _returns_or_raises(load_manifest, path, ManifestError)
