@@ -15,8 +15,10 @@ during the backward sweep, so constant inputs (frame embeddings, positional
 encodings, labels) cost nothing beyond their forward value.
 
 Several samples can share one tape stacked along rows. Row-wise ops need
-nothing for that; ``attention`` and ``mean_all`` take segment offsets
-``(0, n1, n1 + n2, ..., N)`` that keep each sample to its own rows.
+nothing for that; ``attention`` and the two losses, ``bce`` and ``mse``,
+take segment offsets ``(0, n1, n1 + n2, ..., N)`` that keep each sample to
+its own rows. A loss is one node whose value is the sum of the segments'
+mean losses.
 """
 
 from __future__ import annotations
@@ -32,14 +34,8 @@ __all__ = [
     "Tape",
     "linear",
     "add",
-    "sub",
-    "mul",
-    "scale",
-    "affine",
     "relu",
     "sigmoid",
-    "log",
-    "clamp",
     "layer_norm",
     "segment_offsets",
     "dropout_mask",
@@ -47,7 +43,8 @@ __all__ = [
     "attention",
     "take_rows",
     "reshape",
-    "mean_all",
+    "bce",
+    "mse",
 ]
 
 _F32 = np.float32
@@ -125,13 +122,10 @@ class Tape:
         # every registered name, so backward knows which gradient buffers it needs
         self._param_shapes: dict[str, tuple[int, int]] = {}
 
-    def leaf(self, value, name: str | None = None, needs_grad: bool = False) -> Node:
-        node = Node(matrix(value), (), None, needs_grad, self, name)
+    def constant(self, value) -> Node:
+        node = Node(matrix(value), (), None, False, self)
         self.nodes.append(weakref.ref(node))
         return node
-
-    def constant(self, value) -> Node:
-        return self.leaf(value)
 
     def param(self, name: str, value) -> Node:
         """Register (or fetch) the unique leaf for a named parameter.
@@ -259,51 +253,6 @@ def add(a: Node, b: Node) -> Node:
     return _op(a.value + b.value, (a, b), bwd)
 
 
-def sub(a: Node, b: Node) -> Node:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
-
-    def bwd(g):
-        _accum(a, g)
-        if b.needs_grad:
-            _accum(b, -g)
-
-    return _op(a.value - b.value, (a, b), bwd)
-
-
-def mul(a: Node, b: Node) -> Node:
-    """Hadamard product of equal-shaped operands."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-
-    def bwd(g):
-        if a.needs_grad:
-            _accum(a, g * b.value)
-        if b.needs_grad:
-            _accum(b, g * a.value)
-
-    return _op(a.value * b.value, (a, b), bwd)
-
-
-def scale(a: Node, c: float) -> Node:
-    c = _F32(c)
-
-    def bwd(g):
-        _accum(a, g * c)
-
-    return _op(a.value * c, (a,), bwd)
-
-
-def affine(a: Node, alpha: float, beta: float) -> Node:
-    """Elementwise alpha*a + beta."""
-    alpha = _F32(alpha)
-
-    def bwd(g):
-        _accum(a, g * alpha)
-
-    return _op(a.value * alpha + _F32(beta), (a,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 
@@ -326,29 +275,6 @@ def sigmoid(a: Node) -> Node:
 
     def bwd(g):
         _accum(a, g * (out * (1.0 - out)))
-
-    return _op(out, (a,), bwd)
-
-
-def log(a: Node) -> Node:
-    if np.any(a.value <= 0):
-        raise ValueError("log requires strictly positive input")
-    out = np.log(a.value)
-
-    def bwd(g):
-        _accum(a, g / a.value)
-
-    return _op(out, (a,), bwd)
-
-
-def clamp(a: Node, lo: float, hi: float) -> Node:
-    """Clip into [lo, hi]; gradient passes only where no clipping happened."""
-    if not lo < hi:
-        raise ValueError(f"clamp needs lo < hi, got [{lo}, {hi}]")
-    out = np.clip(a.value, _F32(lo), _F32(hi))
-
-    def bwd(g):
-        _accum(a, g * ((a.value >= lo) & (a.value <= hi)))
 
     return _op(out, (a,), bwd)
 
@@ -539,21 +465,72 @@ def reshape(a: Node, rows: int, cols: int) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# reductions
+# losses
 
 
-def mean_all(a: Node, offsets=None) -> Node:
-    """Mean of all entries as 1 x 1; with row ``offsets``, one row per segment
-    holding the mean of that segment's entries."""
-    bounds = segment_offsets(offsets, a.shape[0])
-    sizes = [(hi - lo) * a.shape[1] for lo, hi in zip(bounds, bounds[1:])]
-    out = np.array([[a.value[lo:hi].sum(dtype=np.float64) / size]
-                    for lo, hi, size in zip(bounds, bounds[1:], sizes)], dtype=_F32)
+def _segment_loss(f: Node, per_row: np.ndarray, offsets, collect, pull) -> Node:
+    """One 1 x 1 node: the sum over row segments of each segment's mean of ``per_row``.
+
+    ``collect`` receives the segment means. Backward gives each entry of a
+    segment of n entries the gradient g / n and adds ``pull`` of those
+    gradients into ``f``.
+    """
+    bounds = segment_offsets(offsets, f.shape[0])
+    sizes = [(hi - lo) * f.shape[1] for lo, hi in zip(bounds, bounds[1:])]
+    means = np.array([[per_row[lo:hi].sum(dtype=np.float64) / size]
+                      for lo, hi, size in zip(bounds, bounds[1:], sizes)], dtype=_F32)
+    if collect is not None:
+        collect.extend(means[:, 0].tolist())
 
     def bwd(g):
-        full = np.empty_like(a.value)
-        for lo, hi, size, gs in zip(bounds, bounds[1:], sizes, g[:, 0]):
-            full[lo:hi] = gs / _F32(size)
-        _accum(a, full)
+        full = np.empty_like(per_row)
+        for lo, hi, size in zip(bounds, bounds[1:], sizes):
+            full[lo:hi] = g[0, 0] / _F32(size)
+        _accum(f, pull(full))
 
-    return _op(out, (a,), bwd)
+    return _op(np.array([[means.sum(dtype=np.float64)]], dtype=_F32), (f,), bwd)
+
+
+def _target(f: Node, t, what: str) -> np.ndarray:
+    t = matrix(t)
+    if t.shape != f.shape:
+        raise ShapeError(f"{what}: target {t.shape} for scores {f.shape}")
+    return t
+
+
+def bce(f: Node, y, eps: float, offsets=None, collect: list[float] | None = None) -> Node:
+    """Binary cross-entropy of scores ``f`` against labels ``y`` of its shape.
+
+    Scores are clipped to [eps, 1 - eps] before the logs, and the gradient
+    passes only where no clipping happened. The value is the sum over row
+    segments of each segment's mean loss; ``collect`` receives the means.
+    """
+    if not 0.0 < eps < 0.5:
+        raise ValueError(f"bce needs 0 < eps < 0.5, got {eps}")
+    y = _target(f, y, "bce")
+    x = f.value
+    c = np.clip(x, _F32(eps), _F32(1.0 - eps))
+    one_minus_c = c * _F32(-1) + _F32(1)
+    one_minus_y = 1.0 - y
+
+    def pull(g):
+        g = -g
+        return ((g * y) / c - (g * one_minus_y) / one_minus_c) * ((x >= eps) & (x <= 1.0 - eps))
+
+    per_row = -(y * np.log(c) + one_minus_y * np.log(one_minus_c))
+    return _segment_loss(f, per_row, offsets, collect, pull)
+
+
+def mse(f: Node, t, offsets=None, collect: list[float] | None = None) -> Node:
+    """Squared error of scores ``f`` against targets ``t`` of its shape.
+
+    The value is the sum over row segments of each segment's mean loss;
+    ``collect`` receives the means.
+    """
+    d = f.value - _target(f, t, "mse")
+
+    def pull(g):
+        gd = g * d
+        return gd + gd
+
+    return _segment_loss(f, d * d, offsets, collect, pull)

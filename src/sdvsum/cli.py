@@ -166,8 +166,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     if args.overlap:
-        ids = [line.strip() for line in Path(args.overlap).read_text(encoding="utf-8").splitlines()
-               if line.strip()]
+        try:
+            text = Path(args.overlap).read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"--overlap file {args.overlap} is not UTF-8: {e}") from None
+        ids = [line.strip() for line in text.splitlines() if line.strip()]
         if not ids:
             raise UsageError(f"--overlap file {args.overlap} lists no video ids")
     manifest = load_manifest(args.manifest)

@@ -18,6 +18,7 @@ training and synthesis and can be overridden by the CLI ``--seed`` flag.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -63,13 +64,16 @@ def _convert(key: str, value: str, kind, origin: str, lineno: int):
             return lowered == "true"
         if kind is int:
             return int(value, 10)
-        if kind is float:
-            return float(value)
-        return value
+        if kind is not float:
+            return value
+        number = float(value)
     except ValueError:
         raise ConfigError(
             f"{origin}:{lineno}: cannot read {value!r} as {kind.__name__} for key {key!r}"
         ) from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{origin}:{lineno}: key {key!r} must be finite, got {value!r}")
+    return number
 
 
 def parse_config(path=None) -> RunConfig:

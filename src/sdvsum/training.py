@@ -10,15 +10,16 @@ per-frame mean of all reference summaries, under mean squared error.
 samples whose losses are averaged before a single Adam step, without any
 padding. The group's samples are stacked along rows into one tape: one
 forward pass, in which every sample attends only to its own frames and
-sentences, one loss and one backward. Consecutive samples share a tape while
-their frames total at most ``STACK_ROWS``; a longer sample runs alone, since
-stacking saves nothing at that length and costs memory. The weights, the
-group gradient and Adam's moments are flat float32 buffers whose views are
-the named tensors. Each backward adds the sum of its samples' gradients
-straight into the gradient buffer; a group (the remainder group at epoch end
-included) ends in one divide by its actual size, one Adam step and one
-zero-fill. L2 regularization is coupled: ``l2_factor * theta`` is added to
-the gradient before the Adam moments.
+sentences, one loss (the sum of the samples' mean losses) and one backward.
+Consecutive samples share a tape while their frames total at most
+``STACK_ROWS``; a longer sample runs alone, since stacking saves nothing at
+that length and costs memory. The weights, the group gradient and Adam's
+moments are flat float32 buffers whose views are the named tensors. Each
+backward adds the sum of its samples' gradients straight into the gradient
+buffer; a group (the remainder group at epoch end included) ends in one
+divide by its actual size, one Adam step and one zero-fill. L2
+regularization is coupled: ``l2_factor * theta`` is added to the gradient
+before the Adam moments.
 
 After every epoch the model is scored on the validation split with dropout
 disabled; the checkpoint with the highest validation F-Score (earliest epoch
@@ -34,19 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (
-    Node,
-    ShapeError,
-    Tape,
-    add,
-    affine,
-    clamp,
-    log,
-    mean_all,
-    mul,
-    scale,
-    sub,
-)
+from .autodiff import Node, ShapeError, Tape, bce, mse
 from .datasets import DatasetManifest, LoadedVideo, load_split
 from .errors import ConfigError, LabelError, ManifestError, NumericError
 from .metrics import average_ground_truth, evaluate_generic, evaluate_script_driven
@@ -128,44 +117,28 @@ def _as_column(values: np.ndarray, n: int, what: str) -> np.ndarray:
     return a
 
 
-def _segment_mean(per_row: Node, offsets, collect: list[float] | None) -> Node:
-    """Mean over segments of each segment's mean; ``collect`` gets the segment means."""
-    per_sample = mean_all(per_row, offsets)
-    if collect is not None:
-        collect.extend(per_sample.value[:, 0].tolist())
-    return mean_all(per_sample)
-
-
 def bce_loss(f: Node, labels: np.ndarray, offsets=None,
              collect: list[float] | None = None) -> Node:
     """Mean binary cross-entropy of scores against 0/1 labels.
 
     Scores are clamped to [1e-7, 1 - 1e-7] before the logs, so a saturated
     sigmoid cannot produce log(0). For stacked samples (row ``offsets``) it
-    is the mean of the samples' losses, which ``collect`` receives.
+    is the sum of the samples' mean losses, which ``collect`` receives.
     """
-    n = f.shape[0]
-    y = _as_column(labels, n, "labels")
+    y = _as_column(labels, f.shape[0], "labels")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise LabelError("bce_loss needs strictly binary labels")
-    tape = f.tape
-    c = clamp(f, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    pos = mul(tape.constant(y), log(c))
-    neg = mul(tape.constant(1.0 - y), log(affine(c, -1.0, 1.0)))
-    return _segment_mean(scale(add(pos, neg), -1.0), offsets, collect)
+    return bce(f, y, BCE_CLAMP, offsets, collect)
 
 
 def mse_loss(f: Node, target: np.ndarray, offsets=None,
              collect: list[float] | None = None) -> Node:
     """Mean squared error of scores against real-valued targets in [0, 1].
 
-    For stacked samples (row ``offsets``) it is the mean of the samples'
+    For stacked samples (row ``offsets``) it is the sum of the samples' mean
     losses, which ``collect`` receives.
     """
-    n = f.shape[0]
-    t = _as_column(target, n, "target")
-    diff = sub(f, f.tape.constant(t))
-    return _segment_mean(mul(diff, diff), offsets, collect)
+    return mse(f, _as_column(target, f.shape[0], "target"), offsets, collect)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +272,7 @@ def _add_gradient(stack: list[tuple], weights, grads, model_config: ModelConfig,
         raise NumericError(
             f"non-finite training loss at epoch {epoch}, sample {(bad or vids)[0]!r}"
         )
-    # the loss is the stack's mean: times its size, the backward adds the sum
-    tape.backward(scale(loss, len(stack)), into=grads)
+    tape.backward(loss, into=grads)
     return losses
 
 

@@ -1,26 +1,24 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from sdvsum import autodiff
 from sdvsum.autodiff import (
     ShapeError,
     Tape,
     add,
-    affine,
     attention,
-    clamp,
+    bce,
     dropout,
     dropout_mask,
     layer_norm,
     linear,
-    log,
     matrix,
-    mean_all,
-    mul,
+    mse,
     relu,
     reshape,
-    scale,
     sigmoid,
-    sub,
     take_rows,
 )
 from sdvsum.rng import Rng
@@ -31,6 +29,28 @@ from gradcheck import GradCheckReport, grad_check
 def rnd(*shape, seed=0, lo=-1.0, hi=1.0):
     g = np.random.default_rng(seed)
     return g.uniform(lo, hi, size=shape).astype(np.float32)
+
+
+def weighted_sum(x, c):
+    """Σ cᵢxᵢ over x's entries as a 1 x 1 node: one ``linear`` of x's flattened row."""
+    n = x.value.size
+    cs = np.broadcast_to(np.asarray(c, dtype=np.float32), x.shape).reshape(n, 1)
+    return linear(reshape(x, 1, n), x.tape.constant(cs), x.tape.constant(np.zeros((1, 1))))
+
+
+def mean(x):
+    return weighted_sum(x, np.float32(1) / np.float32(x.value.size))
+
+
+def total(x):
+    """Sum of all entries, so gradients stay of order 1, where ``grad_check``'s
+    relative error is sharpest."""
+    return weighted_sum(x, 1.0)
+
+
+def mean_square(x):
+    """Mean of the squared entries: ``mse`` against zeros."""
+    return mse(x, np.zeros(x.shape, dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +173,8 @@ def test_layer_norm_two_point_row():
 
 def test_relu_subgradient_convention():
     tape = Tape()
-    x = tape.leaf([[-1.0, 0.0, 2.0]], needs_grad=True)
-    loss = mean_all(relu(x))
+    x = tape.param("x", [[-1.0, 0.0, 2.0]])
+    loss = mean(relu(x))
     loss.tape.backward(loss)
     np.testing.assert_array_equal(x.grad, [[0.0, 0.0, np.float32(1) / np.float32(3)]])
 
@@ -306,14 +326,64 @@ def test_segment_offsets_are_checked():
         dropout(q, np.ones((2, 4), dtype=np.float32))
 
 
-def test_mean_all_per_segment():
-    tape = Tape()
-    x = tape.leaf(np.arange(10, dtype=np.float32).reshape(5, 2), needs_grad=True)
-    seg = mean_all(x, [0, 1, 5])
-    np.testing.assert_array_equal(seg.value, [[0.5], [5.5]])
-    tape.backward(mean_all(seg))
-    np.testing.assert_array_equal(x.grad, [[0.25, 0.25]] + [[0.0625, 0.0625]] * 4)
-    assert mean_all(x, [0, 5]).value.tobytes() == mean_all(x).value.tobytes()
+def composite_loss(x, target, bounds, eps=None):
+    """Segment means and d(sum of means)/dx of BCE (``eps`` given) or MSE.
+
+    A float32 numpy transcription of the clamp / log / mul / affine / add /
+    scale / sub / mean_all chain that built each loss before it was one op.
+    """
+    f32 = np.float32
+    g = np.empty_like(x)
+    for lo, hi in zip(bounds, bounds[1:]):   # mean_all backward from 1 per segment
+        g[lo:hi] = f32(1) / f32(hi - lo)
+    if eps is None:
+        d = x - target                                  # sub
+        per_row = d * d                                 # mul
+        gd = g * d
+        grad = gd + gd                                  # mul backward, both operands
+    else:
+        c = np.clip(x, f32(eps), f32(1.0 - eps))        # clamp
+        one_minus_c = c * f32(-1) + f32(1)              # affine(c, -1, 1)
+        one_minus_y = 1.0 - target
+        per_row = (target * np.log(c) + one_minus_y * np.log(one_minus_c)) * f32(-1)
+        g = g * f32(-1)                                 # scale backward
+        grad = ((g * one_minus_y) / one_minus_c) * f32(-1)
+        grad += (g * target) / c                        # the two log branches
+        grad = grad * ((x >= eps) & (x <= 1.0 - eps))   # clamp backward
+    means = [f32(per_row[lo:hi].sum(dtype=np.float64) / (hi - lo))
+             for lo, hi in zip(bounds, bounds[1:])]
+    return means, grad
+
+
+@pytest.mark.parametrize("op", ["bce", "mse"])
+def test_loss_ops_are_bitwise_the_composite_chain(op):
+    rng = np.random.default_rng(60)
+    for _ in range(40):
+        sizes = rng.integers(1, 20, size=rng.integers(1, 5))
+        n = int(sizes.sum())
+        bounds = [0, *np.cumsum(sizes).tolist()]
+        # logits up to ±30 saturate the sigmoid, so many rows are clamped
+        x = (1.0 / (1.0 + np.exp(-rng.uniform(-30, 30, size=(n, 1))))).astype(np.float32)
+        x[0], x[-1] = 0.0, 1.0
+        if op == "bce":
+            target = (rng.random((n, 1)) < 0.5).astype(np.float32)
+            eps = 1e-7
+        else:
+            target, eps = rng.random((n, 1)).astype(np.float32), None
+        tape = Tape()
+        f = tape.param("f", x)
+        collected = []
+        if op == "bce":
+            loss = bce(f, target, eps, bounds, collected)
+        else:
+            loss = mse(f, target, bounds, collected)
+        loss.bwd(np.ones((1, 1), dtype=np.float32))   # f.grad keeps the sign of zeros
+        means, want = composite_loss(x, target, bounds, eps)
+        assert len(tape.nodes) == 2   # the parameter and one loss node
+        assert collected == [float(m) for m in means]
+        assert loss.value[0, 0] == np.float32(np.array(means).sum(dtype=np.float64))
+        assert f.grad.tobytes() == want.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # backward sweep
@@ -322,7 +392,7 @@ def test_mean_all_per_segment():
 def test_backward_mean_of_weights_is_uniform():
     tape = Tape()
     w = tape.param("w", rnd(2, 2, seed=9))
-    grads = tape.backward(mean_all(w))
+    grads = tape.backward(mean(w))
     np.testing.assert_array_equal(grads["w"], np.full((2, 2), 0.25))
 
 
@@ -330,7 +400,7 @@ def test_backward_linear_outer_structure():
     tape = Tape()
     w = tape.param("w", rnd(3, 2, seed=10))
     x = np.array([[2.0], [5.0]], dtype=np.float32)
-    grads = tape.backward(mean_all(product(w, tape.constant(x))))
+    grads = tape.backward(mean(product(w, tape.constant(x))))
     np.testing.assert_allclose(grads["w"], np.tile(x.T, (3, 1)) / 3)
 
 
@@ -344,7 +414,7 @@ def test_backward_requires_scalar_loss():
 def test_backward_twice_does_not_double_gradients():
     tape = Tape()
     w = tape.param("w", rnd(2, 2, seed=12))
-    loss = mean_all(mul(w, w))
+    loss = mean_square(w)
     first = {k: v.copy() for k, v in tape.backward(loss).items()}
     second = tape.backward(loss)
     np.testing.assert_array_equal(first["w"], second["w"])
@@ -352,10 +422,10 @@ def test_backward_twice_does_not_double_gradients():
 
 def test_backward_frees_op_gradients_and_keeps_leaf_gradients():
     tape = Tape()
-    x = tape.leaf(rnd(4, 3, seed=18), needs_grad=True)
+    x = tape.param("x", rnd(4, 3, seed=18))
     w, b = tape.param("w", rnd(3, 2, seed=19)), tape.param("b", rnd(1, 2, seed=20))
     hidden = linear(x, w, b)
-    loss = mean_all(mul(sigmoid(hidden), relu(hidden)))
+    loss = mean_square(add(sigmoid(hidden), relu(hidden)))
     first = {k: v.copy() for k, v in tape.backward(loss).items()}
     x_grad = x.grad.copy()
     nodes = [ref() for ref in tape.nodes]
@@ -371,7 +441,7 @@ def test_unreached_parameter_gets_zero_gradient():
     tape = Tape()
     w = tape.param("w", rnd(2, 2, seed=13))
     tape.param("unused", rnd(3, 3, seed=14))
-    grads = tape.backward(mean_all(w))
+    grads = tape.backward(mean(w))
     np.testing.assert_array_equal(grads["unused"], np.zeros((3, 3)))
 
 
@@ -382,7 +452,7 @@ def _sigmoid_layer_loss(x_seed):
     b = tape.param("b", rnd(1, 2, seed=16))
     unused = tape.param("unused", rnd(2, 2, seed=17))
     x = tape.constant(rnd(4, 3, seed=x_seed))
-    return tape, mean_all(sigmoid(linear(x, w, b))), unused
+    return tape, mean(sigmoid(linear(x, w, b))), unused
 
 
 def test_backward_into_sums_gradients_in_place():
@@ -418,15 +488,6 @@ def test_mixing_tapes_rejected():
 # gradient checking
 
 
-def total(x):
-    """Sum of all entries: the mean of the entries scaled by their count.
-
-    Gradients stay of order 1, where ``grad_check``'s relative error is
-    sharpest. Scaling before the float64 mean rounds the loss once.
-    """
-    return mean_all(scale(x, x.value.size))
-
-
 def check_op(build, shapes, seed=0, eps=1e-3, tol=1e-3, lo=-1.0, hi=1.0):
     """Gradient-check a composite: build(tape, *param_nodes) -> scalar node."""
     g = np.random.default_rng(seed)
@@ -446,7 +507,7 @@ def check_op(build, shapes, seed=0, eps=1e-3, tol=1e-3, lo=-1.0, hi=1.0):
 
 
 def test_grad_quadratic_is_tight():
-    report = check_op(lambda t, p: total(mul(p, p)), [(3, 3)], seed=20)
+    report = check_op(lambda t, p: mean_square(p), [(3, 3)], seed=20)
     assert report.max_error < 1e-4
 
 
@@ -454,43 +515,37 @@ def test_grad_matmul():
     check_op(lambda t, x, w, b: total(linear(x, w, b)), [(3, 4), (4, 2), (1, 2)], seed=21)
 
 
-def test_grad_sub_scale_affine():
-    check_op(
-        lambda t, a, b: total(scale(sub(a, affine(b, 0.5, -0.2)), 1.7)),
-        [(4, 3), (4, 3)], seed=22,
-    )
-
-
 def test_grad_add_with_bias_broadcast():
     def build(t, a, b):
-        eye = t.constant(np.eye(3))
-        return total(mul(linear(a, eye, b), linear(a, eye, b)))
+        return mean_square(linear(a, t.constant(np.eye(3)), b))
     check_op(build, [(4, 3), (1, 3)], seed=23)
 
 
 def test_grad_relu_away_from_kink():
     # inputs kept away from 0 so finite differences cannot cross it
     check_op(lambda t, p: total(relu(p)), [(4, 4)], seed=24, lo=0.1, hi=1.0)
-    check_op(lambda t, p: mean_all(relu(p)), [(4, 4)], seed=25, lo=-1.0, hi=-0.1)
+    check_op(lambda t, p: mean(relu(p)), [(4, 4)], seed=25, lo=-1.0, hi=-0.1)
 
 
 def test_grad_sigmoid_log_clamp():
-    check_op(lambda t, p: total(log(sigmoid(p))), [(3, 5)], seed=26)
+    # with all labels 1, bce is the mean of -log(sigmoid(p))
+    check_op(lambda t, p: bce(sigmoid(p), np.ones(p.shape), 1e-7), [(3, 5)], seed=26)
     # clamp active region only: values in (0.2, 0.8) with clamp [0.1, 0.9]
-    check_op(lambda t, p: total(clamp(p, 0.1, 0.9)), [(3, 3)], seed=27, lo=0.2, hi=0.8)
+    y = np.array([[1.0], [0.0], [1.0]])
+    check_op(lambda t, p: bce(p, y, 0.1), [(3, 1)], seed=27, lo=0.2, hi=0.8)
 
 
 def test_grad_softmax_rows():
     def build(t, p):
-        probe = t.constant(np.linspace(0.1, 1.0, 12).reshape(3, 4))
         eye = t.constant(np.eye(4))
-        return total(mul(attention(p, eye, eye, heads=1), probe))
+        return weighted_sum(attention(p, eye, eye, heads=1),
+                            np.linspace(0.1, 1.0, 12).reshape(3, 4))
     check_op(build, [(3, 4)], seed=28)
 
 
 def test_grad_layer_norm_all_inputs():
     def build(t, a, bias, gain):
-        return total(mul(layer_norm(a, gain, bias), layer_norm(a, gain, bias)))
+        return mean_square(layer_norm(a, gain, bias))
     check_op(build, [(4, 6), (1, 6), (1, 6)], seed=29)
 
 
@@ -498,7 +553,7 @@ def test_grad_shape_surgery():
     def build(t, p, q):
         joined = linear(t.constant(np.eye(3)), [p, q], t.constant(np.zeros((1, 5))))
         took = take_rows(joined, [2, 0, 1, 2])
-        return mean_all(mul(reshape(took, 2, 10), reshape(took, 2, 10)))
+        return mean_square(reshape(took, 2, 10))
     check_op(build, [(3, 2), (3, 3)], seed=30)
 
 
@@ -506,7 +561,7 @@ def test_grad_dropout_frozen_mask():
     # a fresh generator with a fixed seed per call makes f deterministic
     def build(t, p):
         out = dropout(p, dropout_mask(p.shape, 0.4, np.random.default_rng(99), True))
-        return total(mul(out, out))
+        return mean_square(out)
     check_op(build, [(5, 5)], seed=31)
 
 
@@ -517,7 +572,7 @@ def test_grad_check_detects_nondeterminism():
         state["calls"] += 1
         tape = Tape()
         p = tape.param("p", params["p"])
-        return scale(total(p), float(state["calls"]))
+        return weighted_sum(p, state["calls"])
 
     with pytest.raises(ValueError, match="not deterministic"):
         grad_check(f, {"p": np.ones((2, 2), dtype=np.float32)})
@@ -527,8 +582,8 @@ def test_grad_check_flags_corrupted_backward():
     def f(params):
         tape = Tape()
         p = tape.param("p", params["p"])
-        out = mul(p, p)
-        # corrupt the backward rule of the product node
+        out = sigmoid(p)
+        # corrupt the backward rule of the sigmoid node
         out.bwd = lambda g: None
         return total(out)
 
@@ -541,6 +596,17 @@ def test_grad_check_report_summary_format():
     assert report.passed
     assert "PASS" in report.summary()
     assert GradCheckReport(errors={"a": 5e-3}, tol=1e-3).passed is False
+
+
+def test_every_differentiable_op_has_a_criterion_1_gradient_check():
+    from test_acceptance import _op_checks
+    checked = [name for name, _, _ in _op_checks()]
+    ops = [name for name in autodiff.__all__
+           if inspect.isfunction(getattr(autodiff, name))
+           and inspect.signature(getattr(autodiff, name)).return_annotation
+           in ("Node", autodiff.Node)]
+    missing = [op for op in ops if not any(c == op or c.startswith(op + "_") for c in checked)]
+    assert "linear" in ops and not missing, f"no criterion 1 gradient check for {missing}"
 
 
 def test_grad_check_eps_range_enforced():

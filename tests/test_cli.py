@@ -360,6 +360,11 @@ def _written(path, m):
     return path
 
 
+def _raw(path, data: bytes):
+    path.write_bytes(data)
+    return path
+
+
 def _poisoned(src, dst, value):
     m = read_embeddings(src).copy()
     m[0, 0] = value
@@ -406,6 +411,8 @@ MALFORMED = {
         root, tmp, lambda blob, tensors: blob.update(dim=float(blob["dim"])))),
     "config_blob_bool_heads": lambda root, tmp: _eval(root, checkpoint=_checkpoint_with(
         root, tmp, lambda blob, tensors: blob.update(heads=True))),
+    "overlap_ids_not_utf8": lambda root, tmp: [*_eval(root), "--overlap", str(_raw(
+        tmp / "ids.txt", b"\xff\xfe"))],
 }
 
 

@@ -90,6 +90,13 @@ def test_malformed_lines_rejected(tmp_path):
         parse_config(write(tmp_path, "use_scaling = 1\n"))  # bools are true/false
     with pytest.raises(ConfigError):
         parse_config(write(tmp_path, "batch_size = 0\n"))  # validated range
+    floats = {key for cls in (ModelConfig, TrainConfig, SynthSpec)
+              for key, kind in scalar_fields(cls).items() if kind is float}
+    assert {"learning_rate", "noise", "dropout_rate"} <= floats
+    for key in sorted(floats):
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match="must be finite"):
+                parse_config(write(tmp_path, f"{key} = {value}\n"))
 
 
 def test_missing_file_is_config_error(tmp_path):

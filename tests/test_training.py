@@ -118,6 +118,17 @@ def test_loss_gradients_pass_grad_check():
         assert report.max_error < 1e-3
 
 
+def test_a_stacked_loss_is_one_node_summing_the_samples_mean_losses():
+    for loss_fn, target in ((bce_loss, [1.0, 0.0, 1.0]), (mse_loss, [0.2, 0.5, 0.9])):
+        f = node([0.3, 0.6, 0.8])
+        collected = []
+        loss = loss_fn(f, np.array(target), [0, 1, 3], collected)
+        assert len(f.tape.nodes) == 2
+        assert len(collected) == 2 and loss.item() == pytest.approx(sum(collected))
+        alone = loss_fn(node([0.6, 0.8]), np.array(target[1:]))
+        assert collected[1] == pytest.approx(alone.item())
+
+
 # ---------------------------------------------------------------------------
 # averaged ground truth
 
