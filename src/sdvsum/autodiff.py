@@ -10,6 +10,8 @@ A tape holds its nodes only weakly, while each node holds its tape and its
 parents: with no reference cycle, a tape and its nodes are freed as soon as
 the caller drops the result nodes. There is no release step.
 
+The tape has ten ops: ``linear``, ``add``, ``relu``, ``sigmoid``,
+``layer_norm``, ``dropout``, ``attention``, ``reshape``, ``bce`` and ``mse``.
 Nodes that no parameter feeds into carry ``needs_grad=False`` and are skipped
 during the backward sweep, so constant inputs (frame embeddings, positional
 encodings, labels) cost nothing beyond their forward value.
@@ -28,6 +30,7 @@ import weakref
 import numpy as np
 
 __all__ = [
+    "BCE_CLAMP",
     "ShapeError",
     "matrix",
     "Node",
@@ -41,13 +44,14 @@ __all__ = [
     "dropout_mask",
     "dropout",
     "attention",
-    "take_rows",
     "reshape",
     "bce",
     "mse",
 ]
 
 _F32 = np.float32
+BCE_CLAMP = 1e-7       # float32 margin against log(0) at saturated sigmoid outputs
+_LN_EPS = _F32(1e-5)   # layer_norm's variance floor
 
 
 class ShapeError(ValueError):
@@ -132,8 +136,8 @@ class Tape:
 
         Arrays that are already 2-D float32 and contiguous skip re-validation:
         parameters are checked where they are created (initialization,
-        checkpoint load), and one tape per training group would otherwise
-        re-scan every weight on every step.
+        checkpoint load) or changed (training's per-epoch finiteness check),
+        and one tape per training group would otherwise re-scan every weight.
         """
         node = self.params.get(name)
         if node is None:
@@ -279,10 +283,8 @@ def sigmoid(a: Node) -> Node:
     return _op(out, (a,), bwd)
 
 
-def layer_norm(a: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
+def layer_norm(a: Node, gain: Node, bias: Node) -> Node:
     """Per-row standardization followed by a learnable affine transform."""
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
     cols = a.shape[1]
     if gain.shape != (1, cols) or bias.shape != (1, cols):
         raise ShapeError(
@@ -292,7 +294,7 @@ def layer_norm(a: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
     mu = x.mean(axis=1, keepdims=True)
     xc = x - mu
     var = np.mean(xc * xc, axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _F32(eps))
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv
     out = xhat * gain.value + bias.value
 
@@ -438,22 +440,9 @@ def attention(q: Node, k: Node, v: Node, heads: int, logit_scale: float = 1.0,
 # shape surgery
 
 
-def take_rows(a: Node, indices: list[int]) -> Node:
-    """Gather rows (repetition allowed); backward scatter-adds."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size == 0 or idx.min() < 0 or idx.max() >= a.shape[0]:
-        raise ShapeError(f"take_rows indices {indices} outside matrix of shape {a.shape}")
-    out = np.ascontiguousarray(a.value[idx])
-
-    def bwd(g):
-        full = np.zeros_like(a.value)
-        np.add.at(full, idx, g)
-        _accum(a, full)
-
-    return _op(out, (a,), bwd)
-
-
 def reshape(a: Node, rows: int, cols: int) -> Node:
+    """Row-major reshape. No model layer uses it; gradient checks do, to flatten a
+    matrix into the one row that a ``linear`` reduces to the 1 x 1 loss ``backward`` takes."""
     if rows * cols != a.shape[0] * a.shape[1]:
         raise ShapeError(f"cannot reshape {a.shape} to ({rows}, {cols})")
     out = a.value.reshape(rows, cols)
@@ -498,15 +487,14 @@ def _target(f: Node, t, what: str) -> np.ndarray:
     return t
 
 
-def bce(f: Node, y, eps: float, offsets=None, collect: list[float] | None = None) -> Node:
+def bce(f: Node, y, offsets=None, collect: list[float] | None = None) -> Node:
     """Binary cross-entropy of scores ``f`` against labels ``y`` of its shape.
 
-    Scores are clipped to [eps, 1 - eps] before the logs, and the gradient
-    passes only where no clipping happened. The value is the sum over row
-    segments of each segment's mean loss; ``collect`` receives the means.
+    Scores are clipped to [BCE_CLAMP, 1 - BCE_CLAMP] before the logs; the gradient
+    passes only where none was clipped. The value is the sum over row segments
+    of each segment's mean loss; ``collect`` receives the means.
     """
-    if not 0.0 < eps < 0.5:
-        raise ValueError(f"bce needs 0 < eps < 0.5, got {eps}")
+    eps = BCE_CLAMP
     y = _target(f, y, "bce")
     x = f.value
     c = np.clip(x, _F32(eps), _F32(1.0 - eps))

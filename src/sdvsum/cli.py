@@ -25,7 +25,7 @@ from .config import RunConfig, parse_config
 from .datasets import generate_synthetic, load_manifest
 from .errors import (ConfigError, ConfigMismatchError, DataFormatError, ManifestError,
                      NumericError, UsageError)
-from .metrics import evaluate_generic, evaluate_script_driven, overlap_matrix
+from .metrics import TOP_FRACTION, evaluate_generic, evaluate_script_driven, overlap_matrix
 from .model import (
     ModelConfig,
     load_checkpoint,
@@ -47,6 +47,8 @@ ABLATION_VARIANTS = [
     ("Variant3", "single_vector", 4, True),
     ("Variant4", "multi_vector", 8, True),
 ]
+
+FIXED_SEGMENT = 5   # frames per `summarize` fragment when no manifest gives them
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--frames", required=True, help="frame embeddings (SDVE)")
     p.add_argument("--script", required=True, help="script sentence embeddings (SDVE)")
-    p.add_argument("--budget-frac", type=float, default=0.15)
-    p.add_argument("--fragments", default="fixed:5",
+    p.add_argument("--budget-frac", type=float, default=TOP_FRACTION)
+    p.add_argument("--fragments", default=f"fixed:{FIXED_SEGMENT}",
                    help="'from-manifest' (needs --manifest and --video) or 'fixed:<len>'")
     p.add_argument("--manifest", help="manifest providing fragment boundaries")
     p.add_argument("--video", help="video id for --fragments from-manifest")
@@ -208,7 +210,7 @@ def _fragments_for(args, n_frames: int) -> list[tuple[int, int]]:
             raise UsageError(f"video {args.video!r} is not in the manifest")
         fragments = entries[0].fragments
         if not fragments:
-            return fixed_fragmentation(n_frames, 5)
+            return fixed_fragmentation(n_frames, FIXED_SEGMENT)
         # load_manifest has checked that the fragments tile the manifest's video
         if fragments[-1][1] != n_frames:
             raise ManifestError(

@@ -115,8 +115,6 @@ def kendall_tau_b(a, b) -> float | None:
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
     n = x.shape[0]
-    if n < 2:
-        raise ValueError("rank correlation needs at least 2 values")
     t0 = n * (n - 1) // 2
     order = np.lexsort((y, x))
     xs, ys, y_sorted = x[order], y[order], np.sort(y)
@@ -151,8 +149,6 @@ def spearman_rho(a, b) -> float | None:
     y = np.asarray(b, dtype=np.float64).reshape(-1)
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    if x.shape[0] < 2:
-        raise ValueError("rank correlation needs at least 2 values")
     rx = _average_ranks(x) - (x.shape[0] + 1) / 2.0
     ry = _average_ranks(y) - (y.shape[0] + 1) / 2.0
     denom = float(np.sqrt((rx * rx).sum() * (ry * ry).sum()))
@@ -216,8 +212,7 @@ class EvalResult:
         }, indent=1)
 
 
-def _evaluate(score_fn, manifest: DatasetManifest, split: str, mode: str,
-              fraction: float, cache) -> EvalResult:
+def _evaluate(score_fn, manifest: DatasetManifest, split: str, mode: str, cache) -> EvalResult:
     """The protocol's per-video loop, one record per video. script_driven:
     summary j comes from script j and is scored against reference j.
     generic: one description-conditioned summary is scored against every
@@ -234,7 +229,7 @@ def _evaluate(score_fn, manifest: DatasetManifest, split: str, mode: str,
                     f"video {v.id!r}: generic evaluation needs a description embedding"
                 )
             scores = score_fn(v.frames, v.description)
-            sel = select_top_fraction(scores, fraction)
+            sel = select_top_fraction(scores, TOP_FRACTION)
             per = [fscore_binary(sel, s.labels) for s in v.summaries]
             avg = average_ground_truth([s.labels for s in v.summaries])
             tau = kendall_tau_b(scores, avg)
@@ -242,7 +237,7 @@ def _evaluate(score_fn, manifest: DatasetManifest, split: str, mode: str,
         else:
             per = []
             for s in v.summaries:
-                sel = select_top_fraction(score_fn(v.frames, s.script), fraction)
+                sel = select_top_fraction(score_fn(v.frames, s.script), TOP_FRACTION)
                 per.append(fscore_binary(sel, s.labels))
         records.append(EvalRecord(video_id=v.id, per_summary=per,
                                   fscore=float(np.mean(per)), tau=tau, rho=rho))
@@ -261,17 +256,15 @@ def _evaluate(score_fn, manifest: DatasetManifest, split: str, mode: str,
 
 
 def evaluate_script_driven(score_fn, manifest: DatasetManifest, split: str,
-                           fraction: float = TOP_FRACTION,
                            cache=None) -> EvalResult:
     """Per (script, reference) pair: score, select top fraction, F-Score."""
-    return _evaluate(score_fn, manifest, split, "script_driven", fraction, cache)
+    return _evaluate(score_fn, manifest, split, "script_driven", cache)
 
 
-def evaluate_generic(score_fn, manifest: DatasetManifest, split: str,
-                     fraction: float = TOP_FRACTION, cache=None) -> EvalResult:
+def evaluate_generic(score_fn, manifest: DatasetManifest, split: str, cache=None) -> EvalResult:
     """One description-conditioned prediction per video, scored against every
     reference summary; rank correlations against the averaged references."""
-    return _evaluate(score_fn, manifest, split, "generic", fraction, cache)
+    return _evaluate(score_fn, manifest, split, "generic", cache)
 
 
 # ---------------------------------------------------------------------------

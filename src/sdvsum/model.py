@@ -14,9 +14,9 @@ score in (0, 1) per frame.
 
 Two text representations are supported: ``multi_vector`` keeps all M sentence
 embeddings as keys/values; ``single_vector`` first condenses the script into
-one vector by concatenating T uniformly spaced sentence embeddings and
-projecting to D. The condenser is what makes the single-vector model strictly
-larger in parameter count.
+one vector by concatenating T uniformly spaced sentence embeddings (a numpy
+gather: embeddings are constants) and projecting to D. The condenser is what
+makes the single-vector model strictly larger in parameter count.
 
 Inside the encoder stack, self-attention always uses the conventional
 sqrt(D/H) scaling; ``use_scaling`` only governs the cross-modal stage.
@@ -48,14 +48,12 @@ from .autodiff import (
     dropout_mask,
     layer_norm,
     linear,
+    matrix,
     relu,
-    reshape,
     segment_offsets,
     sigmoid,
-    take_rows,
 )
-from .errors import (ConfigError, ConfigMismatchError, DataFormatError, TensorNameError,
-                     TensorShapeError)
+from .errors import ConfigError, DataFormatError, TensorNameError, TensorShapeError
 from .rng import Rng
 
 __all__ = [
@@ -286,8 +284,9 @@ def _multi_head(tape: Tape, q_in: Node, kv_in: Node, weights, prefix: str,
     return _dense(tape, att, weights, f"{prefix}.out")
 
 
-def condense_text(tape: Tape, y: Node, weights, config: ModelConfig, offsets=None) -> Node:
-    """Concatenate T uniformly spaced sentence embeddings and project to 1 x D.
+def condense_text(tape: Tape, y: np.ndarray, weights, config: ModelConfig,
+                  offsets=None) -> Node:
+    """Concatenate T uniformly spaced rows of ``y`` (in numpy) and project to 1 x D.
 
     Row i of the sample is floor(i*M/T): the exact-fit case M=T walks every
     sentence once, M<T repeats sentences, M>T strides uniformly. With
@@ -297,7 +296,7 @@ def condense_text(tape: Tape, y: Node, weights, config: ModelConfig, offsets=Non
         raise ConfigError("condense_text is only defined for text_rep='single_vector'")
     bounds, t = segment_offsets(offsets, y.shape[0]), config.single_vector_t
     idx = [lo + (i * (hi - lo)) // t for lo, hi in zip(bounds, bounds[1:]) for i in range(t)]
-    flat = reshape(take_rows(y, idx), len(bounds) - 1, t * config.dim)
+    flat = tape.constant(y[idx].reshape(len(bounds) - 1, t * config.dim))
     return _dense(tape, flat, weights, "condenser")
 
 
@@ -347,13 +346,13 @@ def scorer_forward(tape: Tape, z: Node, weights, config: ModelConfig, offsets=No
     return sigmoid(_dense(tape, z, weights, "scorer.head"))
 
 
-def _text_representation(tape: Tape, y: Node, weights, config: ModelConfig,
+def _text_representation(tape: Tape, y: np.ndarray, weights, config: ModelConfig,
                          offsets=None) -> tuple[Node, tuple[int, ...]]:
     """The text rows the frames attend to, and each sample's offsets into them."""
     bounds = segment_offsets(offsets, y.shape[0])
     if config.text_rep == "single_vector":
         return condense_text(tape, y, weights, config, bounds), tuple(range(len(bounds)))
-    return y, bounds
+    return tape.constant(y), bounds
 
 
 def _dropout_masks(config: ModelConfig, rng_gen, training: bool, x_offsets, y_offsets):
@@ -378,16 +377,13 @@ def model_forward(tape: Tape, x, y, weights, config: ModelConfig,
                   x_offsets=None, y_offsets=None) -> Node:
     """Full network: text rep -> cross-modal attention -> dropout+norm -> scorer.
 
-    ``x`` and ``y`` may be arrays or existing nodes on ``tape``. Returns the
-    N x 1 score node; inference mode (training=False) is deterministic and
-    needs no RNG. Samples stacked along rows are scored as if each ran
-    alone: ``x_offsets`` and ``y_offsets`` are their frame and sentence
-    boundaries ``(0, n1, n1 + n2, ..., N)`` (one sample by default).
+    ``x`` and ``y`` are arrays (embeddings are data, never differentiated).
+    Returns the N x 1 score node; inference mode (training=False) is
+    deterministic and needs no RNG. Samples stacked along rows are scored as
+    if each ran alone: ``x_offsets`` and ``y_offsets`` are their frame and
+    sentence boundaries ``(0, n1, n1 + n2, ..., N)`` (one sample by default).
     """
-    if not isinstance(x, Node):
-        x = tape.constant(x)
-    if not isinstance(y, Node):
-        y = tape.constant(y)
+    x, y = tape.constant(x), matrix(y)
     x_offsets = segment_offsets(x_offsets, x.shape[0])
     y_rep, y_offsets = _text_representation(tape, y, weights, config, y_offsets)
     att_masks, post_mask = _dropout_masks(config, rng_gen, training, x_offsets, y_offsets)
@@ -414,7 +410,7 @@ def attention_matrices(x: np.ndarray, y: np.ndarray, weights,
                        config: ModelConfig) -> list[np.ndarray]:
     """Per-head cross-modal attention matrices A_h in inference mode."""
     tape = Tape()
-    y_rep, _ = _text_representation(tape, tape.constant(y), weights, config)
+    y_rep, _ = _text_representation(tape, matrix(y), weights, config)
     collected: list[np.ndarray] = []
     cross_modal_attention(tape, tape.constant(x), y_rep, weights, config, collect=collected)
     return collected
@@ -444,17 +440,11 @@ def save_checkpoint(weights: dict[str, np.ndarray], config: ModelConfig, path) -
     sdve.write_checkpoint_file(config.to_dict(), ordered, path)
 
 
-def load_checkpoint(path, expect: ModelConfig | None = None
-                    ) -> tuple[dict[str, np.ndarray], ModelConfig]:
+def load_checkpoint(path) -> tuple[dict[str, np.ndarray], ModelConfig]:
     blob, tensors = sdve.read_checkpoint_file(path)
     try:
         config = ModelConfig.from_dict(blob)
     except (TypeError, ValueError) as e:
         raise DataFormatError(f"checkpoint {path}: bad model config: {e}") from e
-    if expect is not None and expect.to_dict() != config.to_dict():
-        raise ConfigMismatchError(
-            f"checkpoint {path} was written with config {config.to_dict()}, "
-            f"expected {expect.to_dict()}"
-        )
     _check_tensors(tensors, config, f"checkpoint {path}")
     return tensors, config

@@ -19,11 +19,12 @@ backward adds the sum of its samples' gradients straight into the gradient
 buffer; a group (the remainder group at epoch end included) ends in one
 divide by its actual size, one Adam step and one zero-fill. L2
 regularization is coupled: ``l2_factor * theta`` is added to the gradient
-before the Adam moments.
+before the Adam moments. ``BCE_CLAMP`` lives with the ``bce`` op in ``autodiff``.
 
-After every epoch the model is scored on the validation split with dropout
-disabled; the checkpoint with the highest validation F-Score (earliest epoch
-on ties) is selected.
+After every epoch the weights must be finite (else a ``NumericError`` before
+anything of that epoch is written), and the model is scored on the validation
+split with dropout disabled; the checkpoint with the highest validation
+F-Score (earliest epoch on ties) is selected.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Node, ShapeError, Tape, bce, mse
+from .autodiff import BCE_CLAMP, Node, ShapeError, Tape, bce, mse
 from .datasets import DatasetManifest, LoadedVideo, load_split
 from .errors import ConfigError, LabelError, ManifestError, NumericError
 from .metrics import average_ground_truth, evaluate_generic, evaluate_script_driven
@@ -60,9 +61,6 @@ __all__ = [
 ]
 
 TRAIN_MODES = ("script_driven", "generic")
-
-# float32 safety margin against log(0) at saturated sigmoid outputs
-BCE_CLAMP = 1e-7
 
 # most frames stacked into one training tape: at 512-frame samples stacking
 # saved no time and raised the training memory peak by about half
@@ -128,7 +126,7 @@ def bce_loss(f: Node, labels: np.ndarray, offsets=None,
     y = _as_column(labels, f.shape[0], "labels")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise LabelError("bce_loss needs strictly binary labels")
-    return bce(f, y, BCE_CLAMP, offsets, collect)
+    return bce(f, y, offsets, collect)
 
 
 def mse_loss(f: Node, target: np.ndarray, offsets=None,
@@ -341,6 +339,9 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
             g /= np.float32(len(group))   # the group's actual size
             adam_step(w, g, state, train_config)
             g.fill(0)
+        # a blow-up mid-epoch fails the next group's loss; this catches the last update
+        if not np.isfinite(w).all():
+            raise NumericError(f"non-finite weights after epoch {epoch}")
 
         score_fn = make_score_fn(weights, model_config)
         if generic:

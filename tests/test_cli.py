@@ -129,6 +129,25 @@ def test_train_dim_conflict_is_config_error(workspace, tmp_path, capsys):
     assert "dim" in err
 
 
+def test_train_non_finite_weights_exit_3_before_any_write(workspace, tmp_path, capsys):
+    """A learning rate that overflows float32 wrecks the weights in the
+    epoch's one Adam step; no later loss would show it, so the run must
+    stop on the weights themselves, before validation and the checkpoint."""
+    root, _ = workspace
+    cfg = tmp_path / "blowup.cfg"
+    # all 6 training samples in one group: that group's update is the epoch's last
+    cfg.write_text("heads = 4\nlearning_rate = 1e39\nbatch_size = 6\nepochs = 1\n",
+                   encoding="utf-8")
+    out = tmp_path / "r"
+    with np.errstate(over="ignore"):
+        code, _, err = run(capsys, "train", "--manifest", str(root / "data" / "manifest.json"),
+                           "--config", str(cfg), "--out", str(out))
+    assert code == 3
+    assert "non-finite weights after epoch 1" in err
+    assert not (out / "epoch_001.sdvc").exists()
+    assert not (out / "train_report.jsonl").exists()
+
+
 def test_eval_reports_fscore_and_is_deterministic(workspace, capsys):
     root, report = workspace
     best = root / "run" / report[-1]["checkpoint"].split("/")[-1]
@@ -164,6 +183,27 @@ def test_eval_generic_mode_reports_rank_stats(workspace, capsys):
     result = json.loads(out)
     assert result["mode"] == "generic"
     assert "tau" in result and "rho" in result
+
+
+def test_eval_generic_one_frame_video_is_degenerate(workspace, tmp_path, capsys):
+    root, _ = workspace
+    shutil.copytree(root / "data", tmp_path / "data")
+    manifest_path = tmp_path / "data" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    video = next(v for v in manifest["videos"] if v["split"] == "test")
+    frames = tmp_path / "data" / video["frames"]
+    write_embeddings(read_embeddings(frames)[:1], frames)
+    for s in video["summaries"]:
+        write_embeddings(np.ones((1, 1), dtype=np.float32), tmp_path / "data" / s["labels"])
+    video.pop("fragments", None)
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    code, out, err = run(capsys, "eval", "--manifest", str(manifest_path),
+                         "--checkpoint", str(root / "run" / "epoch_001.sdvc"),
+                         "--split", "test", "--mode", "generic")
+    assert code == 0
+    assert "1 all-tied videos (tau), 1 (rho)" in err
+    record = next(r for r in json.loads(out)["videos"] if r["id"] == video["id"])
+    assert record["tau"] is None and record["rho"] is None
 
 
 def test_eval_overlap_matrix_csv(workspace, tmp_path, capsys):

@@ -148,6 +148,7 @@ def test_tau_hand_tied_example():
 def test_tau_all_tied_is_degenerate():
     assert kendall_tau_b([2, 2, 2], [1, 2, 3]) is None
     assert kendall_tau_b([1, 2, 3], [5, 5, 5]) is None
+    assert kendall_tau_b([0.4], [1.0]) is None   # one value: no pair at all
 
 
 def test_tau_monotone_transform_invariance():
@@ -230,6 +231,7 @@ def test_rho_hand_tied_example():
 def test_rho_zero_variance_is_degenerate():
     assert spearman_rho([3, 3, 3], [1, 2, 3]) is None
     assert spearman_rho([1, 2, 3], [7, 7, 7]) is None
+    assert spearman_rho([0.4], [1.0]) is None   # one value: zero rank variance
 
 
 def test_rho_matches_oracle():

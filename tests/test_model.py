@@ -9,7 +9,7 @@ import pytest
 
 import sdvsum.model
 from sdvsum.autodiff import ShapeError, Tape
-from sdvsum.errors import ConfigError, ConfigMismatchError, TensorNameError, TensorShapeError
+from sdvsum.errors import ConfigError, TensorNameError, TensorShapeError
 from sdvsum.model import (
     ModelConfig,
     attention_matrices,
@@ -204,8 +204,7 @@ def test_positional_encoding_odd_dim_rejected():
 
 
 def condense(y, w, cfg):
-    tape = Tape()
-    return condense_text(tape, tape.constant(y), w, cfg).value
+    return condense_text(Tape(), y, w, cfg).value
 
 
 def test_condense_exact_fit_and_stride():
@@ -225,6 +224,33 @@ def test_condense_single_sentence_repeats():
     y1 = np.random.default_rng(1).normal(size=(1, 8)).astype(np.float32)
     rep = np.repeat(y1, 4, axis=0)
     assert np.array_equal(condense(y1, w, cfg), condense(rep, w, cfg))
+
+
+def test_condense_is_bitwise_the_on_tape_gather_and_flatten():
+    """Stacked ragged scripts, M < T, M = T and M > T, against a numpy
+    transcription of the row gather and flatten that once ran on the tape
+    (``take_rows`` then ``reshape``) feeding the condenser's ``linear``."""
+    t, d = 4, 8
+    cfg = ModelConfig(dim=d, heads=2, text_rep="single_vector", single_vector_t=t)
+    w = init_weights(cfg, Rng(5))
+    rng = np.random.default_rng(6)
+    sizes = [2, 4, 7]
+    bounds = np.cumsum([0] + sizes).tolist()
+    y = rng.normal(size=(sum(sizes), d)).astype(np.float32)
+    g = rng.normal(size=(len(sizes), d)).astype(np.float32)
+
+    idx = [lo + (i * (hi - lo)) // t for lo, hi in zip(bounds, bounds[1:]) for i in range(t)]
+    flat = np.ascontiguousarray(y[idx]).reshape(len(sizes), t * d)   # take_rows, reshape
+    want = flat @ w["condenser.w"]
+    want += w["condenser.b"]
+
+    tape = Tape()
+    out = condense_text(tape, y, w, cfg, bounds)
+    out.bwd(g)
+    assert len(tape.nodes) == 4   # the gathered constant, two parameters, one linear
+    assert out.value.tobytes() == want.tobytes()
+    assert tape.params["condenser.w"].grad.tobytes() == (flat.T @ g).tobytes()
+    assert tape.params["condenser.b"].grad.tobytes() == g.sum(axis=0, keepdims=True).tobytes()
 
 
 def test_condense_requires_single_vector_mode():
@@ -439,16 +465,6 @@ def test_checkpoint_round_trip(tmp_path):
     assert set(w2) == set(w)
     for k in w:
         assert np.array_equal(w2[k], w[k])
-
-
-def test_checkpoint_expect_mismatch(tmp_path):
-    cfg = ModelConfig(dim=16, heads=4)
-    w = init_weights(cfg, Rng(23))
-    path = tmp_path / "m.sdvc"
-    save_checkpoint(w, cfg, path)
-    load_checkpoint(path, expect=cfg)  # matching succeeds
-    with pytest.raises(ConfigMismatchError):
-        load_checkpoint(path, expect=ModelConfig(dim=16, heads=2))
 
 
 @pytest.mark.parametrize("key, value", [
