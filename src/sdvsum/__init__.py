@@ -55,7 +55,6 @@ from .training import (
     TrainReport,
     adam_step,
     bce_loss,
-    mse_loss,
     train_run,
 )
 

@@ -481,14 +481,16 @@ def _segment_loss(f: Node, per_row: np.ndarray, offsets, collect, pull) -> Node:
 
 
 def _target(f: Node, t, what: str) -> np.ndarray:
-    t = matrix(t)
+    """``t`` as a matrix of ``f``'s shape; a vector reads as a column."""
+    t = matrix(np.reshape(t, (-1, 1)) if np.ndim(t) == 1 else t)
     if t.shape != f.shape:
         raise ShapeError(f"{what}: target {t.shape} for scores {f.shape}")
     return t
 
 
 def bce(f: Node, y, offsets=None, collect: list[float] | None = None) -> Node:
-    """Binary cross-entropy of scores ``f`` against labels ``y`` of its shape.
+    """Binary cross-entropy of scores ``f`` against labels ``y`` of its shape
+    (or a vector of its length, read as a column).
 
     Scores are clipped to [BCE_CLAMP, 1 - BCE_CLAMP] before the logs; the gradient
     passes only where none was clipped. The value is the sum over row segments
@@ -510,7 +512,8 @@ def bce(f: Node, y, offsets=None, collect: list[float] | None = None) -> Node:
 
 
 def mse(f: Node, t, offsets=None, collect: list[float] | None = None) -> Node:
-    """Squared error of scores ``f`` against targets ``t`` of its shape.
+    """Squared error of scores ``f`` against targets ``t`` of its shape (or a
+    vector of its length, read as a column).
 
     The value is the sum over row segments of each segment's mean loss;
     ``collect`` receives the means.

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, parse_config
-from .datasets import generate_synthetic, load_manifest
+from .datasets import DatasetManifest, generate_synthetic, load_manifest
 from .errors import (ConfigError, ConfigMismatchError, DataFormatError, ManifestError,
                      NumericError, UsageError)
 from .metrics import TOP_FRACTION, evaluate_generic, evaluate_script_driven, overlap_matrix
@@ -124,18 +124,26 @@ def _check_width(source: str, width: int, checkpoint, model_config: ModelConfig)
                                   f"has dim {model_config.dim}")
 
 
-def _model_for_manifest(config: RunConfig, dimension: int) -> ModelConfig:
-    """The model dimension follows the data unless the config pins it."""
+def _training_setup(args) -> tuple[RunConfig, DatasetManifest, Path]:
+    """``train``'s and ``ablate``'s config (``--seed`` applied), manifest and output directory.
+
+    The model dimension follows the manifest unless the config pins it.
+    """
+    config = parse_config(args.config)
+    _apply_seed(config, args.seed)
+    manifest_path = _resolve(args.manifest, config.manifest, "manifest")
+    out = Path(_resolve(args.out, config.out, "out"))
+    manifest = load_manifest(manifest_path)
     if config.was_set("dim"):
-        if config.model.dim != dimension:
+        if config.model.dim != manifest.dimension:
             raise ConfigError(
                 f"config sets dim={config.model.dim} but the manifest declares "
-                f"dimension {dimension}"
+                f"dimension {manifest.dimension}"
             )
     else:
-        config.model.dim = dimension
+        config.model.dim = manifest.dimension
         config.model.validate()
-    return config.model
+    return config, manifest, out
 
 
 def _cmd_synth(args) -> int:
@@ -148,18 +156,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = parse_config(args.config)
-    _apply_seed(config, args.seed)
-    manifest_path = _resolve(args.manifest, config.manifest, "manifest")
-    out = Path(_resolve(args.out, config.out, "out"))
-    manifest = load_manifest(manifest_path)
-    model_config = _model_for_manifest(config, manifest.dimension)
-
-    def on_epoch(record):
-        print(json.dumps({"epoch": record.epoch, "train_loss": record.train_loss,
-                          "val_fscore": record.val_fscore}), flush=True)
-
-    report = train_run(manifest, model_config, config.train, out, on_epoch=on_epoch)
+    config, manifest, out = _training_setup(args)
+    report = train_run(manifest, config.model, config.train, out,
+                       on_epoch=lambda record: print(record.to_json(), flush=True))
     print(json.dumps({"best_epoch": report.best_epoch,
                       "best_val_fscore": report.best_val_fscore,
                       "checkpoint": str(out / report.checkpoint)}))
@@ -255,17 +254,12 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    config = parse_config(args.config)
-    _apply_seed(config, args.seed)
-    manifest_path = _resolve(args.manifest, config.manifest, "manifest")
-    out = Path(_resolve(args.out, config.out, "out"))
-    manifest = load_manifest(manifest_path)
-    base_model = _model_for_manifest(config, manifest.dimension)
+    config, manifest, out = _training_setup(args)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for name, text_rep, heads, use_scaling in ABLATION_VARIANTS:
-        variant = ModelConfig(**{**base_model.to_dict(), "text_rep": text_rep,
+        variant = ModelConfig(**{**config.model.to_dict(), "text_rep": text_rep,
                                  "heads": heads, "use_scaling": use_scaling})
         variant.validate()
         report = train_run(manifest, variant, config.train, out / name)

@@ -346,13 +346,18 @@ def scorer_forward(tape: Tape, z: Node, weights, config: ModelConfig, offsets=No
     return sigmoid(_dense(tape, z, weights, "scorer.head"))
 
 
-def _text_representation(tape: Tape, y: np.ndarray, weights, config: ModelConfig,
+def _text_representation(tape: Tape, y, weights, config: ModelConfig,
                          offsets=None) -> tuple[Node, tuple[int, ...]]:
-    """The text rows the frames attend to, and each sample's offsets into them."""
-    bounds = segment_offsets(offsets, y.shape[0])
+    """The text rows the frames attend to, and each sample's offsets into them.
+
+    The one place the raw script ``y`` is checked (by ``matrix``).
+    """
     if config.text_rep == "single_vector":
+        y = matrix(y)
+        bounds = segment_offsets(offsets, y.shape[0])
         return condense_text(tape, y, weights, config, bounds), tuple(range(len(bounds)))
-    return tape.constant(y), bounds
+    y = tape.constant(y)
+    return y, segment_offsets(offsets, y.shape[0])
 
 
 def _dropout_masks(config: ModelConfig, rng_gen, training: bool, x_offsets, y_offsets):
@@ -383,7 +388,7 @@ def model_forward(tape: Tape, x, y, weights, config: ModelConfig,
     if each ran alone: ``x_offsets`` and ``y_offsets`` are their frame and
     sentence boundaries ``(0, n1, n1 + n2, ..., N)`` (one sample by default).
     """
-    x, y = tape.constant(x), matrix(y)
+    x = tape.constant(x)
     x_offsets = segment_offsets(x_offsets, x.shape[0])
     y_rep, y_offsets = _text_representation(tape, y, weights, config, y_offsets)
     att_masks, post_mask = _dropout_masks(config, rng_gen, training, x_offsets, y_offsets)
@@ -410,7 +415,7 @@ def attention_matrices(x: np.ndarray, y: np.ndarray, weights,
                        config: ModelConfig) -> list[np.ndarray]:
     """Per-head cross-modal attention matrices A_h in inference mode."""
     tape = Tape()
-    y_rep, _ = _text_representation(tape, matrix(y), weights, config)
+    y_rep, _ = _text_representation(tape, y, weights, config)
     collected: list[np.ndarray] = []
     cross_modal_attention(tape, tape.constant(x), y_rep, weights, config, collect=collected)
     return collected

@@ -152,10 +152,14 @@ class _Reader:
 
 
 def _as_f32_matrix(m, path) -> np.ndarray:
-    a = np.ascontiguousarray(m, dtype=np.float32)
+    """``m`` as the float32 matrix a writer stores, refused as its reader would refuse it."""
+    with np.errstate(over="ignore"):   # beyond float32's range is refused just below
+        a = np.ascontiguousarray(m, dtype=np.float32)
     if a.ndim != 2:
         raise TensorShapeError(f"{path}: expected a 2-D matrix, got shape {a.shape}")
     _check_dims(a.shape[0], a.shape[1], path)
+    if not np.isfinite(a).all():
+        raise NonFiniteValueError(f"{path}: matrix holds NaN or values infinite in float32")
     return a
 
 

@@ -1,10 +1,12 @@
 """Supervised training of the frame scorer.
 
-Two regimes share the loop. ``script_driven`` treats every (video, reference
-summary) pair as one sample and minimizes per-frame binary cross-entropy
+Two regimes share the loop; ``mode`` picks, once per run, the samples, the
+loss and the validation protocol. ``script_driven`` treats every (video,
+reference summary) pair as one sample and minimizes per-frame binary
+cross-entropy (``bce_loss``: the ``bce`` op, refusing labels other than 0/1)
 against that summary's labels. ``generic`` uses one sample per video: the
 full-video description embedding conditions the model and the target is the
-per-frame mean of all reference summaries, under mean squared error.
+per-frame mean of all reference summaries, under the ``mse`` op.
 
 "Batch size 4" over variable-length videos is a group of up to ``batch_size``
 samples whose losses are averaged before a single Adam step, without any
@@ -31,12 +33,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import BCE_CLAMP, Node, ShapeError, Tape, bce, mse
+from .autodiff import BCE_CLAMP, Node, Tape, bce, mse
 from .datasets import DatasetManifest, LoadedVideo, load_split
 from .errors import ConfigError, LabelError, ManifestError, NumericError
 from .metrics import average_ground_truth, evaluate_generic, evaluate_script_driven
@@ -51,7 +53,6 @@ __all__ = [
     "ADAM_SLICE",
     "TrainConfig",
     "bce_loss",
-    "mse_loss",
     "average_ground_truth",
     "OptimizerState",
     "adam_step",
@@ -84,18 +85,26 @@ class TrainConfig:
     seed: int = 42
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.l2_factor < 0:
-            raise ConfigError(f"l2_factor must be >= 0, got {self.l2_factor}")
+        # adam_step computes in float32: a setting must keep its meaning there
+        with np.errstate(over="ignore"):
+            lr, l2, b1, b2, eps = np.array([self.learning_rate, self.l2_factor, self.adam_beta1,
+                                            self.adam_beta2, self.adam_eps], dtype=np.float32)
+        if not 0 < lr < np.inf:
+            raise ConfigError(f"learning_rate must be positive and finite in float32, "
+                              f"got {self.learning_rate}")
+        if not (self.l2_factor >= 0 and l2 < np.inf):
+            raise ConfigError(f"l2_factor must be >= 0 and finite in float32, "
+                              f"got {self.l2_factor}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0 <= self.adam_beta1 < 1 or not 0 <= self.adam_beta2 < 1:
-            raise ConfigError("adam betas must lie in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
+        if not (self.adam_beta1 >= 0 and b1 < 1 and self.adam_beta2 >= 0 and b2 < 1):
+            raise ConfigError(f"adam betas must lie in [0, 1) in float32, "
+                              f"got {self.adam_beta1} and {self.adam_beta2}")
+        if not 0 < eps < np.inf:
+            raise ConfigError(f"adam_eps must be positive and finite in float32, "
+                              f"got {self.adam_eps}")
         if self.mode not in TRAIN_MODES:
             raise ConfigError(f"mode must be one of {TRAIN_MODES}, got {self.mode!r}")
         if not 0 <= self.seed < 2**64:
@@ -106,37 +115,13 @@ class TrainConfig:
 # losses
 
 
-def _as_column(values: np.ndarray, n: int, what: str) -> np.ndarray:
-    a = np.asarray(values, dtype=np.float32)
-    if a.ndim == 1:
-        a = a.reshape(-1, 1)
-    if a.shape != (n, 1):
-        raise ShapeError(f"{what} has shape {a.shape}, expected ({n}, 1)")
-    return a
-
-
 def bce_loss(f: Node, labels: np.ndarray, offsets=None,
              collect: list[float] | None = None) -> Node:
-    """Mean binary cross-entropy of scores against 0/1 labels.
-
-    Scores are clamped to [1e-7, 1 - 1e-7] before the logs, so a saturated
-    sigmoid cannot produce log(0). For stacked samples (row ``offsets``) it
-    is the sum of the samples' mean losses, which ``collect`` receives.
-    """
-    y = _as_column(labels, f.shape[0], "labels")
+    """``autodiff.bce`` for strictly 0/1 labels; any other label is a ``LabelError``."""
+    y = np.asarray(labels, dtype=np.float32)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise LabelError("bce_loss needs strictly binary labels")
     return bce(f, y, offsets, collect)
-
-
-def mse_loss(f: Node, target: np.ndarray, offsets=None,
-             collect: list[float] | None = None) -> Node:
-    """Mean squared error of scores against real-valued targets in [0, 1].
-
-    For stacked samples (row ``offsets``) it is the sum of the samples' mean
-    losses, which ``collect`` receives.
-    """
-    return mse(f, _as_column(target, f.shape[0], "target"), offsets, collect)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +183,10 @@ class EpochRecord:
     train_loss: float
     val_fscore: float
 
+    def to_json(self) -> str:
+        """The epoch's line of ``train_report.jsonl`` and of ``train``'s output."""
+        return json.dumps(asdict(self))
+
 
 @dataclass
 class TrainReport:
@@ -207,11 +196,7 @@ class TrainReport:
     checkpoint: str = ""
 
     def to_json_lines(self) -> str:
-        lines = [
-            json.dumps({"epoch": r.epoch, "train_loss": r.train_loss,
-                        "val_fscore": r.val_fscore})
-            for r in self.epochs
-        ]
+        lines = [r.to_json() for r in self.epochs]
         lines.append(json.dumps({"best_epoch": self.best_epoch,
                                  "best_val_fscore": self.best_val_fscore,
                                  "checkpoint": self.checkpoint}))
@@ -252,11 +237,12 @@ def _stacked(arrays) -> tuple[np.ndarray, list[int]]:
 
 
 def _add_gradient(stack: list[tuple], weights, grads, model_config: ModelConfig,
-                  drop_gen, generic: bool, epoch: int) -> list[float]:
+                  drop_gen, loss_fn, epoch: int) -> list[float]:
     """Add the sum of the stacked samples' gradients into ``grads``; return their losses.
 
-    One tape runs the forward, the loss and the backward. It is freed on
-    return, before the next stack's forward or the Adam step.
+    One tape runs the forward, the mode's ``loss_fn(f, target, offsets,
+    collect)`` and the backward. It is freed on return, before the next
+    stack's forward or the Adam step.
     """
     vids, xs, ys, targets = zip(*stack)
     x, x_offsets = _stacked(xs)
@@ -264,7 +250,7 @@ def _add_gradient(stack: list[tuple], weights, grads, model_config: ModelConfig,
     tape = Tape()
     f = model_forward(tape, x, y, weights, model_config, drop_gen, True, x_offsets, y_offsets)
     losses: list[float] = []
-    loss = (mse_loss if generic else bce_loss)(f, _stacked(targets)[0], x_offsets, losses)
+    loss = loss_fn(f, _stacked(targets)[0], x_offsets, losses)
     if not math.isfinite(loss.item()):
         bad = [vid for vid, value in zip(vids, losses) if not math.isfinite(value)]
         raise NumericError(
@@ -289,10 +275,11 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
     relative to ``out_dir``, so reports are identical across output locations.
     """
     # Looked up on each call, not bound at import: perfbench/tracing.py wraps
-    # model.save_checkpoint and this module's evaluate_script_driven to split
-    # an epoch's time, and its train_samples_per_s divides by the epoch minus
-    # validation and checkpoint time, so a binding made at import would
-    # escape the wrapper and silently change that metric.
+    # model.save_checkpoint and this module's evaluate_script_driven, bce_loss,
+    # model_forward, load_split, init_weights and adam_step after import, and
+    # its train_samples_per_s divides by the epoch minus validation and
+    # checkpoint time, so a binding made at import would escape the wrapper
+    # and silently change that metric.
     from .model import save_checkpoint
 
     model_config.validate()
@@ -307,35 +294,31 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
         raise ManifestError("train split is empty")
     if not manifest.split_videos("validation"):
         raise ManifestError("validation split is empty")
+    if train_config.mode == "generic":
+        samples, loss_fn, evaluate = _generic_samples(train_videos), mse, evaluate_generic
+    else:
+        samples = [(v.id, v.frames, s.script, s.labels)
+                   for v in train_videos for s in v.summaries]
+        loss_fn, evaluate = bce_loss, evaluate_script_driven
 
     init = init_weights(model_config, rng)
     w = np.concatenate([a.reshape(-1) for a in init.values()])
     g = np.zeros_like(w)
     weights, grads = _views(w, init), _views(g, init)
     state = OptimizerState.for_weights(w)
-    generic = train_config.mode == "generic"
     batch = train_config.batch_size
 
-    if generic:
-        base_samples = _generic_samples(train_videos)
-    else:
-        base_samples = [
-            (v.id, v.frames, s.script, s.labels)
-            for v in train_videos for s in v.summaries
-        ]
-
     report = TrainReport()
-    best = (-1.0, 0)
     for epoch in range(1, train_config.epochs + 1):
-        order = rng.stream("shuffle", epoch).permutation(len(base_samples))
+        order = rng.stream("shuffle", epoch).permutation(len(samples))
         drop_gen = rng.stream("dropout", epoch)
 
         epoch_losses: list[float] = []
         for start in range(0, len(order), batch):
-            group = [base_samples[i] for i in order[start:start + batch]]
+            group = [samples[i] for i in order[start:start + batch]]
             for stack in _stacks(group):
                 epoch_losses += _add_gradient(stack, weights, grads, model_config,
-                                              drop_gen, generic, epoch)
+                                              drop_gen, loss_fn, epoch)
             g /= np.float32(len(group))   # the group's actual size
             adam_step(w, g, state, train_config)
             g.fill(0)
@@ -343,19 +326,15 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
         if not np.isfinite(w).all():
             raise NumericError(f"non-finite weights after epoch {epoch}")
 
-        score_fn = make_score_fn(weights, model_config)
-        if generic:
-            val = evaluate_generic(score_fn, manifest, "validation", cache=cache).fscore
-        else:
-            val = evaluate_script_driven(score_fn, manifest, "validation", cache=cache).fscore
+        val = evaluate(make_score_fn(weights, model_config), manifest, "validation",
+                       cache=cache).fscore
 
         name = f"epoch_{epoch:03d}.sdvc"
         save_checkpoint(weights, model_config, out_dir / name)
         record = EpochRecord(epoch=epoch, train_loss=float(np.mean(epoch_losses)),
                              val_fscore=val)
         report.epochs.append(record)
-        if val > best[0]:
-            best = (val, epoch)
+        if not report.best_epoch or val > report.best_val_fscore:
             report.best_epoch = epoch
             report.best_val_fscore = val
             report.checkpoint = name

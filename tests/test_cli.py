@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -129,23 +130,57 @@ def test_train_dim_conflict_is_config_error(workspace, tmp_path, capsys):
     assert "dim" in err
 
 
-def test_train_non_finite_weights_exit_3_before_any_write(workspace, tmp_path, capsys):
-    """A learning rate that overflows float32 wrecks the weights in the
-    epoch's one Adam step; no later loss would show it, so the run must
-    stop on the weights themselves, before validation and the checkpoint."""
+def test_train_non_finite_weights_exit_3_before_any_write(workspace, tmp_path, capsys,
+                                                          monkeypatch):
+    """An Adam step that leaves a non-finite weight, forced here since the
+    config refuses the settings that would overflow, wrecks the epoch's last
+    update; no later loss would show it, so the run must stop on the weights
+    themselves, before validation and the checkpoint."""
     root, _ = workspace
+    real = sdvsum.training.adam_step
+
+    def overflowing_step(w, *args):
+        real(w, *args)
+        w[0] = np.inf
+
+    monkeypatch.setattr(sdvsum.training, "adam_step", overflowing_step)
     cfg = tmp_path / "blowup.cfg"
     # all 6 training samples in one group: that group's update is the epoch's last
-    cfg.write_text("heads = 4\nlearning_rate = 1e39\nbatch_size = 6\nepochs = 1\n",
-                   encoding="utf-8")
+    cfg.write_text("heads = 4\nbatch_size = 6\nepochs = 1\n", encoding="utf-8")
     out = tmp_path / "r"
-    with np.errstate(over="ignore"):
-        code, _, err = run(capsys, "train", "--manifest", str(root / "data" / "manifest.json"),
-                           "--config", str(cfg), "--out", str(out))
+    code, _, err = run(capsys, "train", "--manifest", str(root / "data" / "manifest.json"),
+                       "--config", str(cfg), "--out", str(out))
     assert code == 3
     assert "non-finite weights after epoch 1" in err
     assert not (out / "epoch_001.sdvc").exists()
     assert not (out / "train_report.jsonl").exists()
+
+
+@pytest.mark.parametrize("line", ["learning_rate = 1e39", "adam_eps = 1e-50",
+                                  "adam_beta2 = 0.99999999"])
+def test_train_float32_unsafe_setting_exits_1_before_any_write(workspace, tmp_path, capsys,
+                                                              line):
+    root, _ = workspace
+    cfg = tmp_path / "f32.cfg"
+    cfg.write_text(TRAIN_TEXT + line + "\n", encoding="utf-8")
+    out = tmp_path / "r"
+    code, stdout, err = run(capsys, "train", "--manifest", str(root / "data" / "manifest.json"),
+                            "--config", str(cfg), "--out", str(out))
+    assert code == 1
+    assert err.startswith("configuration error: ") and "float32" in err
+    assert stdout == "" and not out.exists()
+
+
+def test_train_epoch_lines_are_the_report_lines(workspace, tmp_path, capsys):
+    root, _ = workspace
+    out = tmp_path / "r"
+    code, stdout, _ = run(capsys, "train", "--manifest", str(root / "data" / "manifest.json"),
+                          "--config", str(root / "train.cfg"), "--out", str(out))
+    assert code == 0
+    printed = stdout.encode().splitlines()
+    written = (out / "train_report.jsonl").read_bytes().splitlines()
+    assert len(printed) == len(written) == 3   # two epochs and the best
+    assert printed[:2] == written[:2]
 
 
 def test_eval_reports_fscore_and_is_deterministic(workspace, capsys):
@@ -406,9 +441,10 @@ def _raw(path, data: bytes):
 
 
 def _poisoned(src, dst, value):
+    # write_embeddings refuses non-finite values, so the file is made by hand
     m = read_embeddings(src).copy()
     m[0, 0] = value
-    return _written(dst, m)
+    return _raw(dst, b"SDVE" + struct.pack("<III", 1, *m.shape) + m.astype("<f4").tobytes())
 
 
 def _corpus_with_inf_frames(root, tmp):
@@ -437,8 +473,9 @@ MALFORMED = {
         root, frames=_poisoned(root / "data" / _test_video(root)["frames"],
                                tmp / "nan.sdve", np.nan)),
     "inf_corpus_frames": lambda root, tmp: _eval(root, manifest=_corpus_with_inf_frames(root, tmp)),
-    "nan_checkpoint_tensor": lambda root, tmp: _eval(root, checkpoint=_checkpoint_with(
-        root, tmp, lambda blob, tensors: tensors["post.ln.gain"].fill(np.nan))),
+    "nan_checkpoint_tensor": lambda root, tmp: _eval(root, checkpoint=_raw(
+        tmp / "nan.sdvc",   # the last tensor's last value
+        (root / "run" / "epoch_001.sdvc").read_bytes()[:-4] + struct.pack("<f", np.nan))),
     "frames_width": lambda root, tmp: _summarize(root, checkpoint=_narrow_checkpoint(tmp)),
     "script_width": lambda root, tmp: _summarize(root, script=_written(
         tmp / "narrow.sdve", np.ones((3, 8)))),

@@ -1,6 +1,7 @@
 """Flat key=value run configuration: defaults, fan-out keys, rejection rules."""
 
 import re
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -97,6 +98,28 @@ def test_malformed_lines_rejected(tmp_path):
         for value in ("nan", "inf", "-inf"):
             with pytest.raises(ConfigError, match="must be finite"):
                 parse_config(write(tmp_path, f"{key} = {value}\n"))
+
+
+@pytest.mark.parametrize("line", [
+    "learning_rate = 1e39",     # inf in float32
+    "l2_factor = 1e39",         # inf in float32
+    "adam_eps = 1e-50",         # 0 in float32
+    "learning_rate = 1e-50",    # 0 in float32
+    "adam_beta1 = 0.99999999",  # 1 in float32
+    "adam_beta2 = 0.99999999",  # 1 in float32: 1 - b2 is 0 and v stays 0
+])
+def test_training_settings_float32_changes_are_rejected(tmp_path, line):
+    # adam_step computes in float32; the refusal warns nothing about the cast
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="float32"):
+            parse_config(write(tmp_path, line + "\n"))
+
+
+def test_training_settings_float32_holds_are_accepted(tmp_path):
+    cfg = parse_config(write(tmp_path, "learning_rate = 3e38\nl2_factor = 3e38\n"
+                                       "adam_eps = 1e-45\nadam_beta2 = 0.9999999\n"))
+    assert cfg.train.adam_beta2 == 0.9999999
 
 
 def test_missing_file_is_config_error(tmp_path):

@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+import sdvsum.autodiff
 import sdvsum.model
 from sdvsum.autodiff import ShapeError, Tape
 from sdvsum.errors import ConfigError, TensorNameError, TensorShapeError
@@ -382,6 +383,30 @@ def test_degenerate_single_frame_single_sentence():
     f = score_frames(unit_rows(rng, 1, 8), unit_rows(rng, 1, 8), w, cfg)
     assert f.shape == (1,)
     assert 0.0 < f[0] < 1.0
+
+
+@pytest.mark.parametrize("text_rep", ["multi_vector", "single_vector"])
+def test_the_script_is_checked_once_per_forward(monkeypatch, text_rep):
+    cfg = ModelConfig(dim=8, heads=2, text_rep=text_rep, single_vector_t=2)
+    w = init_weights(cfg, Rng(30))
+    rng = np.random.default_rng(31)
+    X, Y = unit_rows(rng, 4, 8), unit_rows(rng, 3, 8)
+    checked = []
+    for owner in (sdvsum.autodiff, sdvsum.model):
+        monkeypatch.setattr(owner, "matrix",
+                            lambda a, real=owner.matrix: (checked.append(a), real(a))[1])
+    for forward in (score_frames, attention_matrices):
+        for script in (Y, Y.tolist()):
+            checked.clear()
+            forward(X, script, w, cfg)
+            assert [np.shape(a) for a in checked].count(Y.shape) == 1
+    monkeypatch.undo()
+    assert np.array_equal(score_frames(X, Y.tolist(), w, cfg), score_frames(X, Y, w, cfg))
+    for bad, error in ((np.where(Y == Y[0, 0], np.nan, Y), ValueError), (Y[0], ShapeError),
+                       (Y[None], ShapeError), ([[np.inf] * 8], ValueError)):
+        for forward in (score_frames, attention_matrices):
+            with pytest.raises(error):
+                forward(X, bad, w, cfg)
 
 
 def test_inference_deterministic():

@@ -2,6 +2,7 @@
 
 import errno
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -120,12 +121,38 @@ def test_zero_extent_rejected(tmp_path):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_payload_rejected(tmp_path, value):
-    write_embeddings(np.array([[1.0, value]]), tmp_path / "m.sdve")
+    # the writers refuse such values, so the files are made by hand
+    (tmp_path / "m.sdve").write_bytes(embed_bytes(1, 2, [1.0, value]))
     with pytest.raises(NonFiniteValueError):
         read_embeddings(tmp_path / "m.sdve")
-    write_checkpoint_file({}, {"w": np.array([[value]])}, tmp_path / "c.sdvc")
+    write_checkpoint_file({}, {"w": np.array([[1.0]])}, tmp_path / "c.sdvc")
+    raw = (tmp_path / "c.sdvc").read_bytes()
+    (tmp_path / "c.sdvc").write_bytes(raw[:-4] + struct.pack("<f", value))
     with pytest.raises(NonFiniteValueError, match="'w'"):
         read_checkpoint_file(tmp_path / "c.sdvc")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e39, -1e39])
+def test_writers_refuse_what_the_readers_refuse(tmp_path, value):
+    # NaN, infinities and float64 values beyond float32's range: no file is
+    # written, no temporary is left, a file already at the path is unchanged,
+    # and the overflowing cast warns nothing
+    m = np.array([[1.0, value]])
+    old = embed_bytes(1, 1, [2.0])
+    for write, name in ((lambda p: write_embeddings(m, p), "m.sdve"),
+                        (lambda p: write_checkpoint_file({}, {"w": m}, p), "c.sdvc")):
+        fresh, kept = tmp_path / f"fresh-{name}", tmp_path / f"kept-{name}"
+        fresh.mkdir()
+        kept.mkdir()
+        (kept / name).write_bytes(old)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for folder in (fresh, kept):
+                with pytest.raises(NonFiniteValueError):
+                    write(folder / name)
+        assert list(fresh.iterdir()) == []
+        assert [p.name for p in kept.iterdir()] == [name]
+        assert (kept / name).read_bytes() == old
 
 
 def test_write_rejects_non_matrix(tmp_path):

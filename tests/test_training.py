@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sdvsum import training
-from sdvsum.autodiff import ShapeError, Tape, sigmoid
+from sdvsum.autodiff import ShapeError, Tape, bce, mse, sigmoid
 from sdvsum.datasets import SynthSpec, generate_synthetic, load_split
 from sdvsum.errors import ConfigError, LabelError, ManifestError, NumericError
 from sdvsum.model import ModelConfig, init_weights, load_checkpoint, model_forward
@@ -19,7 +19,6 @@ from sdvsum.training import (
     adam_step,
     average_ground_truth,
     bce_loss,
-    mse_loss,
     train_run,
 )
 
@@ -86,17 +85,18 @@ def test_bce_hand_value():
 def test_bce_rejects_bad_inputs():
     with pytest.raises(ShapeError):
         bce_loss(node([0.5, 0.5]), np.array([1.0]))
-    with pytest.raises(LabelError):
-        bce_loss(node([0.5, 0.5]), np.array([0.5, 1.0]))
+    for labels in ([0.5, 1.0], [np.nan, 1.0], [2.0, 0.0]):
+        with pytest.raises(LabelError):
+            bce_loss(node([0.5, 0.5]), np.array(labels))
 
 
 def test_mse_hand_values():
     t = np.array([0.3, 0.8], dtype=np.float32)
-    assert mse_loss(node(t), t).item() == 0.0
-    assert mse_loss(node([1.0, 0.0]), np.array([0.0, 1.0])).item() == pytest.approx(1.0)
-    assert mse_loss(node([0.6, 0.2]), np.array([0.5, 0.5])).item() == pytest.approx(0.05, abs=1e-7)
+    assert mse(node(t), t).item() == 0.0
+    assert mse(node([1.0, 0.0]), np.array([0.0, 1.0])).item() == pytest.approx(1.0)
+    assert mse(node([0.6, 0.2]), np.array([0.5, 0.5])).item() == pytest.approx(0.05, abs=1e-7)
     with pytest.raises(ShapeError):
-        mse_loss(node([0.5]), np.array([0.5, 0.5]))
+        mse(node([0.5]), np.array([0.5, 0.5]))
 
 
 def test_loss_gradients_pass_grad_check():
@@ -111,7 +111,7 @@ def test_loss_gradients_pass_grad_check():
 
     def f_mse(params):
         tape = Tape()
-        return mse_loss(sigmoid(tape.param("s", params["s"])), t)
+        return mse(sigmoid(tape.param("s", params["s"])), t)
 
     for f in (f_bce, f_mse):
         report = grad_check(f, {"s": logits})
@@ -119,7 +119,7 @@ def test_loss_gradients_pass_grad_check():
 
 
 def test_a_stacked_loss_is_one_node_summing_the_samples_mean_losses():
-    for loss_fn, target in ((bce_loss, [1.0, 0.0, 1.0]), (mse_loss, [0.2, 0.5, 0.9])):
+    for loss_fn, target in ((bce_loss, [1.0, 0.0, 1.0]), (mse, [0.2, 0.5, 0.9])):
         f = node([0.3, 0.6, 0.8])
         collected = []
         loss = loss_fn(f, np.array(target), [0, 1, 3], collected)
@@ -127,6 +127,26 @@ def test_a_stacked_loss_is_one_node_summing_the_samples_mean_losses():
         assert len(collected) == 2 and loss.item() == pytest.approx(sum(collected))
         alone = loss_fn(node([0.6, 0.8]), np.array(target[1:]))
         assert collected[1] == pytest.approx(alone.item())
+
+
+@pytest.mark.parametrize("loss_fn", [bce, mse, bce_loss])
+def test_a_target_vector_reads_as_the_column_bitwise(loss_fn):
+    rng = np.random.default_rng(3)
+    scores = rng.random((7, 1)).astype(np.float32)
+    target = (rng.random(7) < 0.5).astype(np.float64)   # float64 is cast like the scores
+
+    def run(t):
+        tape = Tape()
+        loss = loss_fn(tape.param("s", scores), t)
+        return loss.value, tape.backward(loss)["s"]
+
+    column_value, column_grad = run(target.reshape(-1, 1))
+    vector_value, vector_grad = run(target)
+    assert vector_value.tobytes() == column_value.tobytes()
+    assert vector_grad.tobytes() == column_grad.tobytes()
+    for wrong in (target[:-1], target[:-1].reshape(-1, 1), np.append(target, 1.0)):
+        with pytest.raises(ShapeError):
+            run(wrong)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +307,7 @@ def test_remainder_group_is_averaged_over_its_actual_size(tiny, tmp_path, monkey
     total = np.zeros_like(seen[0])
     for _, x, y, target in training._generic_samples(load_split(tiny, "train", {})):
         tape = Tape()
-        grads = tape.backward(mse_loss(model_forward(tape, x, y, weights, MODEL), target))
+        grads = tape.backward(mse(model_forward(tape, x, y, weights, MODEL), target))
         total += np.concatenate([grads[name].reshape(-1) for name in weights])
     assert len(seen) == 1
     np.testing.assert_allclose(seen[0], total / 3, rtol=1e-5, atol=1e-8)
@@ -383,7 +403,7 @@ def test_stacked_group_gradient_is_the_mean_of_sample_gradients(tiny, tmp_path, 
     drop = rng.stream("dropout", 1)
     weights = init_weights(model, rng)
     group = [samples[i] for i in order[:cfg.batch_size]]
-    loss_fn = mse_loss if mode == "generic" else bce_loss
+    loss_fn = mse if mode == "generic" else bce_loss
     total = np.zeros_like(seen[0])
     for _, x, y, target in group:
         tape = Tape()
