@@ -3,8 +3,9 @@
 Every value is a 2-D float32 array. A :class:`Tape` records operations in
 creation order, which is by construction a topological order, so the backward
 sweep is a single reverse walk over the tape. Gradients are accumulated into
-per-node buffers; a named parameter's buffer is the caller's array of that
-name (fresh zeros by default), so several tapes can sum into one set.
+per-node buffers. Each ``param`` call makes one named leaf, which backward
+binds to the caller's array of that name (fresh zeros by default), so several
+tapes can sum into one set; a name that comes again with another shape is refused.
 
 A tape holds its nodes only weakly, while each node holds its tape and its
 parents: with no reference cycle, a tape and its nodes are freed as soon as
@@ -112,17 +113,16 @@ class Tape:
     """Creation-ordered operation record for one forward pass.
 
     A tape owns all nodes created against it. Mixing nodes from different
-    tapes in one operation is an error. Named parameters are registered via
-    :meth:`param` and receive gradients from :meth:`backward`.
+    tapes in one operation is an error. Each :meth:`param` call makes one named
+    leaf, which :meth:`backward` binds to the gradient buffer of its name.
 
-    ``nodes`` (weak references, creation order) and ``params`` keep no node
-    alive. A node that nothing reaches any more lies on no path to the loss,
-    so the backward sweep loses nothing by skipping it.
+    ``nodes`` (weak references, creation order) keeps no node alive. A node
+    that nothing reaches any more lies on no path to the loss, so the
+    backward sweep loses nothing by skipping it.
     """
 
     def __init__(self):
         self.nodes: list[weakref.ref] = []
-        self.params: weakref.WeakValueDictionary[str, Node] = weakref.WeakValueDictionary()
         # every registered name, so backward knows which gradient buffers it needs
         self._param_shapes: dict[str, tuple[int, int]] = {}
 
@@ -132,22 +132,22 @@ class Tape:
         return node
 
     def param(self, name: str, value) -> Node:
-        """Register (or fetch) the unique leaf for a named parameter.
+        """A new leaf of the named parameter, which backward binds to ``into[name]``.
 
-        Arrays that are already 2-D float32 and contiguous skip re-validation:
+        A name that comes again with another shape is a ``ShapeError``. Arrays
+        that are already 2-D float32 and contiguous skip re-validation:
         parameters are checked where they are created (initialization,
         checkpoint load) or changed (training's per-epoch finiteness check),
         and one tape per training group would otherwise re-scan every weight.
         """
-        node = self.params.get(name)
-        if node is None:
-            if not (isinstance(value, np.ndarray) and value.dtype == _F32
-                    and value.ndim == 2 and value.flags.c_contiguous):
-                value = matrix(value)
-            node = Node(value, (), None, True, self, name)
-            self.nodes.append(weakref.ref(node))
-            self.params[name] = node
-            self._param_shapes[name] = value.shape
+        if not (isinstance(value, np.ndarray) and value.dtype == _F32
+                and value.ndim == 2 and value.flags.c_contiguous):
+            value = matrix(value)
+        shape = self._param_shapes.setdefault(name, value.shape)
+        if shape != value.shape:
+            raise ShapeError(f"parameter {name!r} registered as {shape}, now {value.shape}")
+        node = Node(value, (), None, True, self, name)
+        self.nodes.append(weakref.ref(node))
         return node
 
     def backward(self, loss: Node, into: dict | None = None) -> dict[str, np.ndarray]:
@@ -155,7 +155,8 @@ class Tape:
 
         ``into`` (fresh zeros by default, and returned) maps each registered
         parameter to a float32 buffer of its shape; unreached ones keep their value.
-        An op node's gradient is dropped once pushed to its parents; leaves keep theirs.
+        Each leaf of a name adds into that one buffer. An op node's gradient is
+        dropped once pushed to its parents; leaves keep theirs.
         """
         if loss.tape is not self:
             raise ValueError("loss node belongs to a different tape")
@@ -169,9 +170,7 @@ class Tape:
             raise ShapeError(f"backward: no gradient buffer of the parameter's shape for {wrong}")
         live = [node for node in (ref() for ref in self.nodes) if node is not None]
         for node in live:
-            node.grad = None
-        for name, p in self.params.items():
-            p.grad = into[name]
+            node.grad = None if node.name is None else into[node.name]
         loss.grad = np.ones((1, 1), dtype=_F32)
         for node in reversed(live):
             if node.bwd is not None and node.grad is not None:

@@ -255,8 +255,6 @@ def _cmd_summarize(args) -> int:
 
 def _cmd_ablate(args) -> int:
     config, manifest, out = _training_setup(args)
-    out.mkdir(parents=True, exist_ok=True)
-
     rows = []
     for name, text_rep, heads, use_scaling in ABLATION_VARIANTS:
         variant = ModelConfig(**{**config.model.to_dict(), "text_rep": text_rep,

@@ -284,8 +284,6 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
 
     model_config.validate()
     train_config.validate()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = Rng(train_config.seed)
     cache: dict[str, LoadedVideo] = {}
 
@@ -300,6 +298,8 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
         samples = [(v.id, v.frames, s.script, s.labels)
                    for v in train_videos for s in v.summaries]
         loss_fn, evaluate = bce_loss, evaluate_script_driven
+    out_dir = Path(out_dir)   # made only now, so a run refused above writes nothing
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     init = init_weights(model_config, rng)
     w = np.concatenate([a.reshape(-1) for a in init.values()])

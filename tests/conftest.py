@@ -5,6 +5,15 @@ The reference corpus and the two three-seed training sweeps are expensive
 that needs them.
 """
 
+import os
+
+# One BLAS thread, set before numpy loads, as perfbench/run.py does: with one
+# thread per core, two numpy processes on a small machine spin against each
+# other, and the suite's time (and criterion 6's wall-clock bound) would then
+# depend on what else runs beside it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import time
 
 import pytest

@@ -470,6 +470,42 @@ def test_backward_into_needs_every_registered_parameter():
         tape.backward(loss, into=into)
 
 
+def test_a_name_registered_again_with_another_shape_is_refused():
+    tape = Tape()
+    tape.param("w", rnd(2, 2, seed=23))
+    with pytest.raises(ShapeError, match="'w'"):
+        tape.param("w", rnd(3, 2, seed=23))
+
+
+def _shared_weight_loss(leaves: int):
+    """Loss over two layers of one weight ``w``: one leaf used twice, or a leaf per use."""
+    tape = Tape()
+    w_value, b_value = rnd(3, 2, seed=24), rnd(1, 2, seed=25)
+    ws = [tape.param("w", w_value) for _ in range(leaves)]
+    b = tape.param("b", b_value)
+    first = linear(tape.constant(rnd(4, 3, seed=26)), ws[0], b)
+    second = linear(tape.constant(rnd(4, 3, seed=27)), ws[-1], b)
+    return tape, mean_square(add(sigmoid(first), relu(second)))
+
+
+def test_leaves_of_one_name_add_into_one_buffer_bitwise():
+    """Two leaves of a name, each used once, give bitwise the gradients of one
+    leaf used twice: with fresh buffers and added into given ones."""
+    def buffers():
+        return {"w": rnd(3, 2, seed=28), "b": rnd(1, 2, seed=29)}
+
+    (one_tape, one_loss), (two_tape, two_loss) = map(_shared_weight_loss, (1, 2))
+    fresh_one, fresh_two = one_tape.backward(one_loss), two_tape.backward(two_loss)
+    into_one, into_two = buffers(), buffers()
+    one_tape.backward(one_loss, into=into_one)
+    two_tape.backward(two_loss, into=into_two)
+    assert np.any(fresh_one["w"])
+    for name in ("w", "b"):
+        assert fresh_one[name].tobytes() == fresh_two[name].tobytes()
+        assert into_one[name].tobytes() == into_two[name].tobytes()
+        assert into_one[name].tobytes() != buffers()[name].tobytes()
+
+
 def test_mixing_tapes_rejected():
     t1, t2 = Tape(), Tape()
     with pytest.raises(ValueError):

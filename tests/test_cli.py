@@ -183,6 +183,38 @@ def test_train_epoch_lines_are_the_report_lines(workspace, tmp_path, capsys):
     assert printed[:2] == written[:2]
 
 
+def _refused_corpus(root, tmp, refusal):
+    """A copy of the workspace corpus with no validation videos, or with no descriptions."""
+    data = tmp / "data"
+    shutil.copytree(root / "data", data)
+    doc = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+    if refusal == "no_validation":
+        doc["videos"] = [v for v in doc["videos"] if v["split"] != "validation"]
+    else:
+        for v in doc["videos"]:
+            del v["description"]
+    (data / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+    return data / "manifest.json"
+
+
+@pytest.mark.parametrize("refusal, mode, message", [
+    ("no_validation", "script_driven", "validation split is empty"),
+    ("no_description", "generic", "generic mode needs a description embedding"),
+])
+def test_train_refused_before_its_first_epoch_writes_nothing(workspace, tmp_path, capsys,
+                                                             refusal, mode, message):
+    root, _ = workspace
+    manifest = _refused_corpus(root, tmp_path, refusal)
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(TRAIN_TEXT + f"mode = {mode}\n", encoding="utf-8")
+    out = tmp_path / "r"
+    code, stdout, err = run(capsys, "train", "--manifest", str(manifest),
+                            "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert err.startswith("data error: ") and message in err
+    assert stdout == "" and not out.exists()
+
+
 def test_eval_reports_fscore_and_is_deterministic(workspace, capsys):
     root, report = workspace
     best = root / "run" / report[-1]["checkpoint"].split("/")[-1]
@@ -520,3 +552,14 @@ def test_ablate_runs_five_variants(workspace, tmp_path, capsys):
             assert sdvsum["parameters"] < row["parameters"]
     csv_lines = (tmp_path / "ab" / "ablation.csv").read_text().strip().splitlines()
     assert len(csv_lines) == 6  # header + five variants
+
+
+def test_ablate_refused_before_its_first_epoch_writes_nothing(workspace, tmp_path, capsys):
+    root, _ = workspace
+    manifest = _refused_corpus(root, tmp_path, "no_validation")
+    out = tmp_path / "ab"
+    code, stdout, err = run(capsys, "ablate", "--manifest", str(manifest),
+                            "--config", str(root / "train.cfg"), "--out", str(out))
+    assert code == 2
+    assert err.startswith("data error: ") and "validation split is empty" in err
+    assert stdout == "" and not out.exists()

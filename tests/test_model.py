@@ -250,8 +250,9 @@ def test_condense_is_bitwise_the_on_tape_gather_and_flatten():
     out.bwd(g)
     assert len(tape.nodes) == 4   # the gathered constant, two parameters, one linear
     assert out.value.tobytes() == want.tobytes()
-    assert tape.params["condenser.w"].grad.tobytes() == (flat.T @ g).tobytes()
-    assert tape.params["condenser.b"].grad.tobytes() == g.sum(axis=0, keepdims=True).tobytes()
+    _, w_leaf, b_leaf = out.parents
+    assert w_leaf.grad.tobytes() == (flat.T @ g).tobytes()
+    assert b_leaf.grad.tobytes() == g.sum(axis=0, keepdims=True).tobytes()
 
 
 def test_condense_requires_single_vector_mode():
