@@ -257,9 +257,11 @@ def load_video(manifest: DatasetManifest, entry: VideoEntry) -> LoadedVideo:
 
 def load_split(manifest: DatasetManifest, split: str,
                cache: dict[str, LoadedVideo] | None = None) -> list[LoadedVideo]:
-    """Load every video of a split; an optional cache persists across epochs."""
+    """Load every video of a nonempty split; an optional cache persists across epochs."""
     cache = {} if cache is None else cache
     entries = manifest.split_videos(split)
+    if not entries:
+        raise ManifestError(f"{split} split is empty")
     for entry in entries:
         if entry.id not in cache:
             cache[entry.id] = load_video(manifest, entry)

@@ -12,8 +12,10 @@ Videos where either input is entirely tied have no defined correlation; they
 return None and are excluded from the averages, with the exclusion count
 reported on the result.
 
-One per-video loop serves both modes: the evaluations average its records
-over a split, and the overlap matrix lays out their per-summary F-Scores.
+One per-video loop serves both modes over ``mode_pairs``, the one rule for
+what a mode scores (shared with training): the evaluations average its
+records over a split, and the overlap matrix lays out their per-summary
+F-Scores.
 
 Evaluation is decoupled from the network through a ``score_fn(X, Y) ->
 scores`` callable, so oracle scorers and trained models run the identical
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import ShapeError
-from .datasets import DatasetManifest, load_split
+from .datasets import DatasetManifest, LoadedVideo, load_split
 from .errors import ManifestError
 from .selection import select_top_fraction
 
@@ -39,6 +41,7 @@ __all__ = [
     "kendall_tau_b",
     "spearman_rho",
     "average_ground_truth",
+    "mode_pairs",
     "EvalRecord",
     "EvalResult",
     "evaluate_script_driven",
@@ -212,38 +215,40 @@ class EvalResult:
         }, indent=1)
 
 
+def mode_pairs(video: LoadedVideo, mode: str) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+    """What a mode scores on one video: (text, reference labels) pairs.
+
+    script_driven: each summary's script with its own labels, in summary
+    order. generic: one pair, the video's description with every summary's
+    labels; a video without a description is a ``ManifestError``.
+    """
+    if mode == "generic":
+        if video.description is None:
+            raise ManifestError(f"video {video.id!r}: generic mode needs a description embedding")
+        return [(video.description, [s.labels for s in video.summaries])]
+    return [(s.script, [s.labels]) for s in video.summaries]
+
+
 def _evaluate(score_fn, manifest: DatasetManifest, split: str, mode: str, cache) -> EvalResult:
-    """The protocol's per-video loop, one record per video. script_driven:
-    summary j comes from script j and is scored against reference j.
-    generic: one description-conditioned summary is scored against every
-    reference, and its scores are rank-correlated with their average."""
-    videos = load_split(manifest, split, cache)
-    if not videos:
-        raise ManifestError(f"split {split!r} is empty")
+    """The protocol's per-video loop, one record per video: each of the
+    video's ``mode_pairs`` is one summary, scored against each of its
+    references. In generic mode the one pair's scores are also
+    rank-correlated with the average of its references."""
+    generic = mode == "generic"
     records = []
-    for v in videos:
-        tau = rho = None
-        if mode == "generic":
-            if v.description is None:
-                raise ManifestError(
-                    f"video {v.id!r}: generic evaluation needs a description embedding"
-                )
-            scores = score_fn(v.frames, v.description)
+    for v in load_split(manifest, split, cache):
+        per, tau, rho = [], None, None
+        for text, refs in mode_pairs(v, mode):
+            scores = score_fn(v.frames, text)
             sel = select_top_fraction(scores, TOP_FRACTION)
-            per = [fscore_binary(sel, s.labels) for s in v.summaries]
-            avg = average_ground_truth([s.labels for s in v.summaries])
-            tau = kendall_tau_b(scores, avg)
-            rho = spearman_rho(scores, avg)
-        else:
-            per = []
-            for s in v.summaries:
-                sel = select_top_fraction(score_fn(v.frames, s.script), TOP_FRACTION)
-                per.append(fscore_binary(sel, s.labels))
+            per += [fscore_binary(sel, labels) for labels in refs]
+        if generic:   # its one pair, against the mean of its references
+            avg = average_ground_truth(refs)
+            tau, rho = kendall_tau_b(scores, avg), spearman_rho(scores, avg)
         records.append(EvalRecord(video_id=v.id, per_summary=per,
                                   fscore=float(np.mean(per)), tau=tau, rho=rho))
     taus = [r.tau for r in records if r.tau is not None]
     rhos = [r.rho for r in records if r.rho is not None]
-    generic = mode == "generic"
     return EvalResult(
         split=split, mode=mode,
         fscore=float(np.mean([r.fscore for r in records])),

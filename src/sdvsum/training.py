@@ -1,12 +1,12 @@
 """Supervised training of the frame scorer.
 
-Two regimes share the loop; ``mode`` picks, once per run, the samples, the
-loss and the validation protocol. ``script_driven`` treats every (video,
-reference summary) pair as one sample and minimizes per-frame binary
-cross-entropy (``bce_loss``: the ``bce`` op, refusing labels other than 0/1)
-against that summary's labels. ``generic`` uses one sample per video: the
-full-video description embedding conditions the model and the target is the
-per-frame mean of all reference summaries, under the ``mse`` op.
+Two regimes share the loop; ``mode`` picks, once per run, the loss and the
+validation protocol, and ``metrics.mode_pairs``, the rule evaluation scores
+by, gives the samples: each (text, references) pair of a training video is
+one sample whose target is the per-frame mean of its references.
+``script_driven`` pairs each summary's script with its own labels, under
+binary cross-entropy (``bce_loss``: the ``bce`` op, refusing labels other
+than 0/1); ``generic`` pairs the description with all of them, under ``mse``.
 
 "Batch size 4" over variable-length videos is a group of up to ``batch_size``
 samples whose losses are averaged before a single Adam step, without any
@@ -23,6 +23,7 @@ divide by its actual size, one Adam step and one zero-fill. L2
 regularization is coupled: ``l2_factor * theta`` is added to the gradient
 before the Adam moments. ``BCE_CLAMP`` lives with the ``bce`` op in ``autodiff``.
 
+The validation split passes ``mode_pairs`` before anything is written.
 After every epoch the weights must be finite (else a ``NumericError`` before
 anything of that epoch is written), and the model is scored on the validation
 split with dropout disabled; the checkpoint with the highest validation
@@ -40,8 +41,8 @@ import numpy as np
 
 from .autodiff import BCE_CLAMP, Node, Tape, bce, mse
 from .datasets import DatasetManifest, LoadedVideo, load_split
-from .errors import ConfigError, LabelError, ManifestError, NumericError
-from .metrics import average_ground_truth, evaluate_generic, evaluate_script_driven
+from .errors import ConfigError, LabelError, NumericError
+from .metrics import average_ground_truth, evaluate_generic, evaluate_script_driven, mode_pairs
 from .model import ModelConfig, init_weights, make_score_fn, model_forward
 from .rng import Rng
 from .sdve import atomic_write
@@ -203,16 +204,6 @@ class TrainReport:
         return "\n".join(lines) + "\n"
 
 
-def _generic_samples(videos: list[LoadedVideo]) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
-    samples = []
-    for v in videos:
-        if v.description is None:
-            raise ManifestError(f"video {v.id!r}: generic mode needs a description embedding")
-        target = average_ground_truth([s.labels for s in v.summaries])
-        samples.append((v.id, v.frames, v.description, target))
-    return samples
-
-
 def _stacks(samples: list[tuple]):
     """Runs of consecutive samples with at most ``STACK_ROWS`` frames in all.
 
@@ -287,17 +278,13 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
     rng = Rng(train_config.seed)
     cache: dict[str, LoadedVideo] = {}
 
-    train_videos = load_split(manifest, "train", cache)
-    if not train_videos:
-        raise ManifestError("train split is empty")
-    if not manifest.split_videos("validation"):
-        raise ManifestError("validation split is empty")
-    if train_config.mode == "generic":
-        samples, loss_fn, evaluate = _generic_samples(train_videos), mse, evaluate_generic
-    else:
-        samples = [(v.id, v.frames, s.script, s.labels)
-                   for v in train_videos for s in v.summaries]
-        loss_fn, evaluate = bce_loss, evaluate_script_driven
+    mode = train_config.mode
+    samples = [(v.id, v.frames, text, average_ground_truth(refs))
+               for v in load_split(manifest, "train", cache) for text, refs in mode_pairs(v, mode)]
+    for v in load_split(manifest, "validation", cache):
+        mode_pairs(v, mode)   # what validation would refuse after the first epoch
+    loss_fn, evaluate = ((mse, evaluate_generic) if mode == "generic"
+                         else (bce_loss, evaluate_script_driven))
     out_dir = Path(out_dir)   # made only now, so a run refused above writes nothing
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -316,9 +303,13 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
         epoch_losses: list[float] = []
         for start in range(0, len(order), batch):
             group = [samples[i] for i in order[start:start + batch]]
-            for stack in _stacks(group):
-                epoch_losses += _add_gradient(stack, weights, grads, model_config,
-                                              drop_gen, loss_fn, epoch)
+            try:
+                for stack in _stacks(group):
+                    epoch_losses += _add_gradient(stack, weights, grads, model_config,
+                                                  drop_gen, loss_fn, epoch)
+            except NumericError as e:   # an overflowing Adam step shows in a later loss
+                raise NumericError(f"{e}, after {state.step} Adam step(s); largest |weight| "
+                                   f"{float(np.abs(w).max()):.3g}") from None
             g /= np.float32(len(group))   # the group's actual size
             adam_step(w, g, state, train_config)
             g.fill(0)

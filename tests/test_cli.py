@@ -184,7 +184,8 @@ def test_train_epoch_lines_are_the_report_lines(workspace, tmp_path, capsys):
 
 
 def _refused_corpus(root, tmp, refusal):
-    """A copy of the workspace corpus with no validation videos, or with no descriptions."""
+    """A copy of the workspace corpus with no validation videos, with no
+    descriptions, or with none on its validation videos."""
     data = tmp / "data"
     shutil.copytree(root / "data", data)
     doc = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
@@ -192,7 +193,8 @@ def _refused_corpus(root, tmp, refusal):
         doc["videos"] = [v for v in doc["videos"] if v["split"] != "validation"]
     else:
         for v in doc["videos"]:
-            del v["description"]
+            if refusal == "no_description" or v["split"] == "validation":
+                del v["description"]
     (data / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
     return data / "manifest.json"
 
@@ -200,6 +202,7 @@ def _refused_corpus(root, tmp, refusal):
 @pytest.mark.parametrize("refusal, mode, message", [
     ("no_validation", "script_driven", "validation split is empty"),
     ("no_description", "generic", "generic mode needs a description embedding"),
+    ("no_validation_description", "generic", "generic mode needs a description embedding"),
 ])
 def test_train_refused_before_its_first_epoch_writes_nothing(workspace, tmp_path, capsys,
                                                              refusal, mode, message):

@@ -1,12 +1,13 @@
 """Metric oracles: F-Score, Kendall tau-b, Spearman rho vs brute force;
-the overlap matrix as a view of the evaluation records."""
+the overlap matrix as a view of the evaluation records; what each mode scores."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sdvsum.datasets import SynthSpec, generate_synthetic
+from sdvsum.datasets import SynthSpec, generate_synthetic, load_split
 from sdvsum.errors import ManifestError
 from sdvsum.metrics import (
     EvalRecord,
@@ -16,6 +17,7 @@ from sdvsum.metrics import (
     evaluate_script_driven,
     fscore_binary,
     kendall_tau_b,
+    mode_pairs,
     overlap_matrix,
     spearman_rho,
 )
@@ -308,3 +310,32 @@ def test_overlap_rows_must_come_from_the_evaluation():
         overlap_matrix(result, ["a", "c"])
     with pytest.raises(ManifestError, match="'b' has 1 summaries, expected 2"):
         overlap_matrix(result, ["a", "b"])
+
+
+# ---------------------------------------------------------------------------
+# what a mode scores
+
+
+def test_mode_pairs_is_the_text_and_references_of_each_prediction(corpus):
+    video = load_split(corpus, "test")[0]
+    summaries = video.summaries
+    scripted = mode_pairs(video, "script_driven")
+    assert len(scripted) == len(summaries) == 3   # one pair per summary, in summary order
+    for (text, refs), s in zip(scripted, summaries):
+        assert text is s.script and len(refs) == 1 and refs[0] is s.labels
+    [(text, refs)] = mode_pairs(video, "generic")
+    assert text is video.description
+    assert len(refs) == 3 and all(r is s.labels for r, s in zip(refs, summaries))
+    with pytest.raises(ManifestError, match="generic mode needs a description embedding"):
+        mode_pairs(dataclasses.replace(video, description=None), "generic")
+
+
+@pytest.mark.parametrize("run", [
+    lambda m: load_split(m, "test"),
+    lambda m: evaluate_script_driven(similarity, m, "test"),
+    lambda m: evaluate_generic(similarity, m, "test"),
+], ids=["load_split", "evaluate_script_driven", "evaluate_generic"])
+def test_an_empty_split_is_refused(corpus, run):
+    no_test = dataclasses.replace(corpus, videos=[v for v in corpus.videos if v.split != "test"])
+    with pytest.raises(ManifestError, match="^test split is empty$"):
+        run(no_test)

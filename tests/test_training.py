@@ -11,6 +11,7 @@ from sdvsum import training
 from sdvsum.autodiff import ShapeError, Tape, bce, mse, sigmoid
 from sdvsum.datasets import SynthSpec, generate_synthetic, load_split
 from sdvsum.errors import ConfigError, LabelError, ManifestError, NumericError
+from sdvsum.metrics import mode_pairs
 from sdvsum.model import ModelConfig, init_weights, load_checkpoint, model_forward
 from sdvsum.rng import Rng
 from sdvsum.training import (
@@ -33,6 +34,12 @@ TINY = SynthSpec(topics=4, dim=16, videos_train=3, videos_validation=1,
 def tiny(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny")
     return generate_synthetic(TINY, out)
+
+
+def train_samples(manifest, mode):
+    """The training samples of a mode, in train_run's order, built from mode_pairs."""
+    return [(v.id, v.frames, text, average_ground_truth(refs))
+            for v in load_split(manifest, "train", {}) for text, refs in mode_pairs(v, mode)]
 
 
 def node(values):
@@ -305,7 +312,7 @@ def test_remainder_group_is_averaged_over_its_actual_size(tiny, tmp_path, monkey
     train_run(tiny, MODEL, cfg, tmp_path / "g")
     weights = init_weights(MODEL, Rng(cfg.seed))
     total = np.zeros_like(seen[0])
-    for _, x, y, target in training._generic_samples(load_split(tiny, "train", {})):
+    for _, x, y, target in train_samples(tiny, "generic"):
         tape = Tape()
         grads = tape.backward(mse(model_forward(tape, x, y, weights, MODEL), target))
         total += np.concatenate([grads[name].reshape(-1) for name in weights])
@@ -374,6 +381,19 @@ def test_train_run_reports_nonfinite_loss(tiny, tmp_path, monkeypatch):
         train_run(tiny, MODEL, FAST, tmp_path / "n")
 
 
+def test_nonfinite_loss_names_the_adam_steps_before_it(tmp_path):
+    # learning_rate 3e38 is finite in float32: the first step leaves every
+    # weight finite, near 3e38, and the next group's forward overflows, so
+    # the sample the message names is only where the blow-up showed
+    spec = SynthSpec(dim=16, topics=4, videos_train=5, videos_validation=1, videos_test=1,
+                     frames_min=12, frames_max=16, summaries_per_video=1, seed=5)
+    manifest = generate_synthetic(spec, tmp_path / "data")
+    cfg = TrainConfig(epochs=1, batch_size=3, learning_rate=3e38)
+    with pytest.warns(RuntimeWarning), pytest.raises(
+            NumericError, match=r"epoch 1, .*after 1 Adam step.*largest \|weight\| 3e\+38"):
+        train_run(manifest, ModelConfig(dim=16, heads=2), cfg, tmp_path / "r")
+
+
 # ---------------------------------------------------------------------------
 # stacked groups
 
@@ -393,11 +413,7 @@ def test_stacked_group_gradient_is_the_mean_of_sample_gradients(tiny, tmp_path, 
                         lambda w, g, state, c: (seen.append(g.copy()), real(w, g, state, c)))
     train_run(tiny, model, cfg, tmp_path / "s")
 
-    videos = load_split(tiny, "train", {})
-    if mode == "generic":
-        samples = training._generic_samples(videos)
-    else:
-        samples = [(v.id, v.frames, s.script, s.labels) for v in videos for s in v.summaries]
+    samples = train_samples(tiny, mode)
     rng = Rng(cfg.seed)
     order = rng.stream("shuffle", 1).permutation(len(samples))
     drop = rng.stream("dropout", 1)
