@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, parse_config
-from .datasets import DatasetManifest, generate_synthetic, load_manifest
+from .datasets import DatasetManifest, generate_synthetic, load_manifest, load_split
 from .errors import (ConfigError, ConfigMismatchError, DataFormatError, ManifestError,
                      NumericError, UsageError)
 from .metrics import TOP_FRACTION, evaluate_generic, evaluate_script_driven, overlap_matrix
@@ -34,7 +34,8 @@ from .model import (
     score_frames,
 )
 from .sdve import atomic_write
-from .selection import fixed_fragmentation, fragment_knapsack, select_top_fraction
+from .selection import (fixed_fragmentation, fragment_knapsack, select_top_fraction,
+                        validate_fragments)
 from .training import train_run
 
 __all__ = ["main", "build_parser", "ABLATION_VARIANTS"]
@@ -210,12 +211,10 @@ def _fragments_for(args, n_frames: int) -> list[tuple[int, int]]:
         fragments = entries[0].fragments
         if not fragments:
             return fixed_fragmentation(n_frames, FIXED_SEGMENT)
-        # load_manifest has checked that the fragments tile the manifest's video
-        if fragments[-1][1] != n_frames:
-            raise ManifestError(
-                f"video {args.video!r}: manifest fragments cover {fragments[-1][1]} frames "
-                f"but --frames has {n_frames}"
-            )
+        try:
+            validate_fragments(fragments, n_frames)
+        except ValueError as e:
+            raise ManifestError(f"video {args.video!r}: {e}") from e
         return fragments
     if spec.startswith("fixed:"):
         try:
@@ -255,6 +254,8 @@ def _cmd_summarize(args) -> int:
 
 def _cmd_ablate(args) -> int:
     config, manifest, out = _training_setup(args)
+    test_cache: dict = {}
+    load_split(manifest, "test", test_cache)   # a bad test file is refused before any write
     rows = []
     for name, text_rep, heads, use_scaling in ABLATION_VARIANTS:
         variant = ModelConfig(**{**config.model.to_dict(), "text_rep": text_rep,
@@ -262,7 +263,8 @@ def _cmd_ablate(args) -> int:
         variant.validate()
         report = train_run(manifest, variant, config.train, out / name)
         weights, _ = load_checkpoint(out / name / report.checkpoint)
-        result = evaluate_script_driven(make_score_fn(weights, variant), manifest, "test")
+        result = evaluate_script_driven(make_score_fn(weights, variant), manifest, "test",
+                                        cache=test_cache)
         rows.append({
             "name": name,
             "text_rep": text_rep,

@@ -4,8 +4,12 @@ A dataset on disk is a JSON manifest plus SDVE files. The manifest declares
 the embedding dimension and, per video, the split, the frame-embedding file,
 the (labels, script) file pair for every reference summary, an optional
 full-video description embedding, and optional fragment boundaries. All paths
-are relative to the manifest file. Loading turns manifest entries into
-in-memory videos, through a cache that training epochs and evaluations share.
+are relative to the manifest file. Parsing the manifest checks its JSON
+only; each data file is checked as it is read, once, when its video is
+loaded: it must exist, parse as SDVE and have the declared width, labels must
+have one row per frame, and fragments must tile the frames. Loading turns
+manifest entries into in-memory videos, through a cache that training epochs
+and evaluations share.
 
 The synthetic generator plants ``K`` unit topic vectors and builds videos
 whose frames are noisy copies of their topic. Each reference summary picks a
@@ -28,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, LabelError, ManifestError
 from .rng import Rng
-from .sdve import atomic_write, read_embedding_header, read_embeddings, write_embeddings
+from .sdve import atomic_write, read_embeddings, write_embeddings
 from .selection import validate_fragments
 
 __all__ = [
@@ -80,21 +84,6 @@ class DatasetManifest:
         return [v for v in self.videos if v.split == split]
 
 
-def _rows_checked(manifest: DatasetManifest, rel: str, vid: str, what: str, cols: int) -> int:
-    """Row count of an SDVE file that must exist and have ``cols`` columns."""
-    try:
-        rows, got = read_embedding_header(manifest.resolve(rel))
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
-        raise ManifestError(f"video {vid!r}: missing {what} file {rel!r}") from None
-    except Exception as e:   # any other OSError (a name too long, say) or a bad header
-        raise ManifestError(f"video {vid!r}: unreadable {what} file {rel!r}: {e}") from e
-    if got != cols:
-        raise ManifestError(
-            f"video {vid!r}: {what} file {rel!r} has {got} columns, expected {cols}"
-        )
-    return rows
-
-
 def _typed(value, kind: type, what: str):
     if not isinstance(value, kind):
         raise ManifestError(f"{what}: expected {kind.__name__}, got {value!r}")
@@ -142,7 +131,8 @@ def _parse_entry(raw, where) -> VideoEntry:
 
 
 def load_manifest(path) -> DatasetManifest:
-    """Parse and fully validate a manifest: types, files exist, dimensions agree."""
+    """Parse a manifest and check its JSON types; the files it names are checked by
+    ``load_video``, as they are read."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -163,24 +153,7 @@ def load_manifest(path) -> DatasetManifest:
         seen_ids.add(entry.id)
         videos.append(entry)
 
-    manifest = DatasetManifest(dimension=dim, videos=videos, base_dir=path.parent)
-    for v in manifest.videos:
-        n_frames = _rows_checked(manifest, v.frames, v.id, "frame", dim)
-        for j, s in enumerate(v.summaries):
-            rows = _rows_checked(manifest, s.labels, v.id, f"labels[{j}]", 1)
-            if rows != n_frames:
-                raise ManifestError(
-                    f"video {v.id!r}: labels[{j}] has {rows} rows, expected {n_frames}"
-                )
-            _rows_checked(manifest, s.script, v.id, f"script[{j}]", dim)
-        if v.description is not None:
-            _rows_checked(manifest, v.description, v.id, "description", dim)
-        if v.fragments is not None:
-            try:
-                validate_fragments(v.fragments, n_frames)
-            except ValueError as e:
-                raise ManifestError(f"video {v.id!r}: {e}") from e
-    return manifest
+    return DatasetManifest(dimension=dim, videos=videos, base_dir=path.parent)
 
 
 def write_manifest(manifest: DatasetManifest, path) -> None:
@@ -226,8 +199,28 @@ class LoadedVideo:
         return self.frames.shape[0]
 
 
-def _load_labels(manifest: DatasetManifest, rel: str, vid: str) -> np.ndarray:
-    raw = read_embeddings(manifest.resolve(rel))
+def _read(manifest: DatasetManifest, rel: str, vid: str, what: str, cols: int) -> np.ndarray:
+    """The SDVE file ``rel`` of video ``vid``, which must have ``cols`` columns."""
+    try:
+        m = read_embeddings(manifest.resolve(rel))
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise ManifestError(f"video {vid!r}: missing {what} file {rel!r}") from None
+    except (OSError, ValueError) as e:   # a name too long or holding NUL, or not SDVE
+        raise ManifestError(f"video {vid!r}: unreadable {what} file {rel!r}: {e}") from e
+    if m.shape[1] != cols:
+        raise ManifestError(
+            f"video {vid!r}: {what} file {rel!r} has {m.shape[1]} columns, expected {cols}"
+        )
+    return m
+
+
+def _load_labels(manifest: DatasetManifest, rel: str, vid: str, j: int,
+                 n_frames: int) -> np.ndarray:
+    raw = _read(manifest, rel, vid, f"labels[{j}]", 1)
+    if raw.shape[0] != n_frames:
+        raise ManifestError(
+            f"video {vid!r}: labels[{j}] has {raw.shape[0]} rows, expected {n_frames}"
+        )
     flat = raw[:, 0]
     if not np.all((flat == 0.0) | (flat == 1.0)):
         raise LabelError(f"video {vid!r}: labels file {rel!r} contains non-binary values")
@@ -237,22 +230,24 @@ def _load_labels(manifest: DatasetManifest, rel: str, vid: str) -> np.ndarray:
 
 
 def load_video(manifest: DatasetManifest, entry: VideoEntry) -> LoadedVideo:
-    return LoadedVideo(
-        id=entry.id,
-        frames=read_embeddings(manifest.resolve(entry.frames)),
-        summaries=[
-            LoadedSummary(
-                labels=_load_labels(manifest, s.labels, entry.id),
-                script=read_embeddings(manifest.resolve(s.script)),
-            )
-            for s in entry.summaries
-        ],
-        description=(
-            read_embeddings(manifest.resolve(entry.description))
-            if entry.description is not None else None
-        ),
-        fragments=entry.fragments,
-    )
+    """Read each of a video's files once, checked as read (see the module docstring)."""
+    vid, dim = entry.id, manifest.dimension
+    frames = _read(manifest, entry.frames, vid, "frame", dim)
+    n_frames = frames.shape[0]
+    summaries = [
+        LoadedSummary(labels=_load_labels(manifest, s.labels, vid, j, n_frames),
+                      script=_read(manifest, s.script, vid, f"script[{j}]", dim))
+        for j, s in enumerate(entry.summaries)
+    ]
+    description = (None if entry.description is None
+                   else _read(manifest, entry.description, vid, "description", dim))
+    if entry.fragments is not None:
+        try:
+            validate_fragments(entry.fragments, n_frames)
+        except ValueError as e:
+            raise ManifestError(f"video {vid!r}: {e}") from e
+    return LoadedVideo(id=vid, frames=frames, summaries=summaries,
+                       description=description, fragments=entry.fragments)
 
 
 def load_split(manifest: DatasetManifest, split: str,

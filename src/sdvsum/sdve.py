@@ -44,7 +44,6 @@ __all__ = [
     "FORMAT_VERSION",
     "write_embeddings",
     "read_embeddings",
-    "read_embedding_header",
     "write_checkpoint_file",
     "read_checkpoint_file",
 ]
@@ -128,15 +127,6 @@ class _Reader:
                 f"{self.path}: format version {v}, this reader handles {FORMAT_VERSION}"
             )
 
-    def embedding_header(self) -> tuple[int, int]:
-        """SDVE magic, version and (rows, cols), with the dimensions checked."""
-        self.expect_magic(EMBED_MAGIC)
-        self.expect_version()
-        rows = self.u32("row count")
-        cols = self.u32("column count")
-        _check_dims(rows, cols, self.path)
-        return rows, cols
-
     def matrix(self, rows: int, cols: int, what: str) -> np.ndarray:
         raw = self.take(rows * cols * 4, what)
         a = np.frombuffer(raw, dtype="<f4").reshape(rows, cols)
@@ -178,16 +168,14 @@ def read_embeddings(path) -> np.ndarray:
     """Read an SDVE file back into a float32 matrix; byte-exact round-trip."""
     with open(path, "rb") as fh:
         r = _Reader(fh.read(), path)
-    rows, cols = r.embedding_header()
+    r.expect_magic(EMBED_MAGIC)
+    r.expect_version()
+    rows = r.u32("row count")
+    cols = r.u32("column count")
+    _check_dims(rows, cols, path)
     m = r.matrix(rows, cols, f"{rows}x{cols} float payload")
     r.done()
     return m
-
-
-def read_embedding_header(path) -> tuple[int, int]:
-    """Read only (rows, cols), skipping the payload; cheap manifest validation."""
-    with open(path, "rb") as fh:
-        return _Reader(fh.read(16), path).embedding_header()
 
 
 _MAX_NAME = 2**16 - 1

@@ -275,6 +275,7 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
 
     model_config.validate()
     train_config.validate()
+    out_dir = Path(out_dir)
     rng = Rng(train_config.seed)
     cache: dict[str, LoadedVideo] = {}
 
@@ -285,8 +286,6 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
         mode_pairs(v, mode)   # what validation would refuse after the first epoch
     loss_fn, evaluate = ((mse, evaluate_generic) if mode == "generic"
                          else (bce_loss, evaluate_script_driven))
-    out_dir = Path(out_dir)   # made only now, so a run refused above writes nothing
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     init = init_weights(model_config, rng)
     w = np.concatenate([a.reshape(-1) for a in init.values()])
@@ -321,6 +320,7 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
                        cache=cache).fscore
 
         name = f"epoch_{epoch:03d}.sdvc"
+        out_dir.mkdir(parents=True, exist_ok=True)   # only now: a failed run writes nothing
         save_checkpoint(weights, model_config, out_dir / name)
         record = EpochRecord(epoch=epoch, train_loss=float(np.mean(epoch_losses)),
                              val_fscore=val)

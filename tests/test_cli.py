@@ -152,8 +152,7 @@ def test_train_non_finite_weights_exit_3_before_any_write(workspace, tmp_path, c
                        "--config", str(cfg), "--out", str(out))
     assert code == 3
     assert "non-finite weights after epoch 1" in err
-    assert not (out / "epoch_001.sdvc").exists()
-    assert not (out / "train_report.jsonl").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line", ["learning_rate = 1e39", "adam_eps = 1e-50",
@@ -185,11 +184,15 @@ def test_train_epoch_lines_are_the_report_lines(workspace, tmp_path, capsys):
 
 def _refused_corpus(root, tmp, refusal):
     """A copy of the workspace corpus with no validation videos, with no
-    descriptions, or with none on its validation videos."""
+    descriptions, with none on its validation videos, or without the first
+    labels file of its first train or test video."""
     data = tmp / "data"
     shutil.copytree(root / "data", data)
     doc = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
-    if refusal == "no_validation":
+    if refusal.startswith("missing_labels_"):
+        video = next(v for v in doc["videos"] if v["split"] == refusal.split("_")[-1])
+        (data / video["summaries"][0]["labels"]).unlink()
+    elif refusal == "no_validation":
         doc["videos"] = [v for v in doc["videos"] if v["split"] != "validation"]
     else:
         for v in doc["videos"]:
@@ -203,6 +206,7 @@ def _refused_corpus(root, tmp, refusal):
     ("no_validation", "script_driven", "validation split is empty"),
     ("no_description", "generic", "generic mode needs a description embedding"),
     ("no_validation_description", "generic", "generic mode needs a description embedding"),
+    ("missing_labels_train", "script_driven", "missing labels[0] file"),
 ])
 def test_train_refused_before_its_first_epoch_writes_nothing(workspace, tmp_path, capsys,
                                                              refusal, mode, message):
@@ -231,6 +235,14 @@ def test_eval_reports_fscore_and_is_deterministic(workspace, capsys):
     assert result["split"] == "test" and result["mode"] == "script_driven"
     assert 0.0 <= result["fscore"] <= 100.0
     assert len(result["videos"]) == 1
+
+
+def test_eval_reads_only_the_files_of_its_split(workspace, tmp_path, capsys):
+    root, _ = workspace
+    manifest = _refused_corpus(root, tmp_path, "missing_labels_train")
+    code, out, _ = run(capsys, *_eval(root, manifest=manifest))
+    assert code == 0
+    assert json.loads(out)["split"] == "test"
 
 
 def test_eval_validation_matches_train_report(workspace, capsys):
@@ -437,6 +449,22 @@ def test_summarize_fragments_of_another_length_is_data_error(workspace, tmp_path
     assert video["id"] in err
 
 
+def test_summarize_manifest_fragments_that_overlap_are_data_error(workspace, tmp_path, capsys):
+    root, _ = workspace
+    shutil.copytree(root / "data", tmp_path / "data")
+    manifest = tmp_path / "data" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    video = next(v for v in doc["videos"] if v["split"] == "test")
+    n = read_embeddings(root / "data" / video["frames"]).shape[0]
+    video["fragments"] = [[0, 5], [4, n]]
+    manifest.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, *_summarize(root), "--fragments", "from-manifest",
+                            "--manifest", str(manifest), "--video", video["id"])
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"data error: video {video['id']!r}: fragments must be sorted, "
+                          f"disjoint and cover [0, {n})")
+
+
 def test_summarize_corrupt_embeddings_is_data_error(workspace, tmp_path, capsys):
     root, _ = workspace
     bad = tmp_path / "bad.sdve"
@@ -557,12 +585,20 @@ def test_ablate_runs_five_variants(workspace, tmp_path, capsys):
     assert len(csv_lines) == 6  # header + five variants
 
 
-def test_ablate_refused_before_its_first_epoch_writes_nothing(workspace, tmp_path, capsys):
-    root, _ = workspace
-    manifest = _refused_corpus(root, tmp_path, "no_validation")
+def _ablate_refused(root, tmp_path, capsys, refusal, message):
+    manifest = _refused_corpus(root, tmp_path, refusal)
     out = tmp_path / "ab"
     code, stdout, err = run(capsys, "ablate", "--manifest", str(manifest),
                             "--config", str(root / "train.cfg"), "--out", str(out))
     assert code == 2
-    assert err.startswith("data error: ") and "validation split is empty" in err
+    assert err.startswith("data error: ") and message in err
     assert stdout == "" and not out.exists()
+
+
+def test_ablate_refused_before_its_first_epoch_writes_nothing(workspace, tmp_path, capsys):
+    _ablate_refused(workspace[0], tmp_path, capsys, "no_validation", "validation split is empty")
+
+
+def test_ablate_missing_test_file_is_refused_before_any_write(workspace, tmp_path, capsys):
+    _ablate_refused(workspace[0], tmp_path, capsys, "missing_labels_test",
+                    "missing labels[0] file")

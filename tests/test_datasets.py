@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sdvsum.datasets
 from sdvsum.datasets import (
     DatasetManifest,
     SynthSpec,
@@ -86,15 +87,42 @@ def test_minimal_manifest_parses(tmp_path):
 
 
 def test_missing_labels_file_names_video(tmp_path):
-    path = write_minimal(tmp_path, skip_labels=True)
+    m = load_manifest(write_minimal(tmp_path, skip_labels=True))
     with pytest.raises(ManifestError, match="v0"):
-        load_manifest(path)
+        load_split(m, "train")
 
 
 def test_overlapping_fragments_rejected(tmp_path):
-    path = write_minimal(tmp_path, fragments=[[0, 5], [4, 6]])
+    m = load_manifest(write_minimal(tmp_path, fragments=[[0, 5], [4, 6]]))
     with pytest.raises(ManifestError, match="v0"):
-        load_manifest(path)
+        load_split(m, "train")
+
+
+@pytest.mark.parametrize("name", ["x" * 300, "v0/\x00"], ids=["too long", "NUL"])
+def test_unreadable_file_names_video(tmp_path, name):
+    path = write_minimal(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["videos"][0]["frames"] = name
+    path.write_text(json.dumps(doc))
+    m = load_manifest(path)
+    with pytest.raises(ManifestError, match="video 'v0': unreadable frame file"):
+        load_split(m, "train")
+
+
+def test_files_are_read_once_by_the_loader_of_their_split(small_dataset, monkeypatch):
+    out, manifest = small_dataset
+    read = []
+    real = sdvsum.datasets.read_embeddings
+    monkeypatch.setattr(sdvsum.datasets, "read_embeddings",
+                        lambda path: read.append(Path(path)) or real(path))
+    m = load_manifest(out / "manifest.json")
+    assert read == []
+    load_split(m, "test")
+    expected = [m.resolve(rel) for v in m.split_videos("test")
+                for rel in (v.frames, *(f for s in v.summaries for f in (s.labels, s.script)),
+                            v.description)]
+    assert len(read) == len(set(read))
+    assert set(read) == set(expected)
 
 
 MALFORMED = {
@@ -126,8 +154,15 @@ def test_dimension_mismatch_names_video(tmp_path):
     doc = json.loads(path.read_text())
     doc["dimension"] = 8
     path.write_text(json.dumps(doc))
+    m = load_manifest(path)
     with pytest.raises(ManifestError, match="v0"):
-        load_manifest(path)
+        load_split(m, "train")
+
+
+def test_labels_of_another_length_name_video(tmp_path):
+    m = load_manifest(write_minimal(tmp_path, labels=np.ones((5, 1))))
+    with pytest.raises(ManifestError, match=r"video 'v0': labels\[0\] has 5 rows, expected 6"):
+        load_split(m, "train")
 
 
 def test_bad_split_label_rejected(tmp_path):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sdvsum.config import KNOWN_KEYS, parse_config
-from sdvsum.datasets import load_manifest
+from sdvsum.datasets import SPLITS, load_manifest, load_split
 from sdvsum.errors import ConfigError, DataFormatError, ManifestError
 from sdvsum.model import ModelConfig, init_weights, load_checkpoint, save_checkpoint
 from sdvsum.rng import Rng
@@ -144,13 +144,27 @@ def manifest_dir(tmp_path_factory):
     return root
 
 
+def _loads_or_raises(path):
+    """``load_manifest`` returns or raises ``ManifestError``; loading each split of
+    what it returns returns or raises a ``DataFormatError`` (a ``LabelError``, say)."""
+    try:
+        manifest = load_manifest(path)
+    except ManifestError:
+        return
+    for split in SPLITS:
+        try:
+            load_split(manifest, split)
+        except DataFormatError:
+            pass
+
+
 @given(doc=_MANIFEST)
 @example(doc={"dimension": 4, "videos": [{**_VALID_ENTRY, "frames": "x" * 300}]})
 @FUZZ
 def test_random_manifest_raises_only_manifest_error(manifest_dir, doc):
     path = manifest_dir / "manifest.json"
     path.write_text(json.dumps(doc))
-    _returns_or_raises(load_manifest, path, ManifestError)
+    _loads_or_raises(path)
 
 
 @given(raw=st.binary(max_size=64))

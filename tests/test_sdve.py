@@ -21,7 +21,6 @@ from sdvsum import sdve
 from sdvsum.sdve import (
     atomic_write,
     read_checkpoint_file,
-    read_embedding_header,
     read_embeddings,
     write_checkpoint_file,
     write_embeddings,
@@ -61,12 +60,6 @@ def test_round_trip_preserves_special_values(tmp_path):
     p = tmp_path / "m.sdve"
     write_embeddings(m, p)
     assert read_embeddings(p).tobytes() == m.tobytes()
-
-
-def test_header_only_read(tmp_path):
-    p = tmp_path / "m.sdve"
-    write_embeddings(np.zeros((5, 3), dtype=np.float32), p)
-    assert read_embedding_header(p) == (5, 3)
 
 
 def test_wrong_magic(tmp_path):
