@@ -11,8 +11,9 @@ A tape holds its nodes only weakly, while each node holds its tape and its
 parents: with no reference cycle, a tape and its nodes are freed as soon as
 the caller drops the result nodes. There is no release step.
 
-The tape has ten ops: ``linear``, ``add``, ``relu``, ``sigmoid``,
-``layer_norm``, ``dropout``, ``attention``, ``reshape``, ``bce`` and ``mse``.
+The tape has nine ops, and the model runs each of them: ``linear``,
+``add``, ``relu``, ``sigmoid``, ``layer_norm``, ``dropout``, ``attention``,
+``bce`` and ``mse``.
 Nodes that no parameter feeds into carry ``needs_grad=False`` and are skipped
 during the backward sweep, so constant inputs (frame embeddings, positional
 encodings, labels) cost nothing beyond their forward value.
@@ -45,7 +46,6 @@ __all__ = [
     "dropout_mask",
     "dropout",
     "attention",
-    "reshape",
     "bce",
     "mse",
 ]
@@ -433,23 +433,6 @@ def attention(q: Node, k: Node, v: Node, heads: int, logit_scale: float = 1.0,
             _accum(k, _rows(gk))
 
     return _op(_rows(outs), (q, k, v), bwd)
-
-
-# ---------------------------------------------------------------------------
-# shape surgery
-
-
-def reshape(a: Node, rows: int, cols: int) -> Node:
-    """Row-major reshape. No model layer uses it; gradient checks do, to flatten a
-    matrix into the one row that a ``linear`` reduces to the 1 x 1 loss ``backward`` takes."""
-    if rows * cols != a.shape[0] * a.shape[1]:
-        raise ShapeError(f"cannot reshape {a.shape} to ({rows}, {cols})")
-    out = a.value.reshape(rows, cols)
-
-    def bwd(g):
-        _accum(a, g.reshape(a.shape))
-
-    return _op(out, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, parse_config
-from .datasets import DatasetManifest, generate_synthetic, load_manifest, load_split
+from .datasets import SPLITS, DatasetManifest, generate_synthetic, load_manifest, load_split
 from .errors import (ConfigError, ConfigMismatchError, DataFormatError, ManifestError,
                      NumericError, UsageError)
 from .metrics import TOP_FRACTION, evaluate_generic, evaluate_script_driven, overlap_matrix
@@ -254,17 +254,18 @@ def _cmd_summarize(args) -> int:
 
 def _cmd_ablate(args) -> int:
     config, manifest, out = _training_setup(args)
-    test_cache: dict = {}
-    load_split(manifest, "test", test_cache)   # a bad test file is refused before any write
+    cache: dict = {}   # every file read once, and a bad one refused before any write
+    for split in SPLITS:
+        load_split(manifest, split, cache)
     rows = []
     for name, text_rep, heads, use_scaling in ABLATION_VARIANTS:
         variant = ModelConfig(**{**config.model.to_dict(), "text_rep": text_rep,
                                  "heads": heads, "use_scaling": use_scaling})
         variant.validate()
-        report = train_run(manifest, variant, config.train, out / name)
+        report = train_run(manifest, variant, config.train, out / name, cache=cache)
         weights, _ = load_checkpoint(out / name / report.checkpoint)
         result = evaluate_script_driven(make_score_fn(weights, variant), manifest, "test",
-                                        cache=test_cache)
+                                        cache=cache)
         rows.append({
             "name": name,
             "text_rep": text_rep,

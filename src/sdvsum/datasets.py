@@ -192,11 +192,6 @@ class LoadedVideo:
     frames: np.ndarray   # (N, D) float32
     summaries: list[LoadedSummary]
     description: np.ndarray | None = None   # (1, D) or more rows
-    fragments: list[tuple[int, int]] | None = None
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
 
 
 def _read(manifest: DatasetManifest, rel: str, vid: str, what: str, cols: int) -> np.ndarray:
@@ -246,8 +241,7 @@ def load_video(manifest: DatasetManifest, entry: VideoEntry) -> LoadedVideo:
             validate_fragments(entry.fragments, n_frames)
         except ValueError as e:
             raise ManifestError(f"video {vid!r}: {e}") from e
-    return LoadedVideo(id=vid, frames=frames, summaries=summaries,
-                       description=description, fragments=entry.fragments)
+    return LoadedVideo(id=vid, frames=frames, summaries=summaries, description=description)
 
 
 def load_split(manifest: DatasetManifest, split: str,

@@ -21,13 +21,16 @@ backward adds the sum of its samples' gradients straight into the gradient
 buffer; a group (the remainder group at epoch end included) ends in one
 divide by its actual size, one Adam step and one zero-fill. L2
 regularization is coupled: ``l2_factor * theta`` is added to the gradient
-before the Adam moments. ``BCE_CLAMP`` lives with the ``bce`` op in ``autodiff``.
+before the Adam moments.
 
 The validation split passes ``mode_pairs`` before anything is written.
-After every epoch the weights must be finite (else a ``NumericError`` before
-anything of that epoch is written), and the model is scored on the validation
-split with dropout disabled; the checkpoint with the highest validation
-F-Score (earliest epoch on ties) is selected.
+A group runs with numpy's floating-point warnings off: a non-finite sample
+loss, which is where an overflowing Adam step shows, is one ``NumericError``
+naming the epoch, the sample and the Adam steps so far. After every epoch the
+weights must be finite (else a ``NumericError`` before anything of that epoch
+is written), and the model is scored on the validation split with dropout
+disabled; the checkpoint with the highest validation F-Score (earliest epoch
+on ties) is selected.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import BCE_CLAMP, Node, Tape, bce, mse
+from .autodiff import Node, Tape, bce, mse
 from .datasets import DatasetManifest, LoadedVideo, load_split
 from .errors import ConfigError, LabelError, NumericError
 from .metrics import average_ground_truth, evaluate_generic, evaluate_script_driven, mode_pairs
@@ -49,7 +52,6 @@ from .sdve import atomic_write
 
 __all__ = [
     "TRAIN_MODES",
-    "BCE_CLAMP",
     "STACK_ROWS",
     "ADAM_SLICE",
     "TrainConfig",
@@ -228,25 +230,20 @@ def _stacked(arrays) -> tuple[np.ndarray, list[int]]:
 
 
 def _add_gradient(stack: list[tuple], weights, grads, model_config: ModelConfig,
-                  drop_gen, loss_fn, epoch: int) -> list[float]:
+                  drop_gen, loss_fn) -> list[float]:
     """Add the sum of the stacked samples' gradients into ``grads``; return their losses.
 
     One tape runs the forward, the mode's ``loss_fn(f, target, offsets,
     collect)`` and the backward. It is freed on return, before the next
     stack's forward or the Adam step.
     """
-    vids, xs, ys, targets = zip(*stack)
+    _, xs, ys, targets = zip(*stack)
     x, x_offsets = _stacked(xs)
     y, y_offsets = _stacked(ys)
     tape = Tape()
     f = model_forward(tape, x, y, weights, model_config, drop_gen, True, x_offsets, y_offsets)
     losses: list[float] = []
     loss = loss_fn(f, _stacked(targets)[0], x_offsets, losses)
-    if not math.isfinite(loss.item()):
-        bad = [vid for vid, value in zip(vids, losses) if not math.isfinite(value)]
-        raise NumericError(
-            f"non-finite training loss at epoch {epoch}, sample {(bad or vids)[0]!r}"
-        )
     tape.backward(loss, into=grads)
     return losses
 
@@ -258,12 +255,14 @@ def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarra
 
 
 def train_run(manifest: DatasetManifest, model_config: ModelConfig,
-              train_config: TrainConfig, out_dir, on_epoch=None) -> TrainReport:
+              train_config: TrainConfig, out_dir, on_epoch=None,
+              cache: dict[str, LoadedVideo] | None = None) -> TrainReport:
     """Train, validate each epoch, checkpoint each epoch, select the best.
 
     Writes ``epoch_XXX.sdvc`` per epoch plus ``train_report.jsonl`` under
     ``out_dir``. The report's checkpoint field is the best epoch's file name
     relative to ``out_dir``, so reports are identical across output locations.
+    ``cache`` is ``load_split``'s, shared with the caller's other runs.
     """
     # Looked up on each call, not bound at import: perfbench/tracing.py wraps
     # model.save_checkpoint and this module's evaluate_script_driven, bce_loss,
@@ -277,7 +276,7 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
     train_config.validate()
     out_dir = Path(out_dir)
     rng = Rng(train_config.seed)
-    cache: dict[str, LoadedVideo] = {}
+    cache = {} if cache is None else cache
 
     mode = train_config.mode
     samples = [(v.id, v.frames, text, average_ground_truth(refs))
@@ -302,16 +301,19 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
         epoch_losses: list[float] = []
         for start in range(0, len(order), batch):
             group = [samples[i] for i in order[start:start + batch]]
-            try:
-                for stack in _stacks(group):
-                    epoch_losses += _add_gradient(stack, weights, grads, model_config,
-                                                  drop_gen, loss_fn, epoch)
-            except NumericError as e:   # an overflowing Adam step shows in a later loss
-                raise NumericError(f"{e}, after {state.step} Adam step(s); largest |weight| "
-                                   f"{float(np.abs(w).max()):.3g}") from None
-            g /= np.float32(len(group))   # the group's actual size
-            adam_step(w, g, state, train_config)
+            # numpy stays silent: a blow-up is reported once, as a NumericError
+            with np.errstate(all="ignore"):
+                losses = [loss for stack in _stacks(group) for loss in
+                          _add_gradient(stack, weights, grads, model_config, drop_gen, loss_fn)]
+                bad = [vid for (vid, *_), loss in zip(group, losses) if not math.isfinite(loss)]
+                if bad:   # an overflowing Adam step shows in a later loss
+                    raise NumericError(
+                        f"non-finite training loss at epoch {epoch}, sample {bad[0]!r}, after "
+                        f"{state.step} Adam step(s); largest |weight| {float(np.abs(w).max()):.3g}")
+                g /= np.float32(len(group))   # the group's actual size
+                adam_step(w, g, state, train_config)
             g.fill(0)
+            epoch_losses += losses
         # a blow-up mid-epoch fails the next group's loss; this catches the last update
         if not np.isfinite(w).all():
             raise NumericError(f"non-finite weights after epoch {epoch}")

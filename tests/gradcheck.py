@@ -1,4 +1,4 @@
-"""Finite-difference gradient check for autodiff tapes, shared by the tests."""
+"""Finite-difference gradient check for autodiff tapes, and the reducer the checks share."""
 
 from __future__ import annotations
 
@@ -7,7 +7,29 @@ from typing import Callable
 
 import numpy as np
 
-from sdvsum.autodiff import Node
+from sdvsum.autodiff import Node, linear
+
+
+def bilinear(x: Node, u=None, c=None) -> Node:
+    """uᵀ X c of an r x k node X, as the 1 x 1 node ``backward`` takes.
+
+    Two ``linear`` ops: the first takes X as its weight operand, so its
+    backward gives dX = u (g cᵀ). ``u`` and ``c`` are scalars or vectors of
+    length r and k. By default they are fixed ramps of order 1, u descending
+    and c ascending, so no two rows or columns weigh alike and each entry's
+    gradient u_i c_j is of order 1, where ``grad_check``'s relative error is
+    sharpest.
+    """
+    r, k = x.shape
+    if u is None:
+        u = (np.arange(r - 1, -1, -1) + r / 2) / r
+    if c is None:
+        c = (np.arange(k) + k / 2) / k
+    t = x.tape
+    u = np.broadcast_to(np.reshape(u, (1, -1)), (1, r))
+    c = np.broadcast_to(np.reshape(c, (-1, 1)), (k, 1))
+    row = linear(t.constant(u), x, t.constant(np.zeros((1, k))))
+    return linear(row, t.constant(c), t.constant(np.zeros((1, 1))))
 
 
 @dataclass

@@ -25,7 +25,6 @@ from sdvsum.autodiff import (
     linear,
     mse,
     relu,
-    reshape,
     sigmoid,
 )
 from sdvsum.datasets import SynthSpec, generate_synthetic, load_manifest, load_split
@@ -54,7 +53,7 @@ from sdvsum.selection import fixed_fragmentation, fragment_knapsack, select_top_
 from sdvsum.training import TrainConfig, bce_loss, train_run
 
 from conftest import ACCEPT_EPOCHS, SDVSUM_MODEL, VARIANT3_MODEL
-from gradcheck import grad_check
+from gradcheck import bilinear, grad_check
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -81,18 +80,6 @@ def rnd(*shape, seed, margin_level=None, margin=0.05):
     return a
 
 
-def _weighted(x):
-    """Nonuniform constant cofactor so every entry's gradient is distinct.
-
-    The cofactor is scaled by the entry count, so the mean gives every entry
-    a gradient of order 1, where the relative-error check is sharpest.
-    """
-    n = x.value.size
-    c = np.arange(n, dtype=np.float32) + 0.5 * n
-    t = x.tape
-    return linear(reshape(x, 1, n), t.constant(c.reshape(n, 1) / n), t.constant(np.zeros((1, 1))))
-
-
 def _scores(n, seed):
     """An n x 1 column in (0.1, 0.9), away from the BCE clamp."""
     return (0.5 + 0.4 * np.tanh(rnd(n, 1, seed=seed))).astype(np.float32)
@@ -117,51 +104,49 @@ def _op_checks():
 
     checks = [
         ("linear", {"x": rnd(3, 4, seed=1), "w": rnd(4, 2, seed=2), "b": rnd(1, 2, seed=40)},
-         lambda t, pr: _weighted(linear(p(t, pr, "x"), p(t, pr, "w"), p(t, pr, "b")))),
+         lambda t, pr: bilinear(linear(p(t, pr, "x"), p(t, pr, "w"), p(t, pr, "b")))),
         ("linear_blocks", {"x": rnd(2, 4, seed=22), "w0": rnd(4, 1, seed=23),
                            "w1": rnd(4, 3, seed=41), "w2": rnd(4, 2, seed=42),
                            "b0": rnd(1, 1, seed=43), "b1": rnd(1, 3, seed=44),
                            "b2": rnd(1, 2, seed=45)},
-         lambda t, pr: _weighted(linear(p(t, pr, "x"), [p(t, pr, f"w{i}") for i in range(3)],
-                                        [p(t, pr, f"b{i}") for i in range(3)]))),
+         lambda t, pr: bilinear(linear(p(t, pr, "x"), [p(t, pr, f"w{i}") for i in range(3)],
+                                       [p(t, pr, f"b{i}") for i in range(3)]))),
         ("add", {"a": rnd(3, 3, seed=4), "b": rnd(3, 3, seed=5)},
-         lambda t, pr: _weighted(add(p(t, pr, "a"), p(t, pr, "b")))),
+         lambda t, pr: bilinear(add(p(t, pr, "a"), p(t, pr, "b")))),
         ("relu", {"a": rnd(4, 4, seed=12, margin_level=0.0)},
-         lambda t, pr: _weighted(relu(p(t, pr, "a")))),
+         lambda t, pr: bilinear(relu(p(t, pr, "a")))),
         ("sigmoid", {"a": rnd(4, 4, seed=13)},
-         lambda t, pr: _weighted(sigmoid(p(t, pr, "a")))),
+         lambda t, pr: bilinear(sigmoid(p(t, pr, "a")))),
         ("layer_norm", {"a": rnd(3, 6, seed=17), "g": rnd(1, 6, seed=18),
                         "b": rnd(1, 6, seed=19)},
-         lambda t, pr: _weighted(layer_norm(p(t, pr, "a"), p(t, pr, "g"),
-                                            p(t, pr, "b")))),
+         lambda t, pr: bilinear(layer_norm(p(t, pr, "a"), p(t, pr, "g"),
+                                           p(t, pr, "b")))),
         ("dropout_train", {"a": rnd(4, 4, seed=20)},
-         lambda t, pr: _weighted(dropout(p(t, pr, "a"), dropout_mask(
+         lambda t, pr: bilinear(dropout(p(t, pr, "a"), dropout_mask(
              (4, 4), 0.5, Rng(3).stream("dropout", 0), True)))),
         ("dropout_eval", {"a": rnd(4, 4, seed=21)},
-         lambda t, pr: _weighted(dropout(p(t, pr, "a"), dropout_mask((4, 4), 0.7, None, False)))),
+         lambda t, pr: bilinear(dropout(p(t, pr, "a"), dropout_mask((4, 4), 0.7, None, False)))),
         ("attention", {"q": rnd(3, 4, seed=3), "k": rnd(5, 4, seed=16),
                        "v": rnd(5, 4, seed=24)},
-         lambda t, pr: _weighted(attention(p(t, pr, "q"), p(t, pr, "k"),
-                                           p(t, pr, "v"), 2))),
+         lambda t, pr: bilinear(attention(p(t, pr, "q"), p(t, pr, "k"),
+                                          p(t, pr, "v"), 2))),
         ("attention_q_is_k", {"a": rnd(4, 6, seed=27), "v": rnd(4, 6, seed=29)},
-         lambda t, pr: _weighted(attention(p(t, pr, "a"), p(t, pr, "a"),
-                                           p(t, pr, "v"), 3))),
+         lambda t, pr: bilinear(attention(p(t, pr, "a"), p(t, pr, "a"),
+                                          p(t, pr, "v"), 3))),
         ("attention_scaled", {"q": rnd(2, 4, seed=30), "k": rnd(3, 4, seed=31),
                               "v": rnd(3, 4, seed=32)},
-         lambda t, pr: _weighted(attention(p(t, pr, "q"), p(t, pr, "k"),
-                                           p(t, pr, "v"), 2, logit_scale=0.7))),
+         lambda t, pr: bilinear(attention(p(t, pr, "q"), p(t, pr, "k"),
+                                          p(t, pr, "v"), 2, logit_scale=0.7))),
         ("attention_dropout", {"q": rnd(4, 4, seed=33), "k": rnd(3, 4, seed=34),
                                "v": rnd(3, 4, seed=35)},
-         lambda t, pr: _weighted(attention(p(t, pr, "q"), p(t, pr, "k"),
-                                           p(t, pr, "v"), 2, 1.0, [dropout_mask(
-                                               (2, 4, 3), 0.5, Rng(3).stream("dropout", 1),
-                                               True)]))),
+         lambda t, pr: bilinear(attention(p(t, pr, "q"), p(t, pr, "k"),
+                                          p(t, pr, "v"), 2, 1.0, [dropout_mask(
+                                              (2, 4, 3), 0.5, Rng(3).stream("dropout", 1),
+                                              True)]))),
         ("attention_segments_dropout", {"q": rnd(5, 4, seed=36), "k": rnd(5, 4, seed=37),
                                         "v": rnd(5, 4, seed=38)},
-         lambda t, pr: _weighted(_two_segment_attention(
+         lambda t, pr: bilinear(_two_segment_attention(
              p(t, pr, "q"), p(t, pr, "k"), p(t, pr, "v")))),
-        ("reshape", {"a": rnd(3, 4, seed=26)},
-         lambda t, pr: _weighted(reshape(p(t, pr, "a"), 2, 6))),
         ("bce", {"f": _scores(4, seed=6)},
          lambda t, pr: bce(p(t, pr, "f"), _labels(4))),
         ("bce_segments", {"f": _scores(7, seed=7)},

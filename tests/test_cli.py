@@ -5,12 +5,14 @@ import json
 import math
 import shutil
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sdvsum.cli
+import sdvsum.datasets
 from sdvsum.cli import ABLATION_VARIANTS, main
 from sdvsum.model import ModelConfig, init_weights, load_checkpoint, save_checkpoint
 from sdvsum.rng import Rng
@@ -153,6 +155,27 @@ def test_train_non_finite_weights_exit_3_before_any_write(workspace, tmp_path, c
     assert code == 3
     assert "non-finite weights after epoch 1" in err
     assert not out.exists()
+
+
+def test_train_overflow_is_one_numeric_failure_line(workspace, tmp_path, capsys):
+    """learning_rate 3e38 is finite in float32: the first group's Adam step
+    leaves weights near 3e38 and the next group's forward overflows. numpy
+    must print nothing: the run's only word is the numeric failure."""
+    root, _ = workspace
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("heads = 4\nepochs = 1\nbatch_size = 3\nlearning_rate = 3e38\n",
+                   encoding="utf-8")
+    out = tmp_path / "r"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(capsys, "train", "--manifest",
+                                str(root / "data" / "manifest.json"),
+                                "--config", str(cfg), "--out", str(out))
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numeric failure: non-finite training loss at epoch 1, sample ")
+    assert err.endswith(", after 1 Adam step(s); largest |weight| 3e+38\n")
+    assert stdout == "" and not out.exists()
 
 
 @pytest.mark.parametrize("line", ["learning_rate = 1e39", "adam_eps = 1e-50",
@@ -585,6 +608,29 @@ def test_ablate_runs_five_variants(workspace, tmp_path, capsys):
     assert len(csv_lines) == 6  # header + five variants
 
 
+def test_ablate_reads_each_dataset_file_once(workspace, tmp_path, capsys, monkeypatch):
+    root, _ = workspace
+    reads = []
+    real = sdvsum.datasets.read_embeddings
+
+    def counted(path):
+        reads.append(Path(path).resolve())
+        return real(path)
+
+    monkeypatch.setattr(sdvsum.datasets, "read_embeddings", counted)
+    cfg = tmp_path / "ab.cfg"
+    cfg.write_text("heads = 4\nepochs = 1\n", encoding="utf-8")
+    manifest = root / "data" / "manifest.json"
+    code, _, _ = run(capsys, "ablate", "--manifest", str(manifest),
+                     "--config", str(cfg), "--out", str(tmp_path / "ab"))
+    assert code == 0
+    files = []
+    for v in json.loads(manifest.read_text(encoding="utf-8"))["videos"]:
+        files += [v["frames"], v["description"]]
+        files += [f for s in v["summaries"] for f in (s["labels"], s["script"])]
+    assert sorted(reads) == sorted((root / "data" / f).resolve() for f in files)
+
+
 def _ablate_refused(root, tmp_path, capsys, refusal, message):
     manifest = _refused_corpus(root, tmp_path, refusal)
     out = tmp_path / "ab"
@@ -597,6 +643,11 @@ def _ablate_refused(root, tmp_path, capsys, refusal, message):
 
 def test_ablate_refused_before_its_first_epoch_writes_nothing(workspace, tmp_path, capsys):
     _ablate_refused(workspace[0], tmp_path, capsys, "no_validation", "validation split is empty")
+
+
+def test_ablate_missing_train_file_is_refused_before_any_write(workspace, tmp_path, capsys):
+    _ablate_refused(workspace[0], tmp_path, capsys, "missing_labels_train",
+                    "missing labels[0] file")
 
 
 def test_ablate_missing_test_file_is_refused_before_any_write(workspace, tmp_path, capsys):

@@ -244,7 +244,7 @@ def test_labels_match_frame_count(small_dataset):
     _, manifest = small_dataset
     for v in load_split(manifest, "train"):
         for s in v.summaries:
-            assert s.labels.shape == (v.n_frames,)
+            assert s.labels.shape == (v.frames.shape[0],)
             assert set(np.unique(s.labels)) <= {0.0, 1.0}
 
 

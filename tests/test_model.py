@@ -229,8 +229,8 @@ def test_condense_single_sentence_repeats():
 
 def test_condense_is_bitwise_the_on_tape_gather_and_flatten():
     """Stacked ragged scripts, M < T, M = T and M > T, against a numpy
-    transcription of the row gather and flatten that once ran on the tape
-    (``take_rows`` then ``reshape``) feeding the condenser's ``linear``."""
+    transcription of the row gather and flatten that once ran on the tape,
+    as two ops, feeding the condenser's ``linear``."""
     t, d = 4, 8
     cfg = ModelConfig(dim=d, heads=2, text_rep="single_vector", single_vector_t=t)
     w = init_weights(cfg, Rng(5))
@@ -241,7 +241,7 @@ def test_condense_is_bitwise_the_on_tape_gather_and_flatten():
     g = rng.normal(size=(len(sizes), d)).astype(np.float32)
 
     idx = [lo + (i * (hi - lo)) // t for lo, hi in zip(bounds, bounds[1:]) for i in range(t)]
-    flat = np.ascontiguousarray(y[idx]).reshape(len(sizes), t * d)   # take_rows, reshape
+    flat = np.ascontiguousarray(y[idx]).reshape(len(sizes), t * d)   # gather, flatten
     want = flat @ w["condenser.w"]
     want += w["condenser.b"]
 
