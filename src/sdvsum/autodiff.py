@@ -11,6 +11,10 @@ A tape holds its nodes only weakly, while each node holds its tape and its
 parents: with no reference cycle, a tape and its nodes are freed as soon as
 the caller drops the result nodes. There is no release step.
 
+Inference runs on ``Tape(grad=False)``, which records nothing: leaves need no
+gradient, an op's node keeps no parents and no backward rule, ``nodes`` stays
+empty, and ``backward`` refuses to run. An intermediate is freed once read.
+
 The tape has nine ops, and the model runs each of them: ``linear``,
 ``add``, ``relu``, ``sigmoid``, ``layer_norm``, ``dropout``, ``attention``,
 ``bce`` and ``mse``.
@@ -121,15 +125,19 @@ class Tape:
     backward sweep loses nothing by skipping it.
     """
 
-    def __init__(self):
+    def __init__(self, grad: bool = True):
+        self.grad = grad
         self.nodes: list[weakref.ref] = []
         # every registered name, so backward knows which gradient buffers it needs
         self._param_shapes: dict[str, tuple[int, int]] = {}
 
-    def constant(self, value) -> Node:
-        node = Node(matrix(value), (), None, False, self)
-        self.nodes.append(weakref.ref(node))
+    def _keep(self, node: Node) -> Node:
+        if self.grad:
+            self.nodes.append(weakref.ref(node))
         return node
+
+    def constant(self, value) -> Node:
+        return self._keep(Node(matrix(value), (), None, False, self))
 
     def param(self, name: str, value) -> Node:
         """A new leaf of the named parameter, which backward binds to ``into[name]``.
@@ -146,9 +154,7 @@ class Tape:
         shape = self._param_shapes.setdefault(name, value.shape)
         if shape != value.shape:
             raise ShapeError(f"parameter {name!r} registered as {shape}, now {value.shape}")
-        node = Node(value, (), None, True, self, name)
-        self.nodes.append(weakref.ref(node))
-        return node
+        return self._keep(Node(value, (), None, self.grad, self, name))
 
     def backward(self, loss: Node, into: dict | None = None) -> dict[str, np.ndarray]:
         """Reverse sweep from a scalar loss node, adding d(loss)/d(param) into ``into``.
@@ -158,6 +164,8 @@ class Tape:
         Each leaf of a name adds into that one buffer. An op node's gradient is
         dropped once pushed to its parents; leaves keep theirs.
         """
+        if not self.grad:
+            raise ValueError("backward on a tape that records nothing (grad=False)")
         if loss.tape is not self:
             raise ValueError("loss node belongs to a different tape")
         if loss.value.shape != (1, 1):
@@ -193,10 +201,10 @@ def _op(value: np.ndarray, parents: tuple[Node, ...], bwd) -> Node:
     for p in parents[1:]:
         if p.tape is not tape:
             raise ValueError("operands belong to different tapes")
+    if not tape.grad:
+        return Node(value, (), None, False, tape)
     needs = any(p.needs_grad for p in parents)
-    node = Node(value, parents, bwd if needs else None, needs, tape)
-    tape.nodes.append(weakref.ref(node))
-    return node
+    return tape._keep(Node(value, parents, bwd if needs else None, needs, tape))
 
 
 # ---------------------------------------------------------------------------

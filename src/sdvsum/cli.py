@@ -6,8 +6,9 @@ checkpoint), ``eval`` (protocol evaluation, optional overlap matrix),
 compare the five architecture variants on shared data and seed).
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data or format error,
-3 numeric failure (non-finite loss). Every subcommand accepts ``--seed``;
-an explicit flag beats the config file's ``seed`` key, which beats 42.
+3 numeric failure (non-finite loss), 4 out of memory. Every subcommand
+accepts ``--seed``; an explicit flag beats the config file's ``seed`` key,
+which beats 42.
 """
 
 from __future__ import annotations
@@ -315,6 +316,9 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:
+        print(f"out of memory: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

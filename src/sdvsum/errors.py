@@ -1,7 +1,8 @@
 """Exception taxonomy, grouped by how the CLI reports failures.
 
 Usage and configuration problems map to exit code 1, malformed data files
-to exit code 2, and numeric failures during training to exit code 3.
+to exit code 2, and numeric failures during training to exit code 3. Running
+out of memory (Python's own ``MemoryError``) is exit code 4.
 """
 
 

@@ -7,7 +7,8 @@ by default; ``use_scaling`` divides the logits by sqrt(D) first. All heads
 run as one stacked ``attention`` tape op on Q, K and V projected for every
 head at once. Its output, the heads side by side, is projected by a D x D
 linear, and a fixed sinusoidal positional encoding is added. Every dense
-layer is one ``linear`` tape op, which joins the per-head Q/K/V tensors. After a
+layer is one ``linear`` tape op; in training it joins the per-head Q/K/V
+tensors on every forward, while ``make_score_fn`` joins them once. After a
 dropout + layer-norm stage the frame representations pass through a small
 Transformer encoder stack and a sigmoid scoring head, giving one importance
 score in (0, 1) per frame.
@@ -258,12 +259,15 @@ def positional_encoding(n: int, dim: int) -> np.ndarray:
     return table[:n]
 
 
-def _p(tape: Tape, weights: dict[str, np.ndarray], name: str) -> Node:
+def _weight(weights: dict[str, np.ndarray], name: str) -> np.ndarray:
     try:
-        value = weights[name]
+        return weights[name]
     except KeyError:
         raise TensorNameError(f"missing weight tensor {name!r}") from None
-    return tape.param(name, value)
+
+
+def _p(tape: Tape, weights: dict[str, np.ndarray], name: str) -> Node:
+    return tape.param(name, _weight(weights, name))
 
 
 def _dense(tape: Tape, x: Node, weights, prefix: str, suffix: str = "") -> Node:
@@ -276,8 +280,10 @@ def _multi_head(tape: Tape, q_in: Node, kv_in: Node, weights, prefix: str,
                 heads: int, logit_scale: float, masks=None,
                 collect: list[np.ndarray] | None = None,
                 q_offsets=None, k_offsets=None) -> Node:
-    """Attention block: one ``linear`` per Q/K/V over the heads' weight blocks, in head order."""
-    joint = [linear(x, [_p(tape, weights, f"{prefix}.h{h}.w{kind}") for h in range(heads)],
+    """Attention block: one ``linear`` per Q/K/V, over the joined ``<prefix>.w{q,k,v}`` /
+    ``b{q,k,v}`` when the weights hold them, else over the heads' blocks in head order."""
+    joint = [_dense(tape, x, weights, prefix, kind) if f"{prefix}.w{kind}" in weights else
+             linear(x, [_p(tape, weights, f"{prefix}.h{h}.w{kind}") for h in range(heads)],
                     [_p(tape, weights, f"{prefix}.h{h}.b{kind}") for h in range(heads)])
              for x, kind in ((q_in, "q"), (kv_in, "k"), (kv_in, "v"))]
     att = attention(*joint, heads, logit_scale, masks, collect, q_offsets, k_offsets)
@@ -400,21 +406,31 @@ def model_forward(tape: Tape, x, y, weights, config: ModelConfig,
 
 
 def score_frames(x: np.ndarray, y: np.ndarray, weights, config: ModelConfig) -> np.ndarray:
-    """Inference-mode scores as a flat (N,) float32 array."""
-    tape = Tape()
-    f = model_forward(tape, x, y, weights, config, training=False)
+    """Inference-mode scores as a flat (N,) float32 array, on a tape that records nothing."""
+    f = model_forward(Tape(grad=False), x, y, weights, config, training=False)
     return f.value[:, 0].copy()
 
 
 def make_score_fn(weights, config: ModelConfig):
-    """Close over fixed weights; the resulting (X, Y) -> scores feeds evaluation."""
+    """The (X, Y) -> scores function that evaluation calls, over fixed weights.
+
+    Each attention block's per-head Q/K/V tensors are joined here, once, in
+    head order, into ``<block>.wq`` ... ``<block>.bv``. The weights are read
+    now: a caller that changes them in place must make a new function
+    (training's validation makes one each epoch).
+    """
+    blocks = [name[:-len(".h0.wq")] for name in tensor_shapes(config) if name.endswith(".h0.wq")]
+    joined = {f"{b}.{p}{kind}": np.concatenate(
+                  [_weight(weights, f"{b}.h{h}.{p}{kind}") for h in range(config.heads)], axis=1)
+              for b in blocks for kind in "qkv" for p in "wb"}
+    weights = {**weights, **joined}
     return lambda x, y: score_frames(x, y, weights, config)
 
 
 def attention_matrices(x: np.ndarray, y: np.ndarray, weights,
                        config: ModelConfig) -> list[np.ndarray]:
     """Per-head cross-modal attention matrices A_h in inference mode."""
-    tape = Tape()
+    tape = Tape(grad=False)
     y_rep, _ = _text_representation(tape, y, weights, config)
     collected: list[np.ndarray] = []
     cross_modal_attention(tape, tape.constant(x), y_rep, weights, config, collect=collected)

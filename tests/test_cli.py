@@ -88,6 +88,19 @@ def test_missing_required_flag_is_usage_error(capsys):
     assert code == 1
 
 
+def test_out_of_memory_is_exit_4_with_one_line(monkeypatch, capsys):
+    message = "Unable to allocate 7.63 GiB for an array with shape (8, 16000, 16000)"
+
+    def exhausted(args):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(sdvsum.cli._COMMANDS, "synth", exhausted)
+    code, out, err = run(capsys, "synth", "--spec", "x.cfg", "--out", "y")
+    assert code == 4
+    assert out == ""
+    assert err.splitlines() == [f"out of memory: {message}"]
+
+
 def test_synth_emits_manifest(workspace, capsys):
     root, _ = workspace
     manifest = root / "data" / "manifest.json"

@@ -237,7 +237,7 @@ def test_positive_fraction_band(small_dataset):
         for v in load_split(manifest, split):
             for s in v.summaries:
                 frac = s.labels.mean()
-                assert lo - 1e-9 <= frac <= hi + 1e-9, (v.video_id, frac)
+                assert lo - 1e-9 <= frac <= hi + 1e-9, (v.id, frac)
 
 
 def test_labels_match_frame_count(small_dataset):

@@ -18,6 +18,7 @@ from sdvsum.model import (
     cross_modal_attention,
     init_weights,
     load_checkpoint,
+    make_score_fn,
     model_forward,
     parameter_count,
     positional_encoding,
@@ -410,6 +411,73 @@ def test_the_script_is_checked_once_per_forward(monkeypatch, text_rep):
                 forward(X, bad, w, cfg)
 
 
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("use_scaling", [False, True])
+@pytest.mark.parametrize("scorer_head", ["direct", "hidden"])
+@pytest.mark.parametrize("text_rep", ["multi_vector", "single_vector"])
+@pytest.mark.parametrize("heads", [4, 8])
+@pytest.mark.parametrize("dim", [16, 64])
+def test_inference_is_bitwise_the_recording_tape(dim, heads, text_rep, scorer_head,
+                                                 use_scaling, layers):
+    """The scorer (joined Q/K/V, no tape), ``score_frames`` (per-head, no tape)
+    and a recording tape give the same bytes, and so do the attention matrices."""
+    cfg = ModelConfig(dim=dim, heads=heads, text_rep=text_rep, scorer_head=scorer_head,
+                      use_scaling=use_scaling, encoder_layers=layers, single_vector_t=3)
+    w = init_weights(cfg, Rng(40))
+    rng = np.random.default_rng(41)
+    X, Y = unit_rows(rng, 7, dim), unit_rows(rng, 4, dim)
+    tape = Tape()
+    recorded = model_forward(tape, X, Y, w, cfg, training=False).value[:, 0].tobytes()
+    assert make_score_fn(w, cfg)(X, Y).tobytes() == recorded
+    assert score_frames(X, Y, w, cfg).tobytes() == recorded
+
+    y_rep = condense_text(tape, Y, w, cfg) if text_rep == "single_vector" else tape.constant(Y)
+    collected = []
+    cross_modal_attention(tape, tape.constant(X), y_rep, w, cfg, collect=collected)
+    got = attention_matrices(X, Y, w, cfg)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in collected]
+
+
+def test_a_scorer_calls_score_frames_through_the_module(monkeypatch):
+    cfg = ModelConfig(dim=16, heads=4)
+    w = init_weights(cfg, Rng(42))
+    rng = np.random.default_rng(43)
+    X, Y = unit_rows(rng, 5, 16), unit_rows(rng, 3, 16)
+    fn = make_score_fn(w, cfg)
+    calls = []
+    monkeypatch.setattr(sdvsum.model, "score_frames",
+                        lambda *a, real=score_frames: (calls.append(a), real(*a))[1])
+    assert np.array_equal(fn(X, Y), score_frames(X, Y, w, cfg))
+    assert len(calls) == 1
+    assert set(calls[0][2]) == set(w) | {f"{b}.{p}{k}" for b in ("attn", "enc0.attn")
+                                          for p in "wb" for k in "qkv"}
+
+
+def test_a_no_record_forward_keeps_nothing(monkeypatch):
+    cfg = ModelConfig(dim=16, heads=4, encoder_layers=2, scorer_head="hidden")
+    w = init_weights(cfg, Rng(44))
+    rng = np.random.default_rng(45)
+    X, Y = unit_rows(rng, 6, 16), unit_rows(rng, 3, 16)
+    made = []
+    node_init = sdvsum.autodiff.Node.__init__
+    monkeypatch.setattr(sdvsum.autodiff.Node, "__init__",
+                        lambda self, *a: (made.append(self), node_init(self, *a))[1])
+    tape = Tape(grad=False)
+    f = model_forward(tape, X, Y, w, cfg, training=False)
+    monkeypatch.undo()
+    assert tape.nodes == []
+    assert len(made) > len(w)
+    assert all(n.parents == () and n.bwd is None and not n.needs_grad for n in made)
+    assert np.array_equal(f.value[:, 0], score_frames(X, Y, w, cfg))
+    with pytest.raises(ValueError, match="records nothing"):
+        tape.backward(bce_loss(f, np.ones(6, dtype=np.float32)))
+    # a leaf is checked as on a recording tape
+    with pytest.raises(ShapeError):
+        tape.param("scorer.head.b", np.zeros((1, 2), dtype=np.float32))
+    with pytest.raises(ValueError):
+        tape.param("nan", [[np.nan]])
+
+
 def test_inference_deterministic():
     cfg = ModelConfig(dim=16, heads=4)
     w = init_weights(cfg, Rng(16))
@@ -459,8 +527,8 @@ def test_inference_tape_is_freed_without_the_cyclic_gc(monkeypatch, infer):
     tapes = []
 
     class RecordedTape(Tape):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             tapes.append(weakref.ref(self))
 
     monkeypatch.setattr(sdvsum.model, "Tape", RecordedTape)
