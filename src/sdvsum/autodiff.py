@@ -13,7 +13,9 @@ the caller drops the result nodes. There is no release step.
 
 Inference runs on ``Tape(grad=False)``, which records nothing: leaves need no
 gradient, an op's node keeps no parents and no backward rule, ``nodes`` stays
-empty, and ``backward`` refuses to run. An intermediate is freed once read.
+empty, and ``backward`` refuses to run. An intermediate is freed once read,
+and ``attention``, which forms each segment's heads in blocks of at most
+``ATT_BLOCK`` logits, then holds one block at a time.
 
 The tape has nine ops, and the model runs each of them: ``linear``,
 ``add``, ``relu``, ``sigmoid``, ``layer_norm``, ``dropout``, ``attention``,
@@ -36,6 +38,7 @@ import weakref
 import numpy as np
 
 __all__ = [
+    "ATT_BLOCK",
     "BCE_CLAMP",
     "ShapeError",
     "matrix",
@@ -57,6 +60,7 @@ __all__ = [
 _F32 = np.float32
 BCE_CLAMP = 1e-7       # float32 margin against log(0) at saturated sigmoid outputs
 _LN_EPS = _F32(1e-5)   # layer_norm's variance floor
+ATT_BLOCK = 1 << 18    # most logits in one block of attention heads: 1 MiB of float32
 
 
 class ShapeError(ValueError):
@@ -377,7 +381,10 @@ def attention(q: Node, k: Node, v: Node, heads: int, logit_scale: float = 1.0,
 
     With ``q_offsets`` and ``k_offsets`` (equally many segments), the query
     rows of segment s attend only to the key rows of segment s; the op runs
-    each segment as its own block, so no cross-segment logits are formed.
+    each segment alone, so no cross-segment logits are formed. A segment's
+    heads run in blocks of at most ``ATT_BLOCK`` logits (one head at least),
+    which stay in cache; heads are independent, so no bit moves. The blocks
+    are kept for backward only if q, k or v needs a gradient.
     ``masks`` holds one (H, n_s, m_s) ``dropout_mask`` per segment (or None)
     for the attention matrices; ``collect`` receives each segment's per-head
     attention matrices, before dropout.
@@ -398,41 +405,54 @@ def attention(q: Node, k: Node, v: Node, heads: int, logit_scale: float = 1.0,
         qs = np.ascontiguousarray(q.value[a:b].reshape(b - a, heads, hd).transpose(1, 0, 2))
         kts = np.ascontiguousarray(k.value[lo:hi].reshape(hi - lo, heads, hd).transpose(1, 2, 0))
         vs = np.ascontiguousarray(v.value[lo:hi].reshape(hi - lo, heads, hd).transpose(1, 0, 2))
-
-        # softmax in place on the logits: one (H, n, m) buffer, no temporaries
-        att = qs @ kts
-        att *= c
-        att -= att.max(axis=2, keepdims=True)
-        np.exp(att, out=att)
-        att /= att.sum(axis=2, keepdims=True, dtype=np.float64).astype(_F32)
-        if collect is not None:
-            collect.extend(att)
         mask = None if masks is None else masks[s]
-        if mask is not None and mask.shape != att.shape:
-            raise ShapeError(f"attention: segment {s} mask {mask.shape} for {att.shape}")
-        dropped = att if mask is None else att * mask
-        outs.append(np.concatenate(dropped @ vs, axis=1))   # heads side by side
-        segments.append((a, b, qs, kts, vs, att, mask, dropped))
+        if mask is not None and mask.shape != (heads, b - a, hi - lo):
+            raise ShapeError(f"attention: segment {s} mask {mask.shape} for {heads, b - a, hi - lo}")
+        step = max(1, ATT_BLOCK // ((b - a) * (hi - lo)))
+        blocks, heads_out = [], []
+        for blk in (slice(h, h + step) for h in range(0, heads, step)):
+            # softmax in place on the logits: one (step, n, m) buffer, no temporaries
+            att = qs[blk] @ kts[blk]
+            att *= c
+            att -= att.max(axis=2, keepdims=True)
+            np.exp(att, out=att)
+            att /= att.sum(axis=2, keepdims=True, dtype=np.float64).astype(_F32)
+            if collect is not None:
+                collect.extend(att)
+            dropped = att if mask is None else att * mask[blk]
+            heads_out.extend(dropped @ vs[blk])
+            if q.needs_grad or k.needs_grad or v.needs_grad:
+                blocks.append((blk, att, dropped))
+            del att, dropped   # unless kept, freed before the next block's logits
+        outs.append(np.concatenate(heads_out, axis=1))   # heads side by side
+        segments.append((a, b, qs, kts, vs, mask, blocks))
 
     def bwd(g):
         gq, gk, gv = [], [], []
-        for a, b, qs, kts, vs, att, mask, dropped in segments:
+        for a, b, qs, kts, vs, mask, blocks in segments:
             gs = np.ascontiguousarray(g[a:b].reshape(b - a, heads, hd).transpose(1, 0, 2))
-            if v.needs_grad:
-                gv.append(np.concatenate(dropped.transpose(0, 2, 1) @ gs, axis=1))
-            if not (q.needs_grad or k.needs_grad):
-                continue
-            d = gs @ vs.transpose(0, 2, 1)
-            if mask is not None:
-                d *= mask
-            d -= (d * att).sum(axis=2, keepdims=True)
-            d *= att
-            d *= c
-            if q.needs_grad:
-                gq.append(np.concatenate(d @ kts.transpose(0, 2, 1), axis=1))
-            if k.needs_grad:
-                dkt = qs.transpose(0, 2, 1) @ d
-                gk.append(np.ascontiguousarray(dkt.transpose(2, 0, 1)).reshape(-1, width))
+            pv, pq, pk = [], [], []
+            for blk, att, dropped in blocks:
+                if v.needs_grad:
+                    pv.extend(dropped.transpose(0, 2, 1) @ gs[blk])
+                if not (q.needs_grad or k.needs_grad):
+                    continue
+                d = gs[blk] @ vs[blk].transpose(0, 2, 1)
+                if mask is not None:
+                    d *= mask[blk]
+                d -= (d * att).sum(axis=2, keepdims=True)
+                d *= att
+                d *= c
+                if q.needs_grad:
+                    pq.extend(d @ kts[blk].transpose(0, 2, 1))
+                if k.needs_grad:
+                    pk.append(qs[blk].transpose(0, 2, 1) @ d)
+            if pv:
+                gv.append(np.concatenate(pv, axis=1))
+            if pq:
+                gq.append(np.concatenate(pq, axis=1))
+            if pk:
+                gk.append(np.ascontiguousarray(_rows(pk).transpose(2, 0, 1)).reshape(-1, width))
         if gv:
             _accum(v, _rows(gv))
         if gq:

@@ -1,4 +1,5 @@
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -283,6 +284,72 @@ def test_segmented_attention_is_bitwise_each_segment_alone(q_offsets, k_offsets,
         assert vn.grad[lo:hi].tobytes() == want[3].tobytes()
         assert all(np.array_equal(collected[3 * s + h], want[4][h]) for h in range(3))
     assert len(collected) == 3 * (len(qo) - 1)
+
+
+# every segment of a case has the same number of logits, so one ATT_BLOCK
+# gives every segment the same head step
+@pytest.mark.parametrize("q_offsets,k_offsets,logits", [
+    ([0, 9], [0, 7], 63), ([0, 2, 5, 9], [0, 6, 10, 13], 12), ([0, 1, 4, 10], [0, 6, 8, 9], 6),
+])
+@pytest.mark.parametrize("rate", [0.0, 0.5])
+@pytest.mark.parametrize("step", [1, 2])
+def test_head_blocks_are_bitwise_one_block(monkeypatch, q_offsets, k_offsets, logits, rate, step):
+    # 3 heads run as blocks of 1, 1, 1 or of 2, 1
+    monkeypatch.setattr(autodiff, "ATT_BLOCK", step * logits)
+    n, m = q_offsets[-1], k_offsets[-1]
+    q, g = rnd(n, 6, seed=50), rnd(n, 6, seed=51)
+    k, v = rnd(m, 6, seed=52), rnd(m, 6, seed=53)
+    stream = np.random.default_rng(54)
+    masks = [dropout_mask((3, b - a, hi - lo), rate, stream, rate > 0)
+             for a, b, lo, hi in zip(q_offsets, q_offsets[1:], k_offsets, k_offsets[1:])]
+    tape = Tape()
+    qn, kn, vn = (tape.param(name, a) for name, a in (("q", q), ("k", k), ("v", v)))
+    collected = []
+    out = attention(qn, kn, vn, 3, 0.8, masks if rate else None, collected, q_offsets, k_offsets)
+    out.bwd(g)
+
+    c = np.float32(1.0 / 0.8)
+    spans = zip(q_offsets, q_offsets[1:], k_offsets, k_offsets[1:])
+    for s, (a, b, lo, hi) in enumerate(spans):
+        assert (b - a) * (hi - lo) == logits
+        want = one_block_attention(q[a:b], k[lo:hi], v[lo:hi], 3, c, masks[s], g[a:b])
+        assert out.value[a:b].tobytes() == want[0].tobytes()
+        assert qn.grad[a:b].tobytes() == want[1].tobytes()
+        assert kn.grad[lo:hi].tobytes() == want[2].tobytes()
+        assert vn.grad[lo:hi].tobytes() == want[3].tobytes()
+        # per segment, then per head
+        assert all(collected[3 * s + h].tobytes() == want[4][h].tobytes() for h in range(3))
+    assert len(collected) == 3 * (len(q_offsets) - 1)
+
+
+def test_criterion_1_attention_checks_pass_in_one_head_blocks(monkeypatch):
+    from test_acceptance import _op_checks
+    monkeypatch.setattr(autodiff, "ATT_BLOCK", 1)
+    checks = [(name, params, build) for name, params, build in _op_checks()
+              if name.startswith("attention")]
+    assert len(checks) >= 4
+    for name, params, build in checks:
+        report = grad_check(lambda pr, build=build: build(Tape(), pr), params, eps=1e-3)
+        assert report.passed, f"{name}: {report.summary()}"
+
+
+def test_no_record_attention_keeps_no_block(monkeypatch):
+    # a no-record forward frees each head block before the next one's logits
+    monkeypatch.setattr(autodiff, "ATT_BLOCK", 1)
+    alive = []
+    real_exp = np.exp
+
+    def exp(x, *args, **kwargs):
+        alive.append(weakref.ref(x))
+        alive[:] = [r for r in alive if r() is not None]
+        assert len(alive) == 1, f"{len(alive)} blocks of logits alive"
+        return real_exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(autodiff.np, "exp", exp)
+    tape = Tape(grad=False)
+    q, kv = tape.param("q", rnd(9, 6, seed=60)), tape.param("kv", rnd(7, 6, seed=61))
+    attention(q, kv, kv, 3)
+    assert len(tape.nodes) == 0
 
 
 def test_segment_offsets_are_checked():

@@ -2,6 +2,8 @@
 
 import gc
 import math
+import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -29,7 +31,7 @@ from sdvsum.model import (
 )
 from sdvsum.rng import Rng
 from sdvsum.sdve import write_checkpoint_file
-from sdvsum.training import bce_loss
+from sdvsum.training import _add_gradient, bce_loss
 
 
 def unit_rows(rng, n, d):
@@ -543,6 +545,49 @@ def test_inference_tape_is_freed_without_the_cyclic_gc(monkeypatch, infer):
         assert tapes[0]() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# memory at real video lengths
+
+
+def _traced_peak(run) -> tuple[float, float]:
+    """The tracemalloc peak of ``run()`` in MiB, and its wall time in seconds."""
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        run()
+        seconds = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20, seconds
+
+
+def _long_video(frames: int):
+    cfg = ModelConfig(dim=64)
+    rng = np.random.default_rng(frames)
+    X, Y = unit_rows(rng, frames, 64), unit_rows(rng, 6, 64)
+    return cfg, init_weights(cfg, Rng(frames)), X, Y, rng
+
+
+def test_inference_memory_at_4000_frames():
+    # each head's 4000 x 4000 logits (61 MiB) are freed before the next head's
+    cfg, w, X, Y, _ = _long_video(4000)
+    peak, seconds = _traced_peak(lambda: score_frames(X, Y, w, cfg))
+    print(f"\n4,000-frame inference: peak {peak:.0f} MiB, {seconds:.2f} s")
+    assert peak <= 160, f"peak {peak:.0f} MiB ({seconds:.2f} s)"
+
+
+def test_training_step_memory_at_2000_frames():
+    cfg, w, X, Y, rng = _long_video(2000)
+    grads = {name: np.zeros_like(a) for name, a in w.items()}
+    labels = (rng.random(2000) < 0.2).astype(np.float32)
+    peak, seconds = _traced_peak(lambda: _add_gradient(
+        [("long", X, Y, labels)], w, grads, cfg, Rng(1).stream("dropout", 0), bce_loss))
+    print(f"\n2,000-frame training step: peak {peak:.0f} MiB, {seconds:.2f} s")
+    assert peak <= 250, f"peak {peak:.0f} MiB ({seconds:.2f} s)"
+    assert all(np.isfinite(g).all() for g in grads.values())
 
 
 # ---------------------------------------------------------------------------
