@@ -192,12 +192,21 @@ class Tape:
 
 
 def _accum(node: Node, g: np.ndarray) -> None:
+    """Add ``g`` into the node's gradient.
+
+    An op node's first gradient is ``g`` itself when the caller made it for
+    this call: a writeable, base-less float32 array that nothing else holds
+    (``add``, which hands one ``g`` to two parents, copies it for one). Any
+    other array, such as a view, is copied.
+    """
     if not node.needs_grad:
         return
-    if node.grad is None:
-        node.grad = g.astype(_F32, copy=True)
-    else:
+    if node.grad is not None:
         node.grad += g
+    elif g.base is None and g.dtype == _F32 and g.flags.writeable:
+        node.grad = g
+    else:
+        node.grad = g.astype(_F32, copy=True)
 
 
 def _op(value: np.ndarray, parents: tuple[Node, ...], bwd) -> Node:
@@ -263,7 +272,7 @@ def add(a: Node, b: Node) -> Node:
 
     def bwd(g):
         _accum(a, g)
-        _accum(b, g)
+        _accum(b, g.copy() if a.grad is g else g)
 
     return _op(a.value + b.value, (a, b), bwd)
 

@@ -7,8 +7,10 @@ by default; ``use_scaling`` divides the logits by sqrt(D) first. All heads
 run as one stacked ``attention`` tape op on Q, K and V projected for every
 head at once. Its output, the heads side by side, is projected by a D x D
 linear, and a fixed sinusoidal positional encoding is added. Every dense
-layer is one ``linear`` tape op; in training it joins the per-head Q/K/V
-tensors on every forward, while ``make_score_fn`` joins them once. After a
+layer is one ``linear`` tape op. Each block's per-head Q/K/V tensors, the
+names a checkpoint stores, are joined once into fused ``<block>.wq`` ...
+``.bv`` (``fuse_heads``), which training and ``make_score_fn`` run on, and
+split back into per-head views on the way to disk (``split_heads``). After a
 dropout + layer-norm stage the frame representations pass through a small
 Transformer encoder stack and a sigmoid scoring head, giving one importance
 score in (0, 1) per frame.
@@ -72,6 +74,8 @@ __all__ = [
     "model_forward",
     "score_frames",
     "make_score_fn",
+    "fuse_heads",
+    "split_heads",
     "attention_matrices",
     "save_checkpoint",
     "load_checkpoint",
@@ -280,8 +284,9 @@ def _multi_head(tape: Tape, q_in: Node, kv_in: Node, weights, prefix: str,
                 heads: int, logit_scale: float, masks=None,
                 collect: list[np.ndarray] | None = None,
                 q_offsets=None, k_offsets=None) -> Node:
-    """Attention block: one ``linear`` per Q/K/V, over the joined ``<prefix>.w{q,k,v}`` /
-    ``b{q,k,v}`` when the weights hold them, else over the heads' blocks in head order."""
+    """Attention block: one ``linear`` per Q/K/V, over the fused ``<prefix>.w{q,k,v}`` /
+    ``b{q,k,v}`` when the weights hold them (training, ``make_score_fn``), else over
+    the per-head blocks in head order (a checkpoint's weights used as loaded)."""
     joint = [_dense(tape, x, weights, prefix, kind) if f"{prefix}.w{kind}" in weights else
              linear(x, [_p(tape, weights, f"{prefix}.h{h}.w{kind}") for h in range(heads)],
                     [_p(tape, weights, f"{prefix}.h{h}.b{kind}") for h in range(heads)])
@@ -414,17 +419,45 @@ def score_frames(x: np.ndarray, y: np.ndarray, weights, config: ModelConfig) -> 
 def make_score_fn(weights, config: ModelConfig):
     """The (X, Y) -> scores function that evaluation calls, over fixed weights.
 
-    Each attention block's per-head Q/K/V tensors are joined here, once, in
-    head order, into ``<block>.wq`` ... ``<block>.bv``. The weights are read
-    now: a caller that changes them in place must make a new function
-    (training's validation makes one each epoch).
+    Per-head Q/K/V tensors are joined here, once (``fuse_heads``); fused ones
+    are used as given, uncopied. A caller that changes the weights in place
+    must make a new function (training's validation makes one each epoch).
     """
-    blocks = [name[:-len(".h0.wq")] for name in tensor_shapes(config) if name.endswith(".h0.wq")]
-    joined = {f"{b}.{p}{kind}": np.concatenate(
-                  [_weight(weights, f"{b}.h{h}.{p}{kind}") for h in range(config.heads)], axis=1)
-              for b in blocks for kind in "qkv" for p in "wb"}
-    weights = {**weights, **joined}
+    weights = fuse_heads(weights, config)
     return lambda x, y: score_frames(x, y, weights, config)
+
+
+def _head_names(config: ModelConfig) -> dict[str, list[str]]:
+    """Each fused Q/K/V tensor's name -> its per-head tensors' names, in head order."""
+    blocks = [name[:-len(".h0.wq")] for name in tensor_shapes(config) if name.endswith(".h0.wq")]
+    return {f"{b}.{p}{kind}": [f"{b}.h{h}.{p}{kind}" for h in range(config.heads)]
+            for b in blocks for kind in "qkv" for p in "wb"}
+
+
+def fuse_heads(weights, config: ModelConfig) -> dict[str, np.ndarray]:
+    """``weights`` (or gradients) in the fused layout, the one training holds.
+
+    Every tensor but the per-head Q/K/V ones comes first, in ``tensor_shapes``
+    order, then each block's ``<block>.wq``, ``.bq`` ... ``.bv``: the heads'
+    tensors joined along columns in head order, or the caller's fused array.
+    """
+    fused = _head_names(config)
+    per_head = {name for names in fused.values() for name in names}
+    out = {name: _weight(weights, name) for name in tensor_shapes(config) if name not in per_head}
+    for name, names in fused.items():
+        out[name] = weights[name] if name in weights else np.concatenate(
+            [_weight(weights, n) for n in names], axis=1)
+    return out
+
+
+def split_heads(weights, config: ModelConfig) -> dict[str, np.ndarray]:
+    """``weights`` with each fused Q/K/V tensor replaced by its heads' column views."""
+    hd, fused = config.head_dim, _head_names(config)
+    out = {name: a for name, a in weights.items() if name not in fused}
+    for name, names in fused.items():
+        if name in weights:
+            out.update({n: weights[name][:, h * hd:(h + 1) * hd] for h, n in enumerate(names)})
+    return out
 
 
 def attention_matrices(x: np.ndarray, y: np.ndarray, weights,
@@ -456,6 +489,12 @@ def _check_tensors(tensors: dict[str, np.ndarray], config: ModelConfig, where: s
 
 
 def save_checkpoint(weights: dict[str, np.ndarray], config: ModelConfig, path) -> None:
+    """Write per-head or fused weights as an SDVC file of per-head tensors.
+
+    A fused tensor is written as its heads' column views (``split_heads``), so
+    the file holds the same names and bytes in either layout.
+    """
+    weights = split_heads(weights, config)
     _check_tensors(weights, config, f"cannot save {path}")
     ordered = {name: weights[name] for name in tensor_shapes(config)}
     sdve.write_checkpoint_file(config.to_dict(), ordered, path)

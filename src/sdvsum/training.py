@@ -16,8 +16,9 @@ sentences, one loss (the sum of the samples' mean losses) and one backward.
 Consecutive samples share a tape while their frames total at most
 ``STACK_ROWS``; a longer sample runs alone, since stacking saves nothing at
 that length and costs memory. The weights, the group gradient and Adam's
-moments are flat float32 buffers whose views are the named tensors. Each
-backward adds the sum of its samples' gradients straight into the gradient
+moments are flat float32 buffers whose views are the named tensors, in the
+fused layout of ``model.fuse_heads``: one Q, K and V tensor per attention
+block, split into per-head tensors only in the checkpoint. Each backward adds the sum of its samples' gradients straight into the gradient
 buffer; a group (the remainder group at epoch end included) ends in one
 divide by its actual size, one Adam step and one zero-fill. L2
 regularization is coupled: ``l2_factor * theta`` is added to the gradient
@@ -46,7 +47,7 @@ from .autodiff import Node, Tape, bce, mse
 from .datasets import DatasetManifest, LoadedVideo, load_split
 from .errors import ConfigError, LabelError, NumericError
 from .metrics import average_ground_truth, evaluate_generic, evaluate_script_driven, mode_pairs
-from .model import ModelConfig, init_weights, make_score_fn, model_forward
+from .model import ModelConfig, fuse_heads, init_weights, make_score_fn, model_forward
 from .rng import Rng
 from .sdve import atomic_write
 
@@ -286,7 +287,8 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
     loss_fn, evaluate = ((mse, evaluate_generic) if mode == "generic"
                          else (bce_loss, evaluate_script_driven))
 
-    init = init_weights(model_config, rng)
+    # drawn per head, as stored, then held fused: save_checkpoint splits it again
+    init = fuse_heads(init_weights(model_config, rng), model_config)
     w = np.concatenate([a.reshape(-1) for a in init.values()])
     g = np.zeros_like(w)
     weights, grads = _views(w, init), _views(g, init)

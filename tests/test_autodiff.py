@@ -20,6 +20,7 @@ from sdvsum.autodiff import (
     relu,
     sigmoid,
 )
+from sdvsum.model import ModelConfig, init_weights, model_forward
 from sdvsum.rng import Rng
 
 from gradcheck import GradCheckReport, bilinear, grad_check
@@ -507,6 +508,74 @@ def test_backward_into_sums_gradients_in_place():
         assert into[name] is buffers[name]
         assert into[name].tobytes() == (fresh[0][name] + fresh[1][name]).tobytes()
     np.testing.assert_array_equal(into["unused"], np.full((2, 2), 7.0))
+
+
+def _copying_accum(node, g):
+    """``_accum`` with every op node's first gradient a copy, as before ownership."""
+    if node.needs_grad:
+        if node.grad is None:
+            node.grad = g.astype(np.float32, copy=True)
+        else:
+            node.grad += g
+
+
+def _ownership_cases():
+    """Criterion 1's gradient checks, a model loss, and nodes whose gradient has two sources."""
+    from test_acceptance import _op_checks
+
+    def p(t, pr, name):
+        return t.param(name, pr[name])
+
+    def twice(x):
+        return add(x, x)
+
+    cfg = ModelConfig(dim=16, heads=4, encoder_layers=2, scorer_head="hidden")
+    rng = np.random.default_rng(2)
+    X, Y = rng.normal(size=(6, 16)), rng.normal(size=(3, 16))
+    labels = np.array([1, 0, 1, 0, 0, 1], dtype=np.float32)
+    linear_params = {"a": rnd(3, 4, seed=61), "w": rnd(4, 4, seed=62), "b": rnd(1, 4, seed=63)}
+    return [*_op_checks(), (
+        "add_self", {"a": rnd(3, 3, seed=60)},
+        lambda t, pr: bilinear(twice(sigmoid(p(t, pr, "a"))))), (
+        "two_ops", {"a": rnd(3, 3, seed=64)},
+        lambda t, pr: bilinear((lambda x: add(relu(x), sigmoid(x)))(sigmoid(p(t, pr, "a"))))), (
+        "linear_and_add", linear_params,
+        lambda t, pr: bilinear((lambda x: add(x, linear(x, p(t, pr, "w"), p(t, pr, "b"))))(
+            relu(p(t, pr, "a"))))), (
+        "model", init_weights(cfg, Rng(17)),
+        lambda t, pr: bce(model_forward(t, X, Y, pr, cfg, Rng(3).stream("dropout", 0), True),
+                          labels)),
+    ]
+
+
+def _checked_backward(tape, loss):
+    """``tape.backward(loss)``, checking after each backward rule that every op
+    node's gradient owns its memory and that no two nodes hold one array (but the
+    node just swept, which the sweep drops next)."""
+    nodes = [ref() for ref in tape.nodes]
+
+    def check(swept):
+        held = [n.grad for n in nodes if n.name is None and n is not swept and n.grad is not None]
+        leaves = {id(n.grad) for n in nodes if n.name is not None}
+        assert all(a.base is None for a in held)
+        assert len({id(a) for a in held} - leaves) == len(held)
+
+    for n in nodes:
+        if n.bwd is not None:
+            n.bwd = (lambda rule, n: lambda g: (rule(g), check(n)))(n.bwd, n)
+    return tape.backward(loss)
+
+
+@pytest.mark.parametrize("case", [name for name, _, _ in _ownership_cases()])
+def test_kept_gradients_are_the_bytes_of_copied_ones(monkeypatch, case):
+    _, params, build = next(c for c in _ownership_cases() if c[0] == case)
+    tape = Tape()
+    kept = _checked_backward(tape, build(tape, params))
+    monkeypatch.setattr(autodiff, "_accum", _copying_accum)
+    tape = Tape()
+    copied = tape.backward(build(tape, params))
+    assert kept.keys() == copied.keys() == params.keys()
+    assert all(kept[n].tobytes() == copied[n].tobytes() for n in kept)
 
 
 def test_backward_into_needs_every_registered_parameter():

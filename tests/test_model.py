@@ -11,13 +11,14 @@ import pytest
 
 import sdvsum.autodiff
 import sdvsum.model
-from sdvsum.autodiff import ShapeError, Tape
+from sdvsum.autodiff import ShapeError, Tape, mse
 from sdvsum.errors import ConfigError, TensorNameError, TensorShapeError
 from sdvsum.model import (
     ModelConfig,
     attention_matrices,
     condense_text,
     cross_modal_attention,
+    fuse_heads,
     init_weights,
     load_checkpoint,
     make_score_fn,
@@ -27,6 +28,7 @@ from sdvsum.model import (
     save_checkpoint,
     score_frames,
     scorer_forward,
+    split_heads,
     tensor_shapes,
 )
 from sdvsum.rng import Rng
@@ -451,8 +453,66 @@ def test_a_scorer_calls_score_frames_through_the_module(monkeypatch):
                         lambda *a, real=score_frames: (calls.append(a), real(*a))[1])
     assert np.array_equal(fn(X, Y), score_frames(X, Y, w, cfg))
     assert len(calls) == 1
-    assert set(calls[0][2]) == set(w) | {f"{b}.{p}{k}" for b in ("attn", "enc0.attn")
-                                          for p in "wb" for k in "qkv"}
+    fused = {f"{b}.{p}{k}" for b in ("attn", "enc0.attn") for p in "wb" for k in "qkv"}
+    per_head = {name for name in w if any(f".h{h}." in name for h in range(4))}
+    assert set(calls[0][2]) == set(w) - per_head | fused
+
+
+def test_make_score_fn_runs_on_fused_weights_as_given(monkeypatch):
+    cfg = ModelConfig(dim=16, heads=4, encoder_layers=2)
+    fused = fuse_heads(init_weights(cfg, Rng(46)), cfg)
+    rng = np.random.default_rng(47)
+    calls = []
+    monkeypatch.setattr(sdvsum.model, "score_frames", lambda *a: calls.append(a))
+    make_score_fn(fused, cfg)(unit_rows(rng, 5, 16), unit_rows(rng, 3, 16))
+    given = calls[0][2]
+    assert list(given) == list(fused) and all(given[n] is a for n, a in fused.items())
+
+
+@pytest.mark.parametrize("dim, text_rep, scorer_head, layers, mode", [
+    (16, "multi_vector", "direct", 1, "script_driven"),
+    (16, "single_vector", "hidden", 2, "generic"),
+    (64, "multi_vector", "hidden", 2, "generic"),
+    (64, "single_vector", "direct", 1, "script_driven"),
+    (512, "multi_vector", "direct", 2, "script_driven"),
+    (512, "single_vector", "hidden", 1, "generic"),
+])
+def test_fused_and_per_head_weights_give_the_same_gradient_bytes(dim, text_rep, scorer_head,
+                                                                 layers, mode):
+    # a stacked training group with dropout, run as training runs it, on both layouts
+    cfg = ModelConfig(dim=dim, heads=4 if dim == 16 else 8, text_rep=text_rep,
+                      scorer_head=scorer_head, encoder_layers=layers, single_vector_t=3)
+    w = init_weights(cfg, Rng(48))
+    rng = np.random.default_rng(49)
+    stack = [(f"v{i}", unit_rows(rng, n, dim), unit_rows(rng, m, dim),
+              (rng.random(n) < 0.4).astype(np.float32) if mode == "script_driven"
+              else rng.random(n).astype(np.float32))
+             for i, (n, m) in enumerate([(7, 3), (5, 4)])]
+    loss_fn = bce_loss if mode == "script_driven" else mse
+
+    def gradients(weights):
+        grads = {name: np.zeros_like(a) for name, a in weights.items()}
+        losses = _add_gradient(stack, weights, grads, cfg, Rng(50).stream("dropout", 1), loss_fn)
+        return grads, losses
+
+    per_head, losses = gradients(w)
+    fused, fused_losses = gradients(fuse_heads(w, cfg))
+    assert len(fused) == len(w) - 6 * (cfg.heads - 1) * (layers + 1)   # 6 per block
+    assert fused_losses == losses
+    split = split_heads(fused, cfg)
+    assert split.keys() == per_head.keys()
+    assert all(split[n].tobytes() == per_head[n].tobytes() for n in per_head)
+
+
+def test_a_checkpoint_of_fused_weights_is_the_per_head_checkpoint(tmp_path):
+    cfg = ModelConfig(dim=16, heads=4, encoder_layers=2, text_rep="single_vector",
+                      single_vector_t=2)
+    w = init_weights(cfg, Rng(51))
+    save_checkpoint(w, cfg, tmp_path / "per_head.sdvc")
+    save_checkpoint(fuse_heads(w, cfg), cfg, tmp_path / "fused.sdvc")
+    assert (tmp_path / "fused.sdvc").read_bytes() == (tmp_path / "per_head.sdvc").read_bytes()
+    loaded, _ = load_checkpoint(tmp_path / "fused.sdvc")
+    assert list(loaded) == list(tensor_shapes(cfg))
 
 
 def test_a_no_record_forward_keeps_nothing(monkeypatch):

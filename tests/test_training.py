@@ -12,7 +12,7 @@ from sdvsum.autodiff import ShapeError, Tape, bce, mse, sigmoid
 from sdvsum.datasets import SynthSpec, generate_synthetic, load_split
 from sdvsum.errors import ConfigError, LabelError, ManifestError, NumericError
 from sdvsum.metrics import mode_pairs
-from sdvsum.model import ModelConfig, init_weights, load_checkpoint, model_forward
+from sdvsum.model import ModelConfig, fuse_heads, init_weights, load_checkpoint, model_forward
 from sdvsum.rng import Rng
 from sdvsum.training import (
     OptimizerState,
@@ -315,7 +315,8 @@ def test_remainder_group_is_averaged_over_its_actual_size(tiny, tmp_path, monkey
     for _, x, y, target in train_samples(tiny, "generic"):
         tape = Tape()
         grads = tape.backward(mse(model_forward(tape, x, y, weights, MODEL), target))
-        total += np.concatenate([grads[name].reshape(-1) for name in weights])
+        # in the run's layout: training holds the Q/K/V tensors fused
+        total += np.concatenate([a.reshape(-1) for a in fuse_heads(grads, MODEL).values()])
     assert len(seen) == 1
     np.testing.assert_allclose(seen[0], total / 3, rtol=1e-5, atol=1e-8)
 
@@ -428,7 +429,7 @@ def test_stacked_group_gradient_is_the_mean_of_sample_gradients(tiny, tmp_path, 
         tape = Tape()
         f = model_forward(tape, x, y, weights, model, rng_gen=drop, training=True)
         grads = tape.backward(loss_fn(f, target))
-        total += np.concatenate([grads[name].reshape(-1) for name in weights])
+        total += np.concatenate([a.reshape(-1) for a in fuse_heads(grads, model).values()])
     assert len(group) > 1
     np.testing.assert_allclose(seen[0], total / len(group), rtol=1e-5, atol=1e-7)
 
