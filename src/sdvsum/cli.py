@@ -244,7 +244,9 @@ def _cmd_summarize(args) -> int:
     fragments = _fragments_for(args, n)
     budget = max(1, math.floor(args.budget_frac * n))
     chosen = fragment_knapsack(scores, fragments, budget)
-    video_id = args.video if args.video else Path(args.frames).stem
+    # synthetic corpora store frames as videos/<id>/frames.sdve
+    frames = Path(args.frames).absolute()
+    video_id = args.video or (frames.parent.name if frames.name == "frames.sdve" else frames.stem)
     print(json.dumps({
         "video_id": video_id,
         "selected_frames": [int(i) for i in np.nonzero(selection)[0]],

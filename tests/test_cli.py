@@ -441,6 +441,19 @@ def test_summarize_budget_and_shape(workspace, capsys):
     assert tight["selected_fragments"] == []
 
 
+def test_summarize_names_the_video_without_video(workspace, tmp_path, capsys, monkeypatch):
+    # a synthetic videos/<id>/frames.sdve is named by its directory, any other file by its stem
+    root, _ = workspace
+    video = _test_video(root)
+    frames = root / "data" / video["frames"]
+    clip = tmp_path / "clip_7.sdve"
+    clip.write_bytes(frames.read_bytes())
+    monkeypatch.chdir(frames.parent)   # a bare file name is read from the working directory
+    for path, video_id in ((frames, video["id"]), ("frames.sdve", video["id"]), (clip, "clip_7")):
+        code, out, _ = run(capsys, *_summarize(root, frames=path), "--fragments", "fixed:4")
+        assert (code, json.loads(out)["video_id"]) == (0, video_id)
+
+
 def test_summarize_bad_budget_is_usage_error(workspace, capsys):
     root, _ = workspace
     manifest = json.loads((root / "data" / "manifest.json").read_text())
