@@ -192,13 +192,9 @@ class Tape:
 
 
 def _accum(node: Node, g: np.ndarray) -> None:
-    """Add ``g`` into the node's gradient.
-
-    An op node's first gradient is ``g`` itself when the caller made it for
-    this call: a writeable, base-less float32 array that nothing else holds
-    (``add``, which hands one ``g`` to two parents, copies it for one). Any
-    other array, such as a view, is copied.
-    """
+    # An op node keeps its first gradient uncopied when the caller made it for
+    # this call, a writeable, base-less float32 array that nothing else holds
+    # (``add`` hands its g to both parents, so it copies it for one); a view is copied.
     if not node.needs_grad:
         return
     if node.grad is not None:

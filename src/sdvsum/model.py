@@ -7,10 +7,9 @@ by default; ``use_scaling`` divides the logits by sqrt(D) first. All heads
 run as one stacked ``attention`` tape op on Q, K and V projected for every
 head at once. Its output, the heads side by side, is projected by a D x D
 linear, and a fixed sinusoidal positional encoding is added. Every dense
-layer is one ``linear`` tape op. Each block's per-head Q/K/V tensors, the
-names a checkpoint stores, are joined once into fused ``<block>.wq`` ...
-``.bv`` (``fuse_heads``), which training and ``make_score_fn`` run on, and
-split back into per-head views on the way to disk (``split_heads``). After a
+layer is one ``linear`` tape op. Training and ``make_score_fn`` hold each
+block's Q/K/V fused (``fuse_heads``); checkpoints store it per head
+(``split_heads``). After a
 dropout + layer-norm stage the frame representations pass through a small
 Transformer encoder stack and a sigmoid scoring head, giving one importance
 score in (0, 1) per frame.
@@ -285,8 +284,7 @@ def _multi_head(tape: Tape, q_in: Node, kv_in: Node, weights, prefix: str,
                 collect: list[np.ndarray] | None = None,
                 q_offsets=None, k_offsets=None) -> Node:
     """Attention block: one ``linear`` per Q/K/V, over the fused ``<prefix>.w{q,k,v}`` /
-    ``b{q,k,v}`` when the weights hold them (training, ``make_score_fn``), else over
-    the per-head blocks in head order (a checkpoint's weights used as loaded)."""
+    ``b{q,k,v}`` when the weights hold them, else over a checkpoint's per-head blocks."""
     joint = [_dense(tape, x, weights, prefix, kind) if f"{prefix}.w{kind}" in weights else
              linear(x, [_p(tape, weights, f"{prefix}.h{h}.w{kind}") for h in range(heads)],
                     [_p(tape, weights, f"{prefix}.h{h}.b{kind}") for h in range(heads)])
@@ -435,12 +433,9 @@ def _head_names(config: ModelConfig) -> dict[str, list[str]]:
 
 
 def fuse_heads(weights, config: ModelConfig) -> dict[str, np.ndarray]:
-    """``weights`` (or gradients) in the fused layout, the one training holds.
-
-    Every tensor but the per-head Q/K/V ones comes first, in ``tensor_shapes``
-    order, then each block's ``<block>.wq``, ``.bq`` ... ``.bv``: the heads'
-    tensors joined along columns in head order, or the caller's fused array.
-    """
+    """``weights`` (or gradients) in the fused layout that training holds: after the
+    other tensors, each block's ``<block>.wq`` ... ``.bv``, its heads' tensors joined
+    along columns in head order (a fused array is used as given)."""
     fused = _head_names(config)
     per_head = {name for names in fused.values() for name in names}
     out = {name: _weight(weights, name) for name in tensor_shapes(config) if name not in per_head}
@@ -454,9 +449,8 @@ def split_heads(weights, config: ModelConfig) -> dict[str, np.ndarray]:
     """``weights`` with each fused Q/K/V tensor replaced by its heads' column views."""
     hd, fused = config.head_dim, _head_names(config)
     out = {name: a for name, a in weights.items() if name not in fused}
-    for name, names in fused.items():
-        if name in weights:
-            out.update({n: weights[name][:, h * hd:(h + 1) * hd] for h, n in enumerate(names)})
+    out.update({n: weights[name][:, h * hd:(h + 1) * hd] for name, names in fused.items()
+                if name in weights for h, n in enumerate(names)})
     return out
 
 
@@ -489,11 +483,7 @@ def _check_tensors(tensors: dict[str, np.ndarray], config: ModelConfig, where: s
 
 
 def save_checkpoint(weights: dict[str, np.ndarray], config: ModelConfig, path) -> None:
-    """Write per-head or fused weights as an SDVC file of per-head tensors.
-
-    A fused tensor is written as its heads' column views (``split_heads``), so
-    the file holds the same names and bytes in either layout.
-    """
+    """Write per-head or fused weights (split by ``split_heads``) as the same SDVC bytes."""
     weights = split_heads(weights, config)
     _check_tensors(weights, config, f"cannot save {path}")
     ordered = {name: weights[name] for name in tensor_shapes(config)}

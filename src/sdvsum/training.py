@@ -16,13 +16,13 @@ sentences, one loss (the sum of the samples' mean losses) and one backward.
 Consecutive samples share a tape while their frames total at most
 ``STACK_ROWS``; a longer sample runs alone, since stacking saves nothing at
 that length and costs memory. The weights, the group gradient and Adam's
-moments are flat float32 buffers whose views are the named tensors, in the
-fused layout of ``model.fuse_heads``: one Q, K and V tensor per attention
-block, split into per-head tensors only in the checkpoint. Each backward adds the sum of its samples' gradients straight into the gradient
-buffer; a group (the remainder group at epoch end included) ends in one
-divide by its actual size, one Adam step and one zero-fill. L2
-regularization is coupled: ``l2_factor * theta`` is added to the gradient
-before the Adam moments.
+moments are flat float32 buffers whose views are the named tensors, in
+``model.fuse_heads``' layout (one Q, K and V tensor per attention block; the
+checkpoint splits them per head). Each backward adds the sum of its samples'
+gradients straight into the gradient buffer; a group (the remainder group at
+epoch end included) ends in one divide by its actual size, one Adam step and
+one zero-fill. L2 regularization is coupled: ``l2_factor * theta`` is added
+to the gradient before the Adam moments.
 
 The validation split passes ``mode_pairs`` before anything is written.
 A group runs with numpy's floating-point warnings off: a non-finite sample
