@@ -97,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fragments", default=f"fixed:{FIXED_SEGMENT}",
                    help="'from-manifest' (needs --manifest and --video) or 'fixed:<len>'")
     p.add_argument("--manifest", help="manifest providing fragment boundaries")
-    p.add_argument("--video", help="video id for --fragments from-manifest")
+    p.add_argument("--video", help="video id for --fragments from-manifest and the output "
+                   "(default: a frames.sdve file's directory, else the file's stem)")
 
     p = seeded(sub.add_parser("ablate", help="train and compare the five variants"))
     p.add_argument("--manifest", help="dataset manifest JSON")
