@@ -16,7 +16,8 @@ in both modes with ``--overlap``; ``summarize`` with ``fixed:5`` and with
 heads) runs in more than one block of heads. The script lists every file
 that exists on one side only or whose bytes differ, and every command whose
 exit code, standard output or standard error differs once each side's
-directory is masked. It exits 1 if anything differs.
+directory is masked, with a unified diff of each differing stream (its first
+20 lines). It exits 1 if anything differs.
 
 With ``--workload``, pair i (seed ``--seed`` + i - 1) runs
 ``perfbench/run.py --workload W --seed SEED --seconds S --trace 0`` once in
@@ -34,6 +35,7 @@ of this repository. A run that exits non-zero stops the script.
 from __future__ import annotations
 
 import argparse
+import difflib
 import itertools
 import json
 import os
@@ -45,6 +47,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+DIFF_LINES = 20   # most lines of a differing stream's diff that --flow prints
 
 
 def git(*args: str) -> str:
@@ -133,6 +136,15 @@ def run_flow(checkout: Path, dims: list[int]) -> list[dict]:
     return records
 
 
+def stream_diff(parent: str, change: str, label: str) -> list[str]:
+    """The unified diff of one output stream, with no context, cut to ``DIFF_LINES`` lines."""
+    diff = list(difflib.unified_diff(parent.splitlines(), change.splitlines(),
+                                     f"parent {label}", f"change {label}", n=0, lineterm=""))
+    if len(diff) > DIFF_LINES:
+        diff[DIFF_LINES:] = [f"… {len(diff) - DIFF_LINES} more lines"]
+    return diff
+
+
 def compare_flows(tmp: Path, dims: list[int]) -> int:
     """Run the flow on both sides; print what differs; 1 if anything does, else 0."""
     records = {side: run_flow(tmp / side, dims) for side in SIDES}
@@ -146,6 +158,10 @@ def compare_flows(tmp: Path, dims: list[int]) -> int:
         differ += bool(parts)
         print(f"{parent['name']:40s} exit {parent['code']}/{change['code']}  "
               + (f"DIFFERS in {', '.join(parts)}" if parts else "same"))
+        for part in parts:
+            if part != "code":
+                for line in stream_diff(parent[part], change[part], part):
+                    print(f"    {line}")
     trees = {side: {p.relative_to(tmp / side / "flow"): p
                     for p in sorted((tmp / side / "flow").rglob("*")) if p.is_file()}
              for side in SIDES}

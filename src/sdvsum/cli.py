@@ -6,9 +6,9 @@ checkpoint), ``eval`` (protocol evaluation, optional overlap matrix),
 compare the five architecture variants on shared data and seed).
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data or format error,
-3 numeric failure (non-finite loss), 4 out of memory. Every subcommand
-accepts ``--seed``; an explicit flag beats the config file's ``seed`` key,
-which beats 42.
+3 numeric failure (non-finite loss), 4 out of memory. ``synth``, ``train``
+and ``ablate`` accept ``--seed`` (inference draws nothing); an explicit flag
+beats the config file's ``seed`` key, which beats 42.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="run configuration (key = value file)")
     p.add_argument("--out", help="output directory for checkpoints and the report")
 
-    p = seeded(sub.add_parser("eval", help="evaluate a checkpoint"))
+    p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", required=True, choices=["validation", "test"])
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overlap-out", default="overlap.csv",
                    help="where to write the overlap CSV (default overlap.csv)")
 
-    p = seeded(sub.add_parser("summarize", help="summarize one video"))
+    p = sub.add_parser("summarize", help="summarize one video")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--frames", required=True, help="frame embeddings (SDVE)")
     p.add_argument("--script", required=True, help="script sentence embeddings (SDVE)")
@@ -136,6 +136,11 @@ def _training_setup(args) -> tuple[RunConfig, DatasetManifest, Path]:
     _apply_seed(config, args.seed)
     manifest_path = _resolve(args.manifest, config.manifest, "manifest")
     out = Path(_resolve(args.out, config.out, "out"))
+    near = out   # a file on its path is refused before training, not at the first write
+    while not near.exists() and near != near.parent:
+        near = near.parent
+    if near.exists() and not near.is_dir():
+        raise DataFormatError(f"--out {out}: {near} exists and is not a directory")
     manifest = load_manifest(manifest_path)
     if config.was_set("dim"):
         if config.model.dim != manifest.dimension:

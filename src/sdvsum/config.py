@@ -37,7 +37,6 @@ class RunConfig:
     synth: SynthSpec = field(default_factory=SynthSpec)
     manifest: str | None = None
     out: str | None = None
-    seed: int = 42
     explicit: frozenset = frozenset()
 
     def was_set(self, key: str) -> bool:

@@ -67,7 +67,6 @@ __all__ = [
     "parameter_count",
     "init_weights",
     "positional_encoding",
-    "condense_text",
     "cross_modal_attention",
     "scorer_forward",
     "model_forward",
@@ -161,34 +160,31 @@ class ModelConfig:
         return config
 
 
-def _attention_block(prefix: str, q_dim: int, kv_dim: int, heads: int,
-                     head_dim: int, out_dim: int) -> dict[str, tuple[int, int]]:
+def _attention_block(prefix: str, config: ModelConfig) -> dict[str, tuple[int, int]]:
+    d, hd = config.dim, config.head_dim
     shapes = {}
-    for h in range(heads):
-        shapes[f"{prefix}.h{h}.wq"] = (q_dim, head_dim)
-        shapes[f"{prefix}.h{h}.bq"] = (1, head_dim)
-        shapes[f"{prefix}.h{h}.wk"] = (kv_dim, head_dim)
-        shapes[f"{prefix}.h{h}.bk"] = (1, head_dim)
-        shapes[f"{prefix}.h{h}.wv"] = (kv_dim, head_dim)
-        shapes[f"{prefix}.h{h}.bv"] = (1, head_dim)
-    shapes[f"{prefix}.out.w"] = (heads * head_dim, out_dim)
-    shapes[f"{prefix}.out.b"] = (1, out_dim)
+    for h in range(config.heads):
+        for kind in "qkv":
+            shapes[f"{prefix}.h{h}.w{kind}"] = (d, hd)
+            shapes[f"{prefix}.h{h}.b{kind}"] = (1, hd)
+    shapes[f"{prefix}.out.w"] = (d, d)
+    shapes[f"{prefix}.out.b"] = (1, d)
     return shapes
 
 
 def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
     """Fixed, ordered name -> shape map for every trainable tensor."""
     config.validate()
-    d, hd = config.dim, config.head_dim
+    d = config.dim
     shapes: dict[str, tuple[int, int]] = {}
     if config.text_rep == "single_vector":
         shapes["condenser.w"] = (config.single_vector_t * d, d)
         shapes["condenser.b"] = (1, d)
-    shapes.update(_attention_block("attn", d, d, config.heads, hd, d))
+    shapes.update(_attention_block("attn", config))
     shapes["post.ln.gain"] = (1, d)
     shapes["post.ln.bias"] = (1, d)
     for l in range(config.encoder_layers):
-        shapes.update(_attention_block(f"enc{l}.attn", d, d, config.heads, hd, d))
+        shapes.update(_attention_block(f"enc{l}.attn", config))
         shapes[f"enc{l}.ln1.gain"] = (1, d)
         shapes[f"enc{l}.ln1.bias"] = (1, d)
         shapes[f"enc{l}.ffn.w1"] = (d, config.ffn)
@@ -293,22 +289,6 @@ def _multi_head(tape: Tape, q_in: Node, kv_in: Node, weights, prefix: str,
     return _dense(tape, att, weights, f"{prefix}.out")
 
 
-def condense_text(tape: Tape, y: np.ndarray, weights, config: ModelConfig,
-                  offsets=None) -> Node:
-    """Concatenate T uniformly spaced rows of ``y`` (in numpy) and project to 1 x D.
-
-    Row i of the sample is floor(i*M/T): the exact-fit case M=T walks every
-    sentence once, M<T repeats sentences, M>T strides uniformly. With
-    sentence ``offsets`` each stacked script gives its own row.
-    """
-    if config.text_rep != "single_vector":
-        raise ConfigError("condense_text is only defined for text_rep='single_vector'")
-    bounds, t = segment_offsets(offsets, y.shape[0]), config.single_vector_t
-    idx = [lo + (i * (hi - lo)) // t for lo, hi in zip(bounds, bounds[1:]) for i in range(t)]
-    flat = tape.constant(y[idx].reshape(len(bounds) - 1, t * config.dim))
-    return _dense(tape, flat, weights, "condenser")
-
-
 def cross_modal_attention(tape: Tape, x: Node, y_rep: Node, weights,
                           config: ModelConfig, masks=None,
                           collect: list[np.ndarray] | None = None,
@@ -359,12 +339,18 @@ def _text_representation(tape: Tape, y, weights, config: ModelConfig,
                          offsets=None) -> tuple[Node, tuple[int, ...]]:
     """The text rows the frames attend to, and each sample's offsets into them.
 
-    The one place the raw script ``y`` is checked (by ``matrix``).
+    The one place the raw script ``y`` is checked (by ``matrix``). Single-vector
+    text is one row per sample: T uniformly spaced sentences concatenated (in
+    numpy) and projected to 1 x D by the condenser. Row i of a sample of M
+    sentences is floor(i*M/T): the exact-fit case M=T walks every sentence
+    once, M<T repeats sentences, M>T strides uniformly.
     """
     if config.text_rep == "single_vector":
         y = matrix(y)
-        bounds = segment_offsets(offsets, y.shape[0])
-        return condense_text(tape, y, weights, config, bounds), tuple(range(len(bounds)))
+        bounds, t = segment_offsets(offsets, y.shape[0]), config.single_vector_t
+        idx = [lo + (i * (hi - lo)) // t for lo, hi in zip(bounds, bounds[1:]) for i in range(t)]
+        flat = tape.constant(y[idx].reshape(len(bounds) - 1, t * config.dim))
+        return _dense(tape, flat, weights, "condenser"), tuple(range(len(bounds)))
     y = tape.constant(y)
     return y, segment_offsets(offsets, y.shape[0])
 

@@ -82,17 +82,13 @@ class TrainConfig:
     l2_factor: float = 1e-4
     batch_size: int = 4
     epochs: int = 50
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     mode: str = "script_driven"
     seed: int = 42
 
     def validate(self) -> None:
         # adam_step computes in float32: a setting must keep its meaning there
         with np.errstate(over="ignore"):
-            lr, l2, b1, b2, eps = np.array([self.learning_rate, self.l2_factor, self.adam_beta1,
-                                            self.adam_beta2, self.adam_eps], dtype=np.float32)
+            lr, l2 = np.array([self.learning_rate, self.l2_factor], dtype=np.float32)
         if not 0 < lr < np.inf:
             raise ConfigError(f"learning_rate must be positive and finite in float32, "
                               f"got {self.learning_rate}")
@@ -103,12 +99,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not (self.adam_beta1 >= 0 and b1 < 1 and self.adam_beta2 >= 0 and b2 < 1):
-            raise ConfigError(f"adam betas must lie in [0, 1) in float32, "
-                              f"got {self.adam_beta1} and {self.adam_beta2}")
-        if not 0 < eps < np.inf:
-            raise ConfigError(f"adam_eps must be positive and finite in float32, "
-                              f"got {self.adam_eps}")
         if self.mode not in TRAIN_MODES:
             raise ConfigError(f"mode must be one of {TRAIN_MODES}, got {self.mode!r}")
         if not 0 <= self.seed < 2**64:
@@ -130,6 +120,9 @@ def bce_loss(f: Node, labels: np.ndarray, offsets=None,
 
 # ---------------------------------------------------------------------------
 # optimizer
+
+# Adam's usual decay rates and epsilon: the recipe varies only the step size and L2
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -157,12 +150,12 @@ def adam_step(w: np.ndarray, g: np.ndarray, state: OptimizerState,
     """
     state.step += 1
     t = state.step
-    b1, b2 = np.float32(config.adam_beta1), np.float32(config.adam_beta2)
+    b1, b2 = np.float32(ADAM_BETA1), np.float32(ADAM_BETA2)
     lr = np.float32(config.learning_rate)
-    eps = np.float32(config.adam_eps)
+    eps = np.float32(ADAM_EPS)
     l2 = np.float32(config.l2_factor)
-    c1 = np.float32(1.0 - config.adam_beta1 ** t)
-    c2 = np.float32(1.0 - config.adam_beta2 ** t)
+    c1 = np.float32(1.0 - ADAM_BETA1 ** t)
+    c2 = np.float32(1.0 - ADAM_BETA2 ** t)
     for lo in range(0, w.size, ADAM_SLICE):
         hi = min(lo + ADAM_SLICE, w.size)
         ws, gs, m, v = w[lo:hi], g[lo:hi], state.m[lo:hi], state.v[lo:hi]

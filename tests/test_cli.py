@@ -191,8 +191,7 @@ def test_train_overflow_is_one_numeric_failure_line(workspace, tmp_path, capsys)
     assert stdout == "" and not out.exists()
 
 
-@pytest.mark.parametrize("line", ["learning_rate = 1e39", "adam_eps = 1e-50",
-                                  "adam_beta2 = 0.99999999"])
+@pytest.mark.parametrize("line", ["learning_rate = 1e39", "l2_factor = 1e39"])
 def test_train_float32_unsafe_setting_exits_1_before_any_write(workspace, tmp_path, capsys,
                                                               line):
     root, _ = workspace
@@ -204,6 +203,31 @@ def test_train_float32_unsafe_setting_exits_1_before_any_write(workspace, tmp_pa
     assert code == 1
     assert err.startswith("configuration error: ") and "float32" in err
     assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("shape", ["file", "under_file"])
+def test_unusable_out_is_refused_before_training(workspace, tmp_path, capsys, monkeypatch,
+                                                 command, shape):
+    """An --out that is a file, or lies under one, exits 2 before any split
+    is loaded, not after an epoch when the first checkpoint is written."""
+    root, _ = workspace
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("nothing may be loaded or trained")
+
+    monkeypatch.setattr(sdvsum.cli, "train_run", forbidden)
+    monkeypatch.setattr(sdvsum.cli, "load_split", forbidden)
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    out = blocker if shape == "file" else blocker / "sub" / "run"
+    code, stdout, err = run(capsys, command, "--manifest", str(root / "data" / "manifest.json"),
+                            "--config", str(root / "train.cfg"), "--out", str(out))
+    assert code == 2
+    assert err == f"data error: --out {out}: {blocker} exists and is not a directory\n"
+    assert stdout == ""
+    assert sorted(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
 
 def test_train_epoch_lines_are_the_report_lines(workspace, tmp_path, capsys):
@@ -611,6 +635,13 @@ def test_malformed_input_is_data_error(workspace, tmp_path, capsys, case):
     code, _, err = run(capsys, *MALFORMED[case](root, tmp_path))
     assert code == 2
     assert err.startswith("data error: ")
+
+
+@pytest.mark.parametrize("argv", [_eval, _summarize])
+def test_inference_takes_no_seed(workspace, capsys, argv):
+    code, stdout, err = run(capsys, *argv(workspace[0]), "--seed", "1")
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: unrecognized arguments: --seed 1\n")
 
 
 def test_ablate_runs_five_variants(workspace, tmp_path, capsys):

@@ -33,7 +33,7 @@ def test_empty_file_gives_reference_defaults(tmp_path):
     assert cfg.train.l2_factor == 1e-4
     assert cfg.train.batch_size == 4
     assert cfg.train.epochs == 50
-    assert cfg.seed == 42
+    assert cfg.train.seed == 42 and cfg.synth.seed == 42
     assert cfg.manifest is None and cfg.out is None
 
 
@@ -103,10 +103,7 @@ def test_malformed_lines_rejected(tmp_path):
 @pytest.mark.parametrize("line", [
     "learning_rate = 1e39",     # inf in float32
     "l2_factor = 1e39",         # inf in float32
-    "adam_eps = 1e-50",         # 0 in float32
     "learning_rate = 1e-50",    # 0 in float32
-    "adam_beta1 = 0.99999999",  # 1 in float32
-    "adam_beta2 = 0.99999999",  # 1 in float32: 1 - b2 is 0 and v stays 0
 ])
 def test_training_settings_float32_changes_are_rejected(tmp_path, line):
     # adam_step computes in float32; the refusal warns nothing about the cast
@@ -117,9 +114,15 @@ def test_training_settings_float32_changes_are_rejected(tmp_path, line):
 
 
 def test_training_settings_float32_holds_are_accepted(tmp_path):
-    cfg = parse_config(write(tmp_path, "learning_rate = 3e38\nl2_factor = 3e38\n"
-                                       "adam_eps = 1e-45\nadam_beta2 = 0.9999999\n"))
-    assert cfg.train.adam_beta2 == 0.9999999
+    cfg = parse_config(write(tmp_path, "learning_rate = 3e38\nl2_factor = 3e38\n"))
+    assert cfg.train.learning_rate == cfg.train.l2_factor == 3e38
+
+
+def test_adam_constants_are_no_keys(tmp_path):
+    # Adam's betas and epsilon are constants of training.adam_step
+    for key in ("adam_beta1", "adam_beta2", "adam_eps"):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(write(tmp_path, f"{key} = 0.5\n"))
 
 
 def test_missing_file_is_config_error(tmp_path):
@@ -138,7 +141,6 @@ def test_dim_fans_out_to_model_and_synth(tmp_path):
 
 def test_seed_fans_out(tmp_path):
     cfg = parse_config(write(tmp_path, "seed = 9\n"))
-    assert cfg.seed == 9
     assert cfg.train.seed == 9
     assert cfg.synth.seed == 9
 

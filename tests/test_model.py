@@ -15,8 +15,8 @@ from sdvsum.autodiff import ShapeError, Tape, mse
 from sdvsum.errors import ConfigError, TensorNameError, TensorShapeError
 from sdvsum.model import (
     ModelConfig,
+    _text_representation,
     attention_matrices,
-    condense_text,
     cross_modal_attention,
     fuse_heads,
     init_weights,
@@ -206,11 +206,11 @@ def test_positional_encoding_odd_dim_rejected():
 
 
 # ---------------------------------------------------------------------------
-# condense_text sampling rule
+# the single-vector text representation's sampling rule
 
 
 def condense(y, w, cfg):
-    return condense_text(Tape(), y, w, cfg).value
+    return _text_representation(Tape(), y, w, cfg)[0].value
 
 
 def test_condense_exact_fit_and_stride():
@@ -251,20 +251,13 @@ def test_condense_is_bitwise_the_on_tape_gather_and_flatten():
     want += w["condenser.b"]
 
     tape = Tape()
-    out = condense_text(tape, y, w, cfg, bounds)
+    out = _text_representation(tape, y, w, cfg, bounds)[0]
     out.bwd(g)
     assert len(tape.nodes) == 4   # the gathered constant, two parameters, one linear
     assert out.value.tobytes() == want.tobytes()
     _, w_leaf, b_leaf = out.parents
     assert w_leaf.grad.tobytes() == (flat.T @ g).tobytes()
     assert b_leaf.grad.tobytes() == g.sum(axis=0, keepdims=True).tobytes()
-
-
-def test_condense_requires_single_vector_mode():
-    cfg = ModelConfig(dim=8, heads=2)
-    w = init_weights(cfg, Rng(3))
-    with pytest.raises(ConfigError):
-        condense(np.zeros((2, 8), dtype=np.float32), w, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +428,7 @@ def test_inference_is_bitwise_the_recording_tape(dim, heads, text_rep, scorer_he
     assert make_score_fn(w, cfg)(X, Y).tobytes() == recorded
     assert score_frames(X, Y, w, cfg).tobytes() == recorded
 
-    y_rep = condense_text(tape, Y, w, cfg) if text_rep == "single_vector" else tape.constant(Y)
+    y_rep = _text_representation(tape, Y, w, cfg)[0]
     collected = []
     cross_modal_attention(tape, tape.constant(X), y_rep, w, cfg, collect=collected)
     got = attention_matrices(X, Y, w, cfg)
