@@ -22,7 +22,8 @@ directory is masked, with a unified diff of each differing stream (its first
 With ``--workload``, pair i (seed ``--seed`` + i - 1) runs
 ``perfbench/run.py --workload W --seed SEED --seconds S --trace 0`` once in
 each copy. The parent runs first in odd pairs and the change in even ones,
-so a drift in the machine's speed falls on both sides alike.
+so a drift in the machine's speed falls on both sides alike; ``--pairs`` must
+be even, since the side that runs second in a pair tends to read slower.
 
 The script prints every run; then, for each end-to-end metric that
 ``BENCHMARK.json`` declares, each side's median and quartiles, the
@@ -239,6 +240,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.flow == (args.workload is not None):
         ap.error("give either --flow or --workload with --pairs")
+    if args.workload is not None and (args.pairs is None or args.pairs < 2 or args.pairs % 2):
+        ap.error("--pairs must be even and at least 2, so each side runs first equally often")
     revs = {"parent": args.parent, "change": args.change}
     commits = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}")
                for side, rev in revs.items()}
@@ -247,8 +250,6 @@ def main(argv=None) -> int:
             for side in SIDES:
                 export(commits[side], Path(tmp) / side)
             return compare_flows(Path(tmp), args.dims)
-    if args.pairs is None or args.pairs < 1:
-        ap.error("--pairs must be at least 1")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     if args.workload not in {w["name"] for w in benchmark["workloads"]}:
         ap.error(f"unknown workload {args.workload!r}")

@@ -8,7 +8,7 @@ compare the five architecture variants on shared data and seed).
 Exit codes: 0 success, 1 usage/configuration error, 2 data or format error,
 3 numeric failure (non-finite loss), 4 out of memory. ``synth``, ``train``
 and ``ablate`` accept ``--seed`` (inference draws nothing); an explicit flag
-beats the config file's ``seed`` key, which beats 42.
+beats the config file's ``seed`` key, which beats 42. Paths are flags only.
 """
 
 from __future__ import annotations
@@ -27,13 +27,7 @@ from .datasets import SPLITS, DatasetManifest, generate_synthetic, load_manifest
 from .errors import (ConfigError, ConfigMismatchError, DataFormatError, ManifestError,
                      NumericError, UsageError)
 from .metrics import TOP_FRACTION, evaluate_generic, evaluate_script_driven, overlap_matrix
-from .model import (
-    ModelConfig,
-    load_checkpoint,
-    make_score_fn,
-    parameter_count,
-    score_frames,
-)
+from .model import ModelConfig, load_checkpoint, make_score_fn, parameter_count
 from .sdve import atomic_write
 from .selection import (fixed_fragmentation, fragment_knapsack, select_top_fraction,
                         validate_fragments)
@@ -75,9 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset directory")
 
     p = seeded(sub.add_parser("train", help="train a model"))
-    p.add_argument("--manifest", help="dataset manifest JSON")
+    p.add_argument("--manifest", required=True, help="dataset manifest JSON")
     p.add_argument("--config", help="run configuration (key = value file)")
-    p.add_argument("--out", help="output directory for checkpoints and the report")
+    p.add_argument("--out", required=True, help="output directory for checkpoints and the report")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--manifest", required=True)
@@ -101,24 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default: a frames.sdve file's directory, else the file's stem)")
 
     p = seeded(sub.add_parser("ablate", help="train and compare the five variants"))
-    p.add_argument("--manifest", help="dataset manifest JSON")
+    p.add_argument("--manifest", required=True, help="dataset manifest JSON")
     p.add_argument("--config", help="run configuration (key = value file)")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", required=True, help="output directory")
     return parser
-
-
-def _resolve(flag_value, config_value, name: str) -> str:
-    value = flag_value if flag_value is not None else config_value
-    if value is None:
-        raise UsageError(f"--{name} is required (flag or config key {name!r})")
-    return value
-
-
-def _apply_seed(config: RunConfig, seed_flag) -> None:
-    if seed_flag is not None:
-        if not 0 <= seed_flag < 2**64:
-            raise UsageError(f"--seed must be an unsigned 64-bit integer, got {seed_flag}")
-        config.assign("seed", seed_flag)
 
 
 def _check_width(source: str, width: int, checkpoint, model_config: ModelConfig) -> None:
@@ -128,35 +108,23 @@ def _check_width(source: str, width: int, checkpoint, model_config: ModelConfig)
 
 
 def _training_setup(args) -> tuple[RunConfig, DatasetManifest, Path]:
-    """``train``'s and ``ablate``'s config (``--seed`` applied), manifest and output directory.
+    """``train``'s and ``ablate``'s config, manifest and output directory.
 
-    The model dimension follows the manifest unless the config pins it.
+    The config is validated once, with ``--seed`` applied and the model as
+    wide as the manifest's embeddings.
     """
-    config = parse_config(args.config)
-    _apply_seed(config, args.seed)
-    manifest_path = _resolve(args.manifest, config.manifest, "manifest")
-    out = Path(_resolve(args.out, config.out, "out"))
+    out = Path(args.out)
     near = out   # a file on its path is refused before training, not at the first write
     while not near.exists() and near != near.parent:
         near = near.parent
     if near.exists() and not near.is_dir():
         raise DataFormatError(f"--out {out}: {near} exists and is not a directory")
-    manifest = load_manifest(manifest_path)
-    if config.was_set("dim"):
-        if config.model.dim != manifest.dimension:
-            raise ConfigError(
-                f"config sets dim={config.model.dim} but the manifest declares "
-                f"dimension {manifest.dimension}"
-            )
-    else:
-        config.model.dim = manifest.dimension
-        config.model.validate()
-    return config, manifest, out
+    manifest = load_manifest(args.manifest)
+    return parse_config(args.config, args.seed, manifest.dimension), manifest, out
 
 
 def _cmd_synth(args) -> int:
-    config = parse_config(args.spec)
-    _apply_seed(config, args.seed)
+    config = parse_config(args.spec, args.seed)
     out = Path(args.out)
     generate_synthetic(config.synth, out)
     print(out / "manifest.json")
@@ -244,7 +212,7 @@ def _cmd_summarize(args) -> int:
     y = read_embeddings(args.script)
     _check_width(f"--frames {args.frames}", x.shape[1], args.checkpoint, model_config)
     _check_width(f"--script {args.script}", y.shape[1], args.checkpoint, model_config)
-    scores = score_frames(x, y, weights, model_config)
+    scores = make_score_fn(weights, model_config)(x, y)
     n = scores.shape[0]
     selection = select_top_fraction(scores, args.budget_frac)
     fragments = _fragments_for(args, n)

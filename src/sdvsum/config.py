@@ -1,19 +1,20 @@
 """Flat ``key = value`` run configuration covering model, training and
-synthesis settings plus optional paths.
+synthesis settings.
 
 One namespace, one file format, no nesting: every key has a documented
 default, unknown keys are rejected, and ``#`` starts a comment. Defaults
 follow the reference implementation details (dim 512, heads 8, lr 5e-5,
-dropout 0.5, L2 1e-4, batch 4, 50 epochs).
+dropout 0.5, L2 1e-4, batch 4, 50 epochs). Paths are CLI flags, not keys.
 
 The keys are the config dataclasses' own fields: every bool, int, float or
-str field of ``RunConfig``, ``ModelConfig``, ``TrainConfig`` and ``SynthSpec``
-is a key of the same name and type (``int | None`` reads as ``int``), so a
-field added to one of them is a key with no other edit. A key sets every
-field of that name, which is how two keys fan out: ``dim`` sets both the
-model and the synthetic-corpus embedding dimension (when absent each keeps
-its own default: 512 for the model, 64 for synthesis); ``seed`` seeds both
-training and synthesis and can be overridden by the CLI ``--seed`` flag.
+str field of ``ModelConfig``, ``TrainConfig`` and ``SynthSpec`` is a key of
+the same name and type (``int | None`` reads as ``int``), so a field added
+to one of them is a key with no other edit. A key sets every field of that
+name, which is how two keys fan out: ``dim`` sets both the model and the
+synthetic-corpus embedding dimension (when absent each keeps its own
+default: 512 for the model, 64 for synthesis); ``seed`` seeds both training
+and synthesis. ``parse_config`` takes the CLI's ``--seed`` and a manifest's
+dimension as arguments, so each value is checked once, at its final setting.
 """
 
 from __future__ import annotations
@@ -35,21 +36,15 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     synth: SynthSpec = field(default_factory=SynthSpec)
-    manifest: str | None = None
-    out: str | None = None
-    explicit: frozenset = frozenset()
-
-    def was_set(self, key: str) -> bool:
-        return key in self.explicit
 
     def assign(self, key: str, value) -> None:
-        """Set ``key`` on this config and on every section with a field of that name."""
-        for section in (self, self.model, self.train, self.synth):
+        """Set ``key`` on every section with a field of that name."""
+        for section in (self.model, self.train, self.synth):
             if key in {f.name for f in fields(section)}:
                 setattr(section, key, value)
 
 
-_KEY_TYPES = {key: kind for cls in (RunConfig, ModelConfig, TrainConfig, SynthSpec)
+_KEY_TYPES = {key: kind for cls in (ModelConfig, TrainConfig, SynthSpec)
               for key, kind in scalar_fields(cls).items()}
 KNOWN_KEYS = frozenset(_KEY_TYPES)
 
@@ -75,8 +70,13 @@ def _convert(key: str, value: str, kind, origin: str, lineno: int):
     return number
 
 
-def parse_config(path=None) -> RunConfig:
-    """Parse a config file; ``None`` gives the all-defaults configuration."""
+def parse_config(path=None, seed: int | None = None, dim: int | None = None) -> RunConfig:
+    """Parse a config file (``None``: all defaults), then validate it once.
+
+    ``seed`` (the ``--seed`` flag) beats the file's ``seed``, which beats 42.
+    ``dim`` (a manifest's dimension) sets the model's width, which the file
+    may only repeat; the synthetic corpus keeps its own ``dim``.
+    """
     values: dict[str, object] = {}
     if path is not None:
         origin = str(path)
@@ -98,9 +98,16 @@ def parse_config(path=None) -> RunConfig:
                 raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
             values[key] = _convert(key, value, _KEY_TYPES[key], origin, lineno)
 
-    config = RunConfig(explicit=frozenset(values))
+    if seed is not None:
+        values["seed"] = seed
+    config = RunConfig()
     for key, value in values.items():
         config.assign(key, value)
+    if dim is not None:
+        if values.get("dim", dim) != dim:
+            raise ConfigError(f"config sets dim={values['dim']} but the manifest "
+                              f"declares dimension {dim}")
+        config.model.dim = dim
     config.model.validate()
     config.train.validate()
     config.synth.validate()

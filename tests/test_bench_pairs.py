@@ -104,3 +104,20 @@ def test_compare_flows_of_identical_sides_is_0(bench_pairs, tmp_path, monkeypatc
     assert out == [f"{'dim 16: synth':40s} exit 0/0  same",
                    f"{'dim 16: eval':40s} exit 0/0  same",
                    "flow at dims 16: 2 commands, 0 differ; 1 files, 0 differ"]
+
+
+@pytest.mark.parametrize("pairs", [None, "0", "1", "3"])
+def test_workload_refuses_an_odd_pair_count(bench_pairs, tmp_path, monkeypatch, capsys, pairs):
+    # with an odd count the parent would run first in one more pair than the change
+    def forbidden(*args):
+        raise AssertionError("nothing may be exported or run")
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", forbidden)
+    monkeypatch.setattr(bench_pairs, "export", forbidden)
+    argv = ["A", "B", "--workload", "ref64"] + (["--pairs", pairs] if pairs else [])
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(argv)
+    assert exit_.value.code == 2
+    assert "--pairs must be even" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

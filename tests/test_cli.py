@@ -145,6 +145,58 @@ def test_train_dim_conflict_is_config_error(workspace, tmp_path, capsys):
     assert "dim" in err
 
 
+def test_train_heads_divide_the_manifest_dimension(tmp_path, capsys):
+    # the model is validated at the data's width (48), not the default 512
+    (tmp_path / "s.cfg").write_text(SPEC_TEXT.replace("dim = 16", "dim = 48"), encoding="utf-8")
+    (tmp_path / "t.cfg").write_text("heads = 6\nepochs = 1\n", encoding="utf-8")
+    assert main(["synth", "--spec", str(tmp_path / "s.cfg"), "--out", str(tmp_path / "data")]) == 0
+    code, _, err = run(capsys, "train", "--manifest", str(tmp_path / "data" / "manifest.json"),
+                       "--config", str(tmp_path / "t.cfg"), "--out", str(tmp_path / "r"))
+    assert (code, err) == (0, "")
+    _, config = load_checkpoint(tmp_path / "r" / "epoch_001.sdvc")
+    assert (config.dim, config.heads) == (48, 6)
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_config_dim_other_than_the_manifest_writes_nothing(workspace, tmp_path, capsys, command):
+    root, _ = workspace
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TRAIN_TEXT + "dim = 32\n", encoding="utf-8")
+    out = tmp_path / "r"
+    code, stdout, err = run(capsys, command, "--manifest", str(root / "data" / "manifest.json"),
+                            "--config", str(cfg), "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err == ("configuration error: config sets dim=32 but the manifest declares "
+                   "dimension 16\n")
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_seed_out_of_range_is_one_config_error(workspace, tmp_path, capsys, command, seed):
+    root, _ = workspace
+    out = tmp_path / "r"
+    source = (["--spec", str(root / "synth.cfg")] if command == "synth"
+              else ["--manifest", str(root / "data" / "manifest.json")])
+    code, stdout, err = run(capsys, command, *source, "--out", str(out), "--seed", seed)
+    assert code == 1 and stdout == ""
+    assert err == f"configuration error: seed must be an unsigned 64-bit integer, got {seed}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("missing", ["--manifest", "--out"])
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_paths_are_required_flags(workspace, tmp_path, capsys, command, missing):
+    root, _ = workspace
+    flags = {"--manifest": str(root / "data" / "manifest.json"), "--out": str(tmp_path / "r")}
+    del flags[missing]
+    code, stdout, err = run(capsys, command, *[x for item in flags.items() for x in item])
+    assert code == 1 and stdout == ""
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and missing in errors[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_non_finite_weights_exit_3_before_any_write(workspace, tmp_path, capsys,
                                                           monkeypatch):
     """An Adam step that leaves a non-finite weight, forced here since the

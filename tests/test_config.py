@@ -34,7 +34,6 @@ def test_empty_file_gives_reference_defaults(tmp_path):
     assert cfg.train.batch_size == 4
     assert cfg.train.epochs == 50
     assert cfg.train.seed == 42 and cfg.synth.seed == 42
-    assert cfg.manifest is None and cfg.out is None
 
 
 def test_none_path_same_as_empty(tmp_path):
@@ -50,14 +49,11 @@ learning_rate = 1e-3   # bigger steps
 batch_size = 8
 use_scaling = true
 text_rep = single_vector
-manifest = data/manifest.json
 """))
     assert cfg.train.learning_rate == 1e-3
     assert cfg.train.batch_size == 8
     assert cfg.model.use_scaling is True
     assert cfg.model.text_rep == "single_vector"
-    assert cfg.manifest == "data/manifest.json"
-    assert cfg.was_set("batch_size") and not cfg.was_set("epochs")
 
 
 def test_divisibility_checked_after_assembly(tmp_path):
@@ -145,15 +141,39 @@ def test_seed_fans_out(tmp_path):
     assert cfg.synth.seed == 9
 
 
+def test_paths_are_no_keys(tmp_path):
+    # the manifest and output paths are the --manifest and --out flags
+    for key in ("manifest", "out"):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(write(tmp_path, f"{key} = data\n"))
+
+
+def test_seed_argument_beats_the_file(tmp_path):
+    cfg = parse_config(write(tmp_path, "seed = 5\n"), seed=7)
+    assert cfg.train.seed == 7 and cfg.synth.seed == 7
+    assert parse_config(write(tmp_path, "seed = 5\n")).train.seed == 5
+
+
+def test_dim_argument_sets_only_the_model(tmp_path):
+    cfg = parse_config(write(tmp_path, "heads = 6\n"), dim=48)
+    assert (cfg.model.dim, cfg.model.heads) == (48, 6)
+    assert cfg.synth.dim == 64
+    # a file may repeat the data's width but not contradict it
+    assert parse_config(write(tmp_path, "dim = 48\n"), dim=48).model.dim == 48
+    with pytest.raises(ConfigError, match="config sets dim=32 but the manifest declares "
+                                          "dimension 48"):
+        parse_config(write(tmp_path, "dim = 32\n"), dim=48)
+
+
 def test_known_keys_cover_all_tables():
-    for key in ("heads", "learning_rate", "topics", "dim", "seed", "manifest"):
+    for key in ("heads", "learning_rate", "topics", "dim", "seed"):
         assert key in KNOWN_KEYS
     assert "dropout" not in KNOWN_KEYS  # the full name dropout_rate is the key
 
 
 def test_keys_are_the_section_fields():
     sections = {f.name for cls in (ModelConfig, TrainConfig, SynthSpec) for f in fields(cls)}
-    assert KNOWN_KEYS == sections | {"manifest", "out"}
+    assert KNOWN_KEYS == sections
     assert "checkpoint" not in KNOWN_KEYS
 
 
