@@ -100,12 +100,10 @@ def cli_flow(work: Path, dim: int, run) -> None:
                              "--checkpoint", checkpoints[trained, "multi_vector"],
                              "--mode", mode, "--overlap", work / "ids.txt",
                              "--overlap-out", work / f"overlap-{mode}.csv"])
-    video = test[0]
     one = ["summarize", "--checkpoint", checkpoints["script_driven", "multi_vector"],
-           "--frames", data / video["frames"], "--script", data / video["summaries"][0]["script"]]
+           "--manifest", manifest, "--video", test[0]["id"], "--summary", "0"]
     run("summarize fixed:5", [*one, "--fragments", "fixed:5"])
-    run("summarize from-manifest", [*one, "--fragments", "from-manifest",
-                                    "--manifest", manifest, "--video", video["id"]])
+    run("summarize from-manifest", [*one, "--fragments", "from-manifest"])
     (work / "ablate.cfg").write_text("epochs = 2\nlearning_rate = 1e-3\n")
     run("ablate", ["ablate", "--manifest", manifest, "--config", work / "ablate.cfg",
                    "--out", work / "ablate"])

@@ -23,14 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, parse_config
-from .datasets import SPLITS, DatasetManifest, generate_synthetic, load_manifest, load_split
-from .errors import (ConfigError, ConfigMismatchError, DataFormatError, ManifestError,
-                     NumericError, UsageError)
+from .datasets import (SPLITS, DatasetManifest, LoadedVideo, VideoEntry, generate_synthetic,
+                       load_manifest, load_split, load_video)
+from .errors import ConfigError, ConfigMismatchError, DataFormatError, NumericError, UsageError
 from .metrics import TOP_FRACTION, evaluate_generic, evaluate_script_driven, overlap_matrix
 from .model import ModelConfig, load_checkpoint, make_score_fn, parameter_count
-from .sdve import atomic_write
-from .selection import (fixed_fragmentation, fragment_knapsack, select_top_fraction,
-                        validate_fragments)
+from .sdve import atomic_write, read_embeddings
+from .selection import fixed_fragmentation, fragment_knapsack, select_top_fraction
 from .training import train_run
 
 __all__ = ["main", "build_parser", "ABLATION_VARIANTS"]
@@ -85,14 +84,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("summarize", help="summarize one video")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--frames", required=True, help="frame embeddings (SDVE)")
-    p.add_argument("--script", required=True, help="script sentence embeddings (SDVE)")
+    p.add_argument("--frames", help="frame embeddings (SDVE); or give --manifest and --video")
+    p.add_argument("--script", help="script sentence embeddings (SDVE); or give --summary")
+    p.add_argument("--manifest", help="dataset manifest that holds --video")
+    p.add_argument("--video", help="video id in --manifest: its frames, its fragments for "
+                   "--fragments from-manifest, and the output's name (default: the "
+                   "--frames file's stem)")
+    p.add_argument("--summary", type=int, metavar="J",
+                   help="script: the J-th reference summary's script of --video")
     p.add_argument("--budget-frac", type=float, default=TOP_FRACTION)
     p.add_argument("--fragments", default=f"fixed:{FIXED_SEGMENT}",
                    help="'from-manifest' (needs --manifest and --video) or 'fixed:<len>'")
-    p.add_argument("--manifest", help="manifest providing fragment boundaries")
-    p.add_argument("--video", help="video id for --fragments from-manifest and the output "
-                   "(default: a frames.sdve file's directory, else the file's stem)")
 
     p = seeded(sub.add_parser("ablate", help="train and compare the five variants"))
     p.add_argument("--manifest", required=True, help="dataset manifest JSON")
@@ -124,9 +126,9 @@ def _training_setup(args) -> tuple[RunConfig, DatasetManifest, Path]:
 
 
 def _cmd_synth(args) -> int:
-    config = parse_config(args.spec, args.seed)
+    spec = parse_config(args.spec, args.seed, sections=("synth",)).synth   # builds no model
     out = Path(args.out)
-    generate_synthetic(config.synth, out)
+    generate_synthetic(spec, out)
     print(out / "manifest.json")
     return 0
 
@@ -174,23 +176,10 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _fragments_for(args, n_frames: int) -> list[tuple[int, int]]:
-    spec = args.fragments
+def _fragments_for(spec: str, entry: VideoEntry | None, n_frames: int) -> list[tuple[int, int]]:
+    """``summarize``'s fragments; a manifest video's were checked when it was loaded."""
     if spec == "from-manifest":
-        if not args.manifest or not args.video:
-            raise UsageError("--fragments from-manifest needs --manifest and --video")
-        manifest = load_manifest(args.manifest)
-        entries = [v for v in manifest.videos if v.id == args.video]
-        if not entries:
-            raise UsageError(f"video {args.video!r} is not in the manifest")
-        fragments = entries[0].fragments
-        if not fragments:
-            return fixed_fragmentation(n_frames, FIXED_SEGMENT)
-        try:
-            validate_fragments(fragments, n_frames)
-        except ValueError as e:
-            raise ManifestError(f"video {args.video!r}: {e}") from e
-        return fragments
+        return entry.fragments or fixed_fragmentation(n_frames, FIXED_SEGMENT)
     if spec.startswith("fixed:"):
         try:
             seg = int(spec.split(":", 1)[1])
@@ -202,27 +191,53 @@ def _fragments_for(args, n_frames: int) -> list[tuple[int, int]]:
     raise UsageError(f"bad --fragments value {spec!r}")
 
 
-def _cmd_summarize(args) -> int:
-    from .sdve import read_embeddings
+def _manifest_video(args, checkpoint_config: ModelConfig) -> tuple[VideoEntry, LoadedVideo]:
+    """``--video``'s manifest entry and its loaded frames, scripts and labels."""
+    manifest = load_manifest(args.manifest)
+    _check_width(f"manifest {args.manifest}", manifest.dimension, args.checkpoint,
+                 checkpoint_config)
+    entries = [v for v in manifest.videos if v.id == args.video]
+    if not entries:
+        raise UsageError(f"video {args.video!r} is not in the manifest")
+    return entries[0], load_video(manifest, entries[0])
 
+
+def _cmd_summarize(args) -> int:
     if not 0.0 < args.budget_frac <= 1.0:
         raise UsageError(f"--budget-frac must be in (0, 1], got {args.budget_frac}")
+    # each input has exactly one source: a file, or the manifest's video
+    if (args.manifest is None) != (args.video is None):
+        raise UsageError("--manifest and --video go together")
+    if (args.frames is None) == (args.video is None):
+        raise UsageError("give the frames once: --frames, or --manifest with --video")
+    if (args.script is None) == (args.summary is None):
+        raise UsageError("give the script once: --script, or --summary")
+    if args.video is None and (args.summary is not None or args.fragments == "from-manifest"):
+        raise UsageError("--summary and --fragments from-manifest need --manifest and --video")
     weights, model_config = load_checkpoint(args.checkpoint)
-    x = read_embeddings(args.frames)
-    y = read_embeddings(args.script)
-    _check_width(f"--frames {args.frames}", x.shape[1], args.checkpoint, model_config)
-    _check_width(f"--script {args.script}", y.shape[1], args.checkpoint, model_config)
+    entry = None
+    if args.video is None:
+        x = read_embeddings(args.frames)
+        _check_width(f"--frames {args.frames}", x.shape[1], args.checkpoint, model_config)
+    else:
+        entry, video = _manifest_video(args, model_config)
+        x = video.frames
+    if args.summary is None:
+        y = read_embeddings(args.script)
+        _check_width(f"--script {args.script}", y.shape[1], args.checkpoint, model_config)
+    elif 0 <= args.summary < len(video.summaries):
+        y = video.summaries[args.summary].script
+    else:
+        raise UsageError(f"--summary {args.summary}: video {args.video!r} has "
+                         f"{len(video.summaries)} summaries")
     scores = make_score_fn(weights, model_config)(x, y)
     n = scores.shape[0]
     selection = select_top_fraction(scores, args.budget_frac)
-    fragments = _fragments_for(args, n)
+    fragments = _fragments_for(args.fragments, entry, n)
     budget = max(1, math.floor(args.budget_frac * n))
     chosen = fragment_knapsack(scores, fragments, budget)
-    # synthetic corpora store frames as videos/<id>/frames.sdve
-    frames = Path(args.frames).absolute()
-    video_id = args.video or (frames.parent.name if frames.name == "frames.sdve" else frames.stem)
     print(json.dumps({
-        "video_id": video_id,
+        "video_id": args.video or Path(args.frames).stem,
         "selected_frames": [int(i) for i in np.nonzero(selection)[0]],
         "selected_fragments": [[int(fragments[i][0]), int(fragments[i][1])] for i in chosen],
     }, indent=1))

@@ -1,15 +1,18 @@
 """Dataset manifest, cached video loading, and the synthetic topic-planted corpus.
 
-A dataset on disk is a JSON manifest plus SDVE files. The manifest declares
-the embedding dimension and, per video, the split, the frame-embedding file,
-the (labels, script) file pair for every reference summary, an optional
-full-video description embedding, and optional fragment boundaries. All paths
-are relative to the manifest file. Parsing the manifest checks its JSON
-only; each data file is checked as it is read, once, when its video is
-loaded: it must exist, parse as SDVE and have the declared width, labels must
-have one row per frame, and fragments must tile the frames. Loading turns
-manifest entries into in-memory videos, through a cache that training epochs
-and evaluations share.
+A dataset on disk is a JSON manifest plus one SDVC file per video. The
+manifest declares the embedding dimension and, per video, its split, its
+file (relative to the manifest) and optional fragment boundaries. A video's
+file has the blob ``{"video": "<id>"}`` and the tensors ``frames`` (N x D),
+an optional full-video ``description`` (rows x D), and one ``labels_JJ``
+(N x 1) and ``script_JJ`` (M x D) pair per reference summary, for J = 00,
+01, ..., contiguous, at least one pair. Parsing the manifest checks its JSON
+only; each file is checked as it is read, once, when its video is loaded: it
+must exist and parse as SDVC, name its video, hold exactly those tensors at
+the declared width, labels must be binary with one row per frame and a
+positive frame, and fragments must tile the frames. Loading turns manifest
+entries into in-memory videos, through a cache that training epochs and
+evaluations share.
 
 The synthetic generator plants ``K`` unit topic vectors and builds videos
 whose frames are noisy copies of their topic. Each reference summary picks a
@@ -31,13 +34,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, LabelError, ManifestError
-from .rng import Rng
-from .sdve import atomic_write, read_embeddings, write_embeddings
+from .rng import Rng, check_seed
+# read_embeddings is not called here, but perfbench/tracing.py wraps it by this name
+from .sdve import atomic_write, read_container, read_embeddings, write_container  # noqa: F401
 from .selection import validate_fragments
 
 __all__ = [
     "SPLITS",
-    "SummaryFiles",
     "VideoEntry",
     "DatasetManifest",
     "load_manifest",
@@ -54,18 +57,10 @@ SPLITS = ("train", "validation", "test")
 
 
 @dataclass
-class SummaryFiles:
-    labels: str
-    script: str
-
-
-@dataclass
 class VideoEntry:
     id: str
     split: str
-    frames: str
-    summaries: list[SummaryFiles]
-    description: str | None = None
+    file: str
     fragments: list[tuple[int, int]] | None = None
 
 
@@ -107,25 +102,10 @@ def _parse_entry(raw, where) -> VideoEntry:
     split = raw.get("split")
     if split not in SPLITS:
         raise ManifestError(f"video {vid!r}: invalid split {split!r}, expected one of {SPLITS}")
-    summaries = raw.get("summaries") or []
-    if not summaries:
-        raise ManifestError(f"video {vid!r}: needs at least one summary entry")
-    files = []
-    for j, s in enumerate(_typed(summaries, list, f"video {vid!r}: summaries")):
-        s = _typed(s, dict, f"video {vid!r}: summary {j}")
-        files.append(SummaryFiles(
-            labels=_typed(s.get("labels"), str, f"video {vid!r}: labels[{j}]"),
-            script=_typed(s.get("script"), str, f"video {vid!r}: script[{j}]"),
-        ))
-    description = raw.get("description")
-    if description is not None:
-        _typed(description, str, f"video {vid!r}: description")
     return VideoEntry(
         id=vid,
         split=split,
-        frames=_typed(raw.get("frames"), str, f"video {vid!r}: frames"),
-        summaries=files,
-        description=description,
+        file=_typed(raw.get("file"), str, f"video {vid!r}: file"),
         fragments=_fragment_pairs(raw["fragments"], vid) if raw.get("fragments") else None,
     )
 
@@ -164,9 +144,7 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
             {
                 "id": v.id,
                 "split": v.split,
-                "frames": v.frames,
-                "summaries": [{"labels": s.labels, "script": s.script} for s in v.summaries],
-                **({"description": v.description} if v.description else {}),
+                "file": v.file,
                 **({"fragments": [list(f) for f in v.fragments]} if v.fragments else {}),
             }
             for v in manifest.videos
@@ -194,48 +172,65 @@ class LoadedVideo:
     description: np.ndarray | None = None   # (1, D) or more rows
 
 
-def _read(manifest: DatasetManifest, rel: str, vid: str, what: str, cols: int) -> np.ndarray:
-    """The SDVE file ``rel`` of video ``vid``, which must have ``cols`` columns."""
+def _pair_names(j: int) -> tuple[str, str]:
+    return f"labels_{j:02d}", f"script_{j:02d}"
+
+
+def _read_video_file(manifest: DatasetManifest,
+                     entry: VideoEntry) -> tuple[dict[str, np.ndarray], int]:
+    """The tensors of ``entry``'s file, whose blob must name the video, and its
+    number of summaries."""
+    vid, rel = entry.id, entry.file
     try:
-        m = read_embeddings(manifest.resolve(rel))
+        blob, tensors = read_container(manifest.resolve(rel))
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
-        raise ManifestError(f"video {vid!r}: missing {what} file {rel!r}") from None
-    except (OSError, ValueError) as e:   # a name too long or holding NUL, or not SDVE
-        raise ManifestError(f"video {vid!r}: unreadable {what} file {rel!r}: {e}") from e
+        raise ManifestError(f"video {vid!r}: missing file {rel!r}") from None
+    except (OSError, ValueError) as e:   # a name too long or holding NUL, or not SDVC
+        raise ManifestError(f"video {vid!r}: unreadable file {rel!r}: {e}") from e
+    if blob != {"video": vid}:
+        raise ManifestError(f"video {vid!r}: file {rel!r} has blob "
+                            f"{json.dumps(blob, sort_keys=True)[:80]}, expected "
+                            f"{json.dumps({'video': vid})}")
+    # frames and pairs from 00 up: an odd tensor out shows as its missing partner
+    pairs = max(1, (len(tensors) - ("description" in tensors)) // 2)
+    expected = {"frames", *(["description"] if "description" in tensors else []),
+                *(name for j in range(pairs) for name in _pair_names(j))}
+    missing, unexpected = sorted(expected - set(tensors)), sorted(set(tensors) - expected)
+    if missing or unexpected:
+        raise ManifestError(f"video {vid!r}: file {rel!r} needs tensors frames, an optional "
+                            f"description and labels_JJ/script_JJ pairs from 00 on; "
+                            f"missing {missing}, unexpected {unexpected}")
+    return tensors, pairs
+
+
+def _checked(tensors, name: str, vid: str, cols: int, rows: int | None = None) -> np.ndarray:
+    """Tensor ``name`` of video ``vid``, which must be ``rows`` x ``cols``."""
+    m = tensors[name]
     if m.shape[1] != cols:
-        raise ManifestError(
-            f"video {vid!r}: {what} file {rel!r} has {m.shape[1]} columns, expected {cols}"
-        )
+        raise ManifestError(f"video {vid!r}: {name} has {m.shape[1]} columns, expected {cols}")
+    if rows is not None and m.shape[0] != rows:
+        raise ManifestError(f"video {vid!r}: {name} has {m.shape[0]} rows, expected {rows}")
     return m
 
 
-def _load_labels(manifest: DatasetManifest, rel: str, vid: str, j: int,
-                 n_frames: int) -> np.ndarray:
-    raw = _read(manifest, rel, vid, f"labels[{j}]", 1)
-    if raw.shape[0] != n_frames:
-        raise ManifestError(
-            f"video {vid!r}: labels[{j}] has {raw.shape[0]} rows, expected {n_frames}"
-        )
-    flat = raw[:, 0]
-    if not np.all((flat == 0.0) | (flat == 1.0)):
-        raise LabelError(f"video {vid!r}: labels file {rel!r} contains non-binary values")
-    if flat.sum() < 1:
-        raise LabelError(f"video {vid!r}: labels file {rel!r} marks no positive frame")
-    return flat
-
-
 def load_video(manifest: DatasetManifest, entry: VideoEntry) -> LoadedVideo:
-    """Read each of a video's files once, checked as read (see the module docstring)."""
+    """Read a video's one file, checked as read (see the module docstring)."""
     vid, dim = entry.id, manifest.dimension
-    frames = _read(manifest, entry.frames, vid, "frame", dim)
+    tensors, pairs = _read_video_file(manifest, entry)
+    frames = _checked(tensors, "frames", vid, dim)
     n_frames = frames.shape[0]
-    summaries = [
-        LoadedSummary(labels=_load_labels(manifest, s.labels, vid, j, n_frames),
-                      script=_read(manifest, s.script, vid, f"script[{j}]", dim))
-        for j, s in enumerate(entry.summaries)
-    ]
-    description = (None if entry.description is None
-                   else _read(manifest, entry.description, vid, "description", dim))
+    summaries = []
+    for j in range(pairs):
+        labels_name, script_name = _pair_names(j)
+        labels = _checked(tensors, labels_name, vid, 1, n_frames)[:, 0]
+        if not np.all((labels == 0.0) | (labels == 1.0)):
+            raise LabelError(f"video {vid!r}: {labels_name} holds non-binary values")
+        if labels.sum() < 1:
+            raise LabelError(f"video {vid!r}: {labels_name} marks no positive frame")
+        summaries.append(LoadedSummary(labels=labels,
+                                       script=_checked(tensors, script_name, vid, dim)))
+    description = (_checked(tensors, "description", vid, dim)
+                   if "description" in tensors else None)
     if entry.fragments is not None:
         try:
             validate_fragments(entry.fragments, n_frames)
@@ -313,6 +308,7 @@ class SynthSpec:
                 f"frames_min={self.frames_min} is too short for positive_fraction="
                 f"{self.positive_fraction}; need frames_min >= 1/positive_fraction"
             )
+        check_seed(self.seed)
 
 
 def _unit_rows(m: np.ndarray) -> np.ndarray:
@@ -390,7 +386,7 @@ def generate_synthetic(spec: SynthSpec, out_dir) -> DatasetManifest:
     """
     spec.validate()
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "videos").mkdir(parents=True, exist_ok=True)
     root = Rng(spec.seed)
     d = spec.dim
     p = spec.positive_fraction
@@ -420,20 +416,15 @@ def generate_synthetic(spec: SynthSpec, out_dir) -> DatasetManifest:
                 fragments.append((cursor, end))
                 cursor = end
 
-            vdir = out_dir / "videos" / vid
-            vdir.mkdir(parents=True, exist_ok=True)
             frames = _noisy_copy(topic_vecs[topic_of_frame], spec.noise, d, g)
-            write_embeddings(frames, vdir / "frames.sdve")
-
             present = sorted(set(int(t) for t in slots))
-            desc = _noisy_copy(topic_vecs[present].mean(axis=0, keepdims=True),
-                               spec.noise, d, g)
-            write_embeddings(desc, vdir / "description.sdve")
+            tensors = {"frames": frames,
+                       "description": _noisy_copy(topic_vecs[present].mean(axis=0, keepdims=True),
+                                                  spec.noise, d, g)}
 
             lo = max(1, math.ceil(n * p / 2))
             hi = max(lo, math.floor(n * min(2 * p, 0.9)))
             subsets = _subset_totals(counts, max(1, spec.topics // 2))
-            summaries = []
             for j in range(spec.summaries_per_video):
                 target = int(np.clip(round(n * p * g.uniform(0.85, 1.15)), lo, hi))
                 script_set = _script_topics(slots, counts, subsets, target, lo, hi, g)
@@ -441,18 +432,13 @@ def generate_synthetic(spec: SynthSpec, out_dir) -> DatasetManifest:
 
                 m = int(g.integers(spec.sentences_min, spec.sentences_max + 1))
                 topic_seq = [script_set[i % len(script_set)] for i in range(m)]
-                sentences = _noisy_copy(topic_vecs[topic_seq], spec.noise, d, g)
+                labels_name, script_name = _pair_names(j)
+                tensors[labels_name] = labels.reshape(-1, 1)
+                tensors[script_name] = _noisy_copy(topic_vecs[topic_seq], spec.noise, d, g)
 
-                write_embeddings(labels.reshape(-1, 1), vdir / f"labels_{j:02d}.sdve")
-                write_embeddings(sentences, vdir / f"script_{j:02d}.sdve")
-                summaries.append(SummaryFiles(labels=f"videos/{vid}/labels_{j:02d}.sdve",
-                                              script=f"videos/{vid}/script_{j:02d}.sdve"))
-
-            videos.append(VideoEntry(
-                id=vid, split=split, frames=f"videos/{vid}/frames.sdve",
-                summaries=summaries, description=f"videos/{vid}/description.sdve",
-                fragments=fragments,
-            ))
+            rel = f"videos/{vid}.sdvc"
+            write_container({"video": vid}, tensors, out_dir / rel)
+            videos.append(VideoEntry(id=vid, split=split, file=rel, fragments=fragments))
 
     manifest = DatasetManifest(dimension=d, videos=videos, base_dir=out_dir)
     write_manifest(manifest, out_dir / "manifest.json")

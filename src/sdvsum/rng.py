@@ -13,7 +13,15 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["Rng"]
+from .errors import ConfigError
+
+__all__ = ["Rng", "check_seed"]
+
+
+def check_seed(seed: int) -> None:
+    """A seed must be an unsigned 64-bit integer, as ``SeedSequence`` entropy."""
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
 
 
 def _label_words(label: str) -> list[int]:
@@ -27,8 +35,7 @@ class Rng:
     def __init__(self, seed: int):
         if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
             raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
-        if not 0 <= seed < 2 ** 64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        check_seed(seed)
         self.seed = int(seed)
 
     def stream(self, label: str, *indices: int) -> np.random.Generator:

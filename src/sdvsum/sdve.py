@@ -6,9 +6,11 @@ bytes. Labels ride in the same container with cols=1 so one reader and one
 writer cover both.
 
 SDVC layout: magic ``SDVC`` | u32 version=1 | u32 blob length | UTF-8 JSON
-config blob | u32 tensor count | per tensor: u16 name length, name, u32 rows,
-u32 cols, float32 data. Tensor names are the fixed identifiers documented in
-the model module (e.g. ``attn.h3.wq``).
+blob | u32 tensor count | per tensor: u16 name length, name, u32 rows, u32
+cols, float32 data. One writer and one reader serve both of its uses: a
+checkpoint (the blob is the model config, the tensors are the weights named
+in the model module, e.g. ``attn.h3.wq``) and a dataset video (see the
+datasets module).
 
 Each malformation is reported with a distinct exception type so negative
 tests can pin the failure mode, not just "something raised".
@@ -44,6 +46,8 @@ __all__ = [
     "FORMAT_VERSION",
     "write_embeddings",
     "read_embeddings",
+    "write_container",
+    "read_container",
     "write_checkpoint_file",
     "read_checkpoint_file",
 ]
@@ -181,42 +185,41 @@ def read_embeddings(path) -> np.ndarray:
 _MAX_NAME = 2**16 - 1
 
 
-def write_checkpoint_file(config: dict, tensors: dict[str, np.ndarray], path) -> None:
-    """Write a config blob plus named tensors as an SDVC file.
+def write_container(blob: dict, tensors: dict[str, np.ndarray], path) -> None:
+    """Write a JSON blob plus named tensors as an SDVC file.
 
     Tensor order follows the dict's iteration order and is preserved on read.
+    Each tensor's bytes go straight to the file, so no second copy of the
+    tensors is built in memory.
     """
-    blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    chunks = [CHECKPOINT_MAGIC, _U32.pack(FORMAT_VERSION),
-              _U32.pack(len(blob)), blob, _U32.pack(len(tensors))]
-    for name, t in tensors.items():
-        raw_name = name.encode("utf-8")
-        if not raw_name or len(raw_name) > _MAX_NAME:
-            raise TensorNameError(f"{path}: tensor name {name!r} empty or too long")
-        a = _as_f32_matrix(t, path)
-        chunks.append(_U16.pack(len(raw_name)))
-        chunks.append(raw_name)
-        chunks.append(_U32.pack(a.shape[0]))
-        chunks.append(_U32.pack(a.shape[1]))
-        chunks.append(a.astype("<f4", copy=False).tobytes(order="C"))
+    raw_blob = json.dumps(blob, sort_keys=True).encode("utf-8")
     with atomic_write(path) as fh:
-        fh.write(b"".join(chunks))
+        fh.write(CHECKPOINT_MAGIC + _U32.pack(FORMAT_VERSION) + _U32.pack(len(raw_blob))
+                 + raw_blob + _U32.pack(len(tensors)))
+        for name, t in tensors.items():
+            raw_name = name.encode("utf-8")
+            if not raw_name or len(raw_name) > _MAX_NAME:
+                raise TensorNameError(f"{path}: tensor name {name!r} empty or too long")
+            a = _as_f32_matrix(t, path).astype("<f4", copy=False)
+            fh.write(_U16.pack(len(raw_name)) + raw_name + _U32.pack(a.shape[0])
+                     + _U32.pack(a.shape[1]))
+            fh.write(a.data)
 
 
-def read_checkpoint_file(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read an SDVC file into (config dict, name -> tensor map)."""
+def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read an SDVC file into (JSON blob, name -> tensor map)."""
     with open(path, "rb") as fh:
         r = _Reader(fh.read(), path)
     r.expect_magic(CHECKPOINT_MAGIC)
     r.expect_version()
-    blob_len = r.u32("config blob length")
-    blob = r.take(blob_len, "config blob")
+    blob_len = r.u32("blob length")
+    raw_blob = r.take(blob_len, "blob")
     try:
-        config = json.loads(blob.decode("utf-8"))
+        blob = json.loads(raw_blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise TruncatedPayloadError(f"{path}: config blob is not valid JSON: {e}") from e
-    if not isinstance(config, dict):
-        raise TruncatedPayloadError(f"{path}: config blob is not a JSON object")
+        raise TruncatedPayloadError(f"{path}: blob is not valid JSON: {e}") from e
+    if not isinstance(blob, dict):
+        raise TruncatedPayloadError(f"{path}: blob is not a JSON object")
     count = r.u32("tensor count")
     tensors: dict[str, np.ndarray] = {}
     for i in range(count):
@@ -234,4 +237,10 @@ def read_checkpoint_file(path) -> tuple[dict, dict[str, np.ndarray]]:
         _check_dims(rows, cols, path)
         tensors[name] = r.matrix(rows, cols, f"tensor {name!r} payload")
     r.done()
-    return config, tensors
+    return blob, tensors
+
+
+# A checkpoint is a container of the model config and the weights. Its I/O keeps
+# names of its own, which perfbench/tracing.py wraps to time checkpoints alone.
+write_checkpoint_file = write_container
+read_checkpoint_file = read_container

@@ -48,7 +48,7 @@ from .datasets import DatasetManifest, LoadedVideo, load_split
 from .errors import ConfigError, LabelError, NumericError
 from .metrics import average_ground_truth, evaluate_generic, evaluate_script_driven, mode_pairs
 from .model import ModelConfig, fuse_heads, init_weights, make_score_fn, model_forward
-from .rng import Rng
+from .rng import Rng, check_seed
 from .sdve import atomic_write
 
 __all__ = [
@@ -101,8 +101,7 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.mode not in TRAIN_MODES:
             raise ConfigError(f"mode must be one of {TRAIN_MODES}, got {self.mode!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        check_seed(self.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from sdvsum.model import (
     score_frames,
 )
 from sdvsum.rng import Rng
-from sdvsum.sdve import read_embeddings, write_embeddings
+from sdvsum.sdve import read_embeddings, write_container, write_embeddings
 from sdvsum.selection import fixed_fragmentation, fragment_knapsack, select_top_fraction
 from sdvsum.training import TrainConfig, bce_loss, train_run
 
@@ -366,21 +366,16 @@ def test_criterion_5_protocol_conformance(tmp_path):
     rng = np.random.default_rng(3)
     videos = []
     for v in range(n_videos):
-        vdir = tmp_path / f"v{v}"
-        vdir.mkdir()
-        write_embeddings(np.eye(n, dtype=np.float32), vdir / "frames.sdve")
-        summaries = []
+        tensors = {"frames": np.eye(n, dtype=np.float32)}
         for j in range(n_summaries):
             labels = np.zeros(n, dtype=np.float32)
             labels[rng.choice(n, size=9, replace=False)] = 1.0  # 9/60 = 0.15
-            write_embeddings(labels.reshape(n, 1), vdir / f"labels{j}.sdve")
+            tensors[f"labels_{j:02d}"] = labels.reshape(n, 1)
             # the script IS the label row: with identity frames the dot
             # product X @ script reproduces the labels as scores
-            write_embeddings(labels.reshape(1, n), vdir / f"script{j}.sdve")
-            summaries.append({"labels": f"v{v}/labels{j}.sdve",
-                              "script": f"v{v}/script{j}.sdve"})
-        videos.append({"id": f"v{v}", "split": "test",
-                       "frames": f"v{v}/frames.sdve", "summaries": summaries})
+            tensors[f"script_{j:02d}"] = labels.reshape(1, n)
+        write_container({"video": f"v{v}"}, tensors, tmp_path / f"v{v}.sdvc")
+        videos.append({"id": f"v{v}", "split": "test", "file": f"v{v}.sdvc"})
     (tmp_path / "manifest.json").write_text(
         json.dumps({"dimension": d, "videos": videos}))
     manifest = load_manifest(tmp_path / "manifest.json")

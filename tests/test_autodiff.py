@@ -154,6 +154,17 @@ def test_layer_norm_two_point_row():
     np.testing.assert_allclose(out.value, [[-1.0, 1.0]], atol=1e-4)
 
 
+def test_layer_norm_variance_floor_is_1e_5():
+    # row [0, 1e-3]: variance 2.5e-7, so x-hat = 5e-4 / sqrt(2.5e-7 + eps) is
+    # 0.156 at eps 1e-5 (0.447 at 1e-6, 1.0 at 0)
+    tape = Tape()
+    out = layer_norm(tape.constant([[0.0, 1e-3]]),
+                     tape.constant(np.ones((1, 2))), tape.constant(np.zeros((1, 2))))
+    want = 5e-4 / np.sqrt(2.5e-7 + 1e-5)
+    np.testing.assert_allclose(out.value, [[-want, want]], rtol=1e-4)
+    assert abs(want - 0.156) < 1e-3
+
+
 def test_relu_subgradient_convention():
     tape = Tape()
     x = tape.param("x", [[-1.0, 0.0, 2.0]])

@@ -14,10 +14,11 @@ import pytest
 import sdvsum.cli
 import sdvsum.datasets
 from sdvsum.cli import ABLATION_VARIANTS, main
+from sdvsum.datasets import load_manifest, load_split
 from sdvsum.model import ModelConfig, init_weights, load_checkpoint, save_checkpoint
 from sdvsum.rng import Rng
-from sdvsum.sdve import (read_checkpoint_file, read_embeddings, write_checkpoint_file,
-                         write_embeddings)
+from sdvsum.sdve import (read_checkpoint_file, read_container, write_checkpoint_file,
+                         write_container, write_embeddings)
 
 SPEC_TEXT = """
 topics = 4
@@ -135,14 +136,21 @@ def test_train_model_dim_follows_manifest(workspace):
     assert config.heads == 4
 
 
-def test_train_dim_conflict_is_config_error(workspace, tmp_path, capsys):
-    root, _ = workspace
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(TRAIN_TEXT + "dim = 32\n", encoding="utf-8")
-    code, _, err = run(capsys, "train", "--manifest", str(root / "data" / "manifest.json"),
-                       "--config", str(bad), "--out", str(tmp_path / "r"))
-    assert code == 1
-    assert "dim" in err
+def test_synth_validates_only_the_corpus_settings(tmp_path, capsys):
+    # synth builds no model, so a width no head count divides is a corpus;
+    # train on it, at the default 8 heads, is refused as before
+    (tmp_path / "s.cfg").write_text(SPEC_TEXT.replace("dim = 16", "dim = 20"), encoding="utf-8")
+    code, stdout, err = run(capsys, "synth", "--spec", str(tmp_path / "s.cfg"),
+                            "--out", str(tmp_path / "data"))
+    assert (code, err) == (0, "")
+    manifest = tmp_path / "data" / "manifest.json"
+    assert stdout == f"{manifest}\n"
+    assert json.loads(manifest.read_text())["dimension"] == 20
+    code, stdout, err = run(capsys, "train", "--manifest", str(manifest),
+                            "--out", str(tmp_path / "r"))
+    assert (code, stdout) == (1, "")
+    assert err == "configuration error: dim 20 is not divisible by heads 8\n"
+    assert not (tmp_path / "r").exists()
 
 
 def test_train_heads_divide_the_manifest_dimension(tmp_path, capsys):
@@ -294,22 +302,30 @@ def test_train_epoch_lines_are_the_report_lines(workspace, tmp_path, capsys):
     assert printed[:2] == written[:2]
 
 
+def _rewrite_video(data, video, edit):
+    """Rewrite ``video``'s file under ``data`` after ``edit`` changed its tensors in place."""
+    path = data / video["file"]
+    blob, tensors = read_container(path)
+    edit(tensors)
+    write_container(blob, tensors, path)
+
+
 def _refused_corpus(root, tmp, refusal):
     """A copy of the workspace corpus with no validation videos, with no
-    descriptions, with none on its validation videos, or without the first
-    labels file of its first train or test video."""
+    descriptions, with none on its validation videos, or without the file
+    of its first train or test video."""
     data = tmp / "data"
     shutil.copytree(root / "data", data)
     doc = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
     if refusal.startswith("missing_labels_"):
         video = next(v for v in doc["videos"] if v["split"] == refusal.split("_")[-1])
-        (data / video["summaries"][0]["labels"]).unlink()
+        (data / video["file"]).unlink()
     elif refusal == "no_validation":
         doc["videos"] = [v for v in doc["videos"] if v["split"] != "validation"]
     else:
         for v in doc["videos"]:
             if refusal == "no_description" or v["split"] == "validation":
-                del v["description"]
+                _rewrite_video(data, v, lambda tensors: tensors.pop("description"))
     (data / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
     return data / "manifest.json"
 
@@ -318,7 +334,7 @@ def _refused_corpus(root, tmp, refusal):
     ("no_validation", "script_driven", "validation split is empty"),
     ("no_description", "generic", "generic mode needs a description embedding"),
     ("no_validation_description", "generic", "generic mode needs a description embedding"),
-    ("missing_labels_train", "script_driven", "missing labels[0] file"),
+    ("missing_labels_train", "script_driven", "video 'train_0000': missing file"),
 ])
 def test_train_refused_before_its_first_epoch_writes_nothing(workspace, tmp_path, capsys,
                                                              refusal, mode, message):
@@ -385,10 +401,15 @@ def test_eval_generic_one_frame_video_is_degenerate(workspace, tmp_path, capsys)
     manifest_path = tmp_path / "data" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     video = next(v for v in manifest["videos"] if v["split"] == "test")
-    frames = tmp_path / "data" / video["frames"]
-    write_embeddings(read_embeddings(frames)[:1], frames)
-    for s in video["summaries"]:
-        write_embeddings(np.ones((1, 1), dtype=np.float32), tmp_path / "data" / s["labels"])
+
+    def one_frame(tensors):
+        for name in tensors:
+            if name == "frames":
+                tensors[name] = tensors[name][:1]
+            elif name.startswith("labels_"):
+                tensors[name] = np.ones((1, 1), dtype=np.float32)
+
+    _rewrite_video(tmp_path / "data", video, one_frame)
     video.pop("fragments", None)
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     code, out, err = run(capsys, "eval", "--manifest", str(manifest_path),
@@ -433,7 +454,9 @@ def test_eval_overlap_with_no_ids_is_usage_error(workspace, tmp_path, capsys):
 def test_eval_overlap_scores_each_pair_once(workspace, tmp_path, capsys, monkeypatch):
     root, _ = workspace
     manifest = json.loads((root / "data" / "manifest.json").read_text())
-    pairs = sum(len(v["summaries"]) for v in manifest["videos"] if v["split"] == "test")
+    pairs = sum(len(v.summaries)
+                for v in load_split(load_manifest(root / "data" / "manifest.json"), "test"))
+    assert pairs == 3   # one test video, three summaries
     calls = []
 
     def counting_score_fn(weights, config, make=sdvsum.cli.make_score_fn):
@@ -468,14 +491,14 @@ def test_eval_missing_checkpoint_is_data_error(workspace, capsys):
 def test_eval_malformed_manifest_is_data_error(workspace, tmp_path, capsys):
     root, _ = workspace
     doc = json.loads((root / "data" / "manifest.json").read_text())
-    del doc["videos"][0]["frames"]
+    del doc["videos"][0]["file"]
     bad = tmp_path / "manifest.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
     code, _, err = run(capsys, "eval", "--manifest", str(bad),
                        "--checkpoint", str(root / "run" / "epoch_001.sdvc"),
                        "--split", "test", "--mode", "script")
     assert code == 2
-    assert "frames" in err
+    assert err == "data error: video 'train_0000': file: expected str, got None\n"
 
 
 def test_eval_bad_split_is_usage_error(workspace, capsys):
@@ -488,17 +511,11 @@ def test_eval_bad_split_is_usage_error(workspace, capsys):
 
 def test_summarize_budget_and_shape(workspace, capsys):
     root, _ = workspace
-    manifest = json.loads((root / "data" / "manifest.json").read_text())
-    video = next(v for v in manifest["videos"] if v["split"] == "test")
-    frames = root / "data" / video["frames"]
-    script = root / "data" / video["summaries"][0]["script"]
-    code, out, _ = run(capsys, "summarize",
-                       "--checkpoint", str(root / "run" / "epoch_001.sdvc"),
-                       "--frames", str(frames), "--script", str(script),
-                       "--fragments", "fixed:4", "--budget-frac", "0.4")
+    n = _test_frames(root).shape[0]
+    code, out, _ = run(capsys, *_summarize(root), "--fragments", "fixed:4",
+                       "--budget-frac", "0.4")
     assert code == 0
     result = json.loads(out)
-    n = read_embeddings(frames).shape[0]
     budget = max(1, math.floor(0.4 * n))
     assert len(result["selected_frames"]) == budget
     total = sum(b - a for a, b in result["selected_fragments"])
@@ -507,86 +524,135 @@ def test_summarize_budget_and_shape(workspace, capsys):
         assert 0 <= a < b <= n
 
     # a budget below the shortest fragment admits no fragment at all
-    code, out, _ = run(capsys, "summarize",
-                       "--checkpoint", str(root / "run" / "epoch_001.sdvc"),
-                       "--frames", str(frames), "--script", str(script),
-                       "--fragments", "fixed:4", "--budget-frac", "0.15")
+    code, out, _ = run(capsys, *_summarize(root), "--fragments", "fixed:4",
+                       "--budget-frac", "0.15")
     assert code == 0
     tight = json.loads(out)
     assert len(tight["selected_frames"]) == max(1, math.floor(0.15 * n))
     assert tight["selected_fragments"] == []
 
 
-def test_summarize_names_the_video_without_video(workspace, tmp_path, capsys, monkeypatch):
-    # a synthetic videos/<id>/frames.sdve is named by its directory, any other file by its stem
+def test_summarize_default_fragments_are_five_frames(workspace, capsys):
+    # at the whole budget every fragment is chosen, so the output lists them all
+    root, _ = workspace
+    n = _test_frames(root).shape[0]
+    code, out, _ = run(capsys, *_summarize(root), "--budget-frac", "1")
+    assert code == 0
+    assert json.loads(out)["selected_fragments"] == [[a, min(a + 5, n)] for a in range(0, n, 5)]
+
+
+def test_summarize_files_give_the_manifest_video_output(workspace, tmp_path, capsys):
+    # the same frames and script, read from SDVE files, summarize the same way
     root, _ = workspace
     video = _test_video(root)
-    frames = root / "data" / video["frames"]
-    clip = tmp_path / "clip_7.sdve"
-    clip.write_bytes(frames.read_bytes())
-    monkeypatch.chdir(frames.parent)   # a bare file name is read from the working directory
-    for path, video_id in ((frames, video["id"]), ("frames.sdve", video["id"]), (clip, "clip_7")):
-        code, out, _ = run(capsys, *_summarize(root, frames=path), "--fragments", "fixed:4")
+    frames = _written(tmp_path / "f.sdve", _test_frames(root))
+    script = _written(tmp_path / "s.sdve", _loaded_test_video(root).summaries[1].script)
+    outputs = []
+    for argv in (_summarize(root, summary=1), _summarize(root, script=script),
+                 _summarize(root, frames=frames, script=script)):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        outputs.append(json.loads(out))
+    assert outputs[0]["video_id"] == video["id"] and outputs[2]["video_id"] == "f"
+    assert outputs[0] == outputs[1] == {**outputs[2], "video_id": video["id"]}
+
+
+def test_summarize_names_the_video_without_video(workspace, tmp_path, capsys, monkeypatch):
+    # a --frames file is named by its stem, whatever its directory
+    root, _ = workspace
+    frames = _test_frames(root)
+    (tmp_path / "test_0000").mkdir()
+    named = {_written(tmp_path / "test_0000" / "frames.sdve", frames): "frames",
+             _written(tmp_path / "clip_7.sdve", frames): "clip_7",
+             "frames.sdve": "frames"}
+    script = _script_file(root, tmp_path)
+    monkeypatch.chdir(tmp_path / "test_0000")   # a bare file name is read from here
+    for path, video_id in named.items():
+        code, out, _ = run(capsys, *_summarize(root, frames=path, script=script))
         assert (code, json.loads(out)["video_id"]) == (0, video_id)
+
+
+SOURCES = {
+    "no frames": lambda a: _without(a, "--manifest", "--video"),
+    "frames twice": lambda a: [*a, "--frames", "f.sdve"],
+    "manifest without video": lambda a: _without(a, "--video"),
+    "video without manifest": lambda a: _without(a, "--manifest"),
+    "no script": lambda a: _without(a, "--summary"),
+    "script twice": lambda a: [*a, "--script", "s.sdve"],
+    "summary of a file": lambda a: [*_without(a, "--manifest", "--video"),
+                                    "--frames", "f.sdve"],
+    "fragments of a file": lambda a: [*_without(a, "--manifest", "--video", "--summary"),
+                                      "--frames", "f.sdve", "--script", "s.sdve",
+                                      "--fragments", "from-manifest"],
+}
+
+
+@pytest.mark.parametrize("edit", SOURCES.values(), ids=SOURCES.keys())
+def test_summarize_input_without_exactly_one_source_is_usage_error(workspace, capsys, edit):
+    root, _ = workspace
+    code, stdout, err = run(capsys, *edit(_summarize(root)))
+    assert code == 1 and stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("summary", ["3", "-1"])
+def test_summarize_summary_out_of_range_is_usage_error(workspace, capsys, summary):
+    root, _ = workspace
+    code, stdout, err = run(capsys, *_summarize(root, summary=summary))
+    assert code == 1 and stdout == ""
+    assert err == f"error: --summary {summary}: video 'test_0000' has 3 summaries\n"
+
+
+def test_summarize_unknown_video_is_usage_error(workspace, capsys):
+    root, _ = workspace
+    argv = _summarize(root)
+    argv[argv.index("--video") + 1] = "test_0099"
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert err == "error: video 'test_0099' is not in the manifest\n"
 
 
 def test_summarize_bad_budget_is_usage_error(workspace, capsys):
     root, _ = workspace
-    manifest = json.loads((root / "data" / "manifest.json").read_text())
-    video = next(v for v in manifest["videos"] if v["split"] == "test")
-    code, _, _ = run(capsys, "summarize",
-                     "--checkpoint", str(root / "run" / "epoch_001.sdvc"),
-                     "--frames", str(root / "data" / video["frames"]),
-                     "--script", str(root / "data" / video["summaries"][0]["script"]),
-                     "--budget-frac", "1.5")
+    code, _, _ = run(capsys, *_summarize(root), "--budget-frac", "1.5")
     assert code == 1
 
 
 @pytest.mark.parametrize("spec", ["fixed:0", "fixed:-2"])
 def test_summarize_non_positive_fragment_length_is_usage_error(workspace, capsys, spec):
     root, _ = workspace
-    manifest = json.loads((root / "data" / "manifest.json").read_text())
-    video = next(v for v in manifest["videos"] if v["split"] == "test")
-    code, _, err = run(capsys, "summarize",
-                       "--checkpoint", str(root / "run" / "epoch_001.sdvc"),
-                       "--frames", str(root / "data" / video["frames"]),
-                       "--script", str(root / "data" / video["summaries"][0]["script"]),
-                       "--fragments", spec)
+    code, _, err = run(capsys, *_summarize(root), "--fragments", spec)
     assert code == 1
     assert spec in err
 
 
+def _summarize_refused_fragments(root, tmp_path, capsys, fragments):
+    """summarize's stderr on a copy of the corpus whose test video has ``fragments(n)``."""
+    shutil.copytree(root / "data", tmp_path / "data")
+    manifest = tmp_path / "data" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    next(v for v in doc["videos"] if v["split"] == "test")["fragments"] = fragments
+    manifest.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, *_summarize(root, manifest=manifest),
+                            "--fragments", "from-manifest")
+    assert code == 2 and stdout == ""
+    return err
+
+
 def test_summarize_fragments_of_another_length_is_data_error(workspace, tmp_path, capsys):
+    # the manifest's fragments cover 8 frames more than the video's file holds
     root, _ = workspace
-    manifest = json.loads((root / "data" / "manifest.json").read_text())
-    video = next(v for v in manifest["videos"] if v["split"] == "test")
-    n = read_embeddings(root / "data" / video["frames"]).shape[0]
-    longer = tmp_path / "frames.sdve"
-    write_embeddings(np.random.default_rng(0).normal(size=(n + 8, 16)), longer)
-    code, _, err = run(capsys, "summarize",
-                       "--checkpoint", str(root / "run" / "epoch_001.sdvc"),
-                       "--frames", str(longer),
-                       "--script", str(root / "data" / video["summaries"][0]["script"]),
-                       "--fragments", "from-manifest",
-                       "--manifest", str(root / "data" / "manifest.json"),
-                       "--video", video["id"])
-    assert code == 2
-    assert video["id"] in err
+    n = _test_frames(root).shape[0]
+    err = _summarize_refused_fragments(root, tmp_path, capsys, [[0, n + 8]])
+    assert err.startswith(f"data error: video 'test_0000': fragments must be sorted, "
+                          f"disjoint and cover [0, {n}); offending fragment (0, {n + 8})")
 
 
 def test_summarize_manifest_fragments_that_overlap_are_data_error(workspace, tmp_path, capsys):
     root, _ = workspace
-    shutil.copytree(root / "data", tmp_path / "data")
-    manifest = tmp_path / "data" / "manifest.json"
-    doc = json.loads(manifest.read_text())
-    video = next(v for v in doc["videos"] if v["split"] == "test")
-    n = read_embeddings(root / "data" / video["frames"]).shape[0]
-    video["fragments"] = [[0, 5], [4, n]]
-    manifest.write_text(json.dumps(doc))
-    code, stdout, err = run(capsys, *_summarize(root), "--fragments", "from-manifest",
-                            "--manifest", str(manifest), "--video", video["id"])
-    assert code == 2 and stdout == ""
-    assert err.startswith(f"data error: video {video['id']!r}: fragments must be sorted, "
+    n = _test_frames(root).shape[0]
+    err = _summarize_refused_fragments(root, tmp_path, capsys, [[0, 5], [4, n]])
+    assert err.startswith(f"data error: video 'test_0000': fragments must be sorted, "
                           f"disjoint and cover [0, {n})")
 
 
@@ -594,9 +660,7 @@ def test_summarize_corrupt_embeddings_is_data_error(workspace, tmp_path, capsys)
     root, _ = workspace
     bad = tmp_path / "bad.sdve"
     bad.write_bytes(b"not an embedding file")
-    code, _, _ = run(capsys, "summarize",
-                     "--checkpoint", str(root / "run" / "epoch_001.sdvc"),
-                     "--frames", str(bad), "--script", str(bad))
+    code, _, _ = run(capsys, *_summarize(root, frames=bad, script=bad))
     assert code == 2
 
 
@@ -605,11 +669,37 @@ def _test_video(root):
     return next(v for v in manifest["videos"] if v["split"] == "test")
 
 
-def _summarize(root, frames=None, script=None, checkpoint=None):
-    video = _test_video(root)
-    return ["summarize", "--checkpoint", str(checkpoint or root / "run" / "epoch_001.sdvc"),
-            "--frames", str(frames or root / "data" / video["frames"]),
-            "--script", str(script or root / "data" / video["summaries"][0]["script"])]
+def _loaded_test_video(root):
+    return load_split(load_manifest(root / "data" / "manifest.json"), "test")[0]
+
+
+def _test_frames(root):
+    return _loaded_test_video(root).frames
+
+
+def _script_file(root, tmp):
+    return _written(tmp / "script.sdve", _loaded_test_video(root).summaries[0].script)
+
+
+def _without(argv, *flags):
+    """``argv`` without each of ``flags`` and the value after it."""
+    out = list(argv)
+    for flag in flags:
+        i = out.index(flag)
+        del out[i:i + 2]
+    return out
+
+
+def _summarize(root, frames=None, script=None, checkpoint=None, manifest=None, summary=0):
+    """summarize on the test video: its frames from the manifest and its first
+    script, unless ``frames`` or ``script`` names an SDVE file."""
+    argv = ["summarize", "--checkpoint", str(checkpoint or root / "run" / "epoch_001.sdvc")]
+    if frames is None:
+        argv += ["--manifest", str(manifest or root / "data" / "manifest.json"),
+                 "--video", _test_video(root)["id"]]
+    else:
+        argv += ["--frames", str(frames)]
+    return [*argv, *(["--summary", str(summary)] if script is None else ["--script", str(script)])]
 
 
 def _eval(root, manifest=None, checkpoint=None):
@@ -628,17 +718,20 @@ def _raw(path, data: bytes):
     return path
 
 
-def _poisoned(src, dst, value):
+def _poisoned(m, dst, value):
     # write_embeddings refuses non-finite values, so the file is made by hand
-    m = read_embeddings(src).copy()
+    m = m.copy()
     m[0, 0] = value
     return _raw(dst, b"SDVE" + struct.pack("<III", 1, *m.shape) + m.astype("<f4").tobytes())
 
 
 def _corpus_with_inf_frames(root, tmp):
+    # write_container refuses non-finite values too: the first frame value is patched
     shutil.copytree(root / "data", tmp / "data")
-    frames = tmp / "data" / _test_video(root)["frames"]
-    _poisoned(frames, frames, np.inf)
+    path = tmp / "data" / _test_video(root)["file"]
+    raw = path.read_bytes()
+    at = raw.index(b"\x06\x00frames") + 8 + 8   # name length and name, rows and cols
+    path.write_bytes(raw[:at] + struct.pack("<f", np.inf) + raw[at + 4:])
     return tmp / "data" / "manifest.json"
 
 
@@ -658,13 +751,16 @@ def _narrow_checkpoint(tmp):
 
 MALFORMED = {
     "nan_frames": lambda root, tmp: _summarize(
-        root, frames=_poisoned(root / "data" / _test_video(root)["frames"],
-                               tmp / "nan.sdve", np.nan)),
+        root, frames=_poisoned(_test_frames(root), tmp / "nan.sdve", np.nan),
+        script=_script_file(root, tmp)),
     "inf_corpus_frames": lambda root, tmp: _eval(root, manifest=_corpus_with_inf_frames(root, tmp)),
     "nan_checkpoint_tensor": lambda root, tmp: _eval(root, checkpoint=_raw(
         tmp / "nan.sdvc",   # the last tensor's last value
         (root / "run" / "epoch_001.sdvc").read_bytes()[:-4] + struct.pack("<f", np.nan))),
-    "frames_width": lambda root, tmp: _summarize(root, checkpoint=_narrow_checkpoint(tmp)),
+    "frames_width": lambda root, tmp: _summarize(
+        root, frames=_written(tmp / "f.sdve", _test_frames(root)),
+        script=_script_file(root, tmp), checkpoint=_narrow_checkpoint(tmp)),
+    "manifest_video_width": lambda root, tmp: _summarize(root, checkpoint=_narrow_checkpoint(tmp)),
     "script_width": lambda root, tmp: _summarize(root, script=_written(
         tmp / "narrow.sdve", np.ones((3, 8)))),
     "manifest_dimension": lambda root, tmp: _eval(root, checkpoint=_narrow_checkpoint(tmp)),
@@ -720,23 +816,20 @@ def test_ablate_runs_five_variants(workspace, tmp_path, capsys):
 def test_ablate_reads_each_dataset_file_once(workspace, tmp_path, capsys, monkeypatch):
     root, _ = workspace
     reads = []
-    real = sdvsum.datasets.read_embeddings
+    real = sdvsum.datasets.read_container
 
     def counted(path):
         reads.append(Path(path).resolve())
         return real(path)
 
-    monkeypatch.setattr(sdvsum.datasets, "read_embeddings", counted)
+    monkeypatch.setattr(sdvsum.datasets, "read_container", counted)
     cfg = tmp_path / "ab.cfg"
     cfg.write_text("heads = 4\nepochs = 1\n", encoding="utf-8")
     manifest = root / "data" / "manifest.json"
     code, _, _ = run(capsys, "ablate", "--manifest", str(manifest),
                      "--config", str(cfg), "--out", str(tmp_path / "ab"))
     assert code == 0
-    files = []
-    for v in json.loads(manifest.read_text(encoding="utf-8"))["videos"]:
-        files += [v["frames"], v["description"]]
-        files += [f for s in v["summaries"] for f in (s["labels"], s["script"])]
+    files = [v["file"] for v in json.loads(manifest.read_text(encoding="utf-8"))["videos"]]
     assert sorted(reads) == sorted((root / "data" / f).resolve() for f in files)
 
 
@@ -756,9 +849,9 @@ def test_ablate_refused_before_its_first_epoch_writes_nothing(workspace, tmp_pat
 
 def test_ablate_missing_train_file_is_refused_before_any_write(workspace, tmp_path, capsys):
     _ablate_refused(workspace[0], tmp_path, capsys, "missing_labels_train",
-                    "missing labels[0] file")
+                    "video 'train_0000': missing file")
 
 
 def test_ablate_missing_test_file_is_refused_before_any_write(workspace, tmp_path, capsys):
     _ablate_refused(workspace[0], tmp_path, capsys, "missing_labels_test",
-                    "missing labels[0] file")
+                    "video 'test_0000': missing file")

@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import sdvsum.datasets
 from sdvsum.datasets import (
     DatasetManifest,
     SynthSpec,
@@ -19,7 +18,7 @@ from sdvsum.datasets import (
 )
 from sdvsum.errors import ConfigError, LabelError, ManifestError
 from sdvsum.rng import Rng
-from sdvsum.sdve import write_embeddings
+from sdvsum.sdve import write_container
 
 
 SMALL = SynthSpec(
@@ -50,25 +49,24 @@ def small_dataset(tmp_path_factory):
 # hand-written manifests
 
 
-def write_minimal(tmp_path, *, labels=None, skip_labels=False, fragments=None, dim=4):
-    """One train video with 1 summary, returning the manifest path."""
-    vd = tmp_path / "v0"
-    vd.mkdir(exist_ok=True)
+def write_minimal(tmp_path, *, labels=None, fragments=None, dim=4, blob=None, edit=None):
+    """One train video with 1 summary, in one file; returns the manifest path.
+
+    ``edit`` may change the file's tensors (a dict) in place before it is written.
+    """
     n = 6
     rng = np.random.default_rng(0)
-    write_embeddings(rng.normal(size=(n, dim)).astype(np.float32), vd / "frames.sdve")
-    write_embeddings(rng.normal(size=(2, dim)).astype(np.float32), vd / "script.sdve")
     if labels is None:
         labels = np.zeros((n, 1), dtype=np.float32)
         labels[:2] = 1
-    if not skip_labels:
-        write_embeddings(np.asarray(labels, dtype=np.float32), vd / "labels.sdve")
-    entry = {
-        "id": "v0",
-        "split": "train",
-        "frames": "v0/frames.sdve",
-        "summaries": [{"labels": "v0/labels.sdve", "script": "v0/script.sdve"}],
-    }
+    tensors = {"frames": rng.normal(size=(n, dim)), "labels_00": labels,
+               "script_00": rng.normal(size=(2, dim))}
+    if edit is not None:
+        edit(tensors)
+    (tmp_path / "videos").mkdir(exist_ok=True)
+    write_container({"video": "v0"} if blob is None else blob, tensors,
+                    tmp_path / "videos" / "v0.sdvc")
+    entry = {"id": "v0", "split": "train", "file": "videos/v0.sdvc"}
     if fragments is not None:
         entry["fragments"] = fragments
     doc = {"dimension": dim, "videos": [entry]}
@@ -84,11 +82,58 @@ def test_minimal_manifest_parses(tmp_path):
     v = load_video(m, m.videos[0])
     assert v.frames.shape == (6, 4)
     assert v.summaries[0].labels.shape == (6,)
+    assert v.description is None
+
+
+def test_missing_file_names_video(tmp_path):
+    m = load_manifest(write_minimal(tmp_path))
+    (tmp_path / "videos" / "v0.sdvc").unlink()
+    with pytest.raises(ManifestError, match="video 'v0': missing file 'videos/v0.sdvc'"):
+        load_split(m, "train")
 
 
 def test_missing_labels_file_names_video(tmp_path):
-    m = load_manifest(write_minimal(tmp_path, skip_labels=True))
-    with pytest.raises(ManifestError, match="v0"):
+    m = load_manifest(write_minimal(tmp_path, edit=lambda t: t.pop("labels_00")))
+    with pytest.raises(ManifestError, match=r"video 'v0': .*missing \['labels_00'\], "
+                                            r"unexpected \[\]"):
+        load_split(m, "train")
+
+
+TENSOR_SETS = {
+    "no pair": lambda t: [t.pop("labels_00"), t.pop("script_00")],
+    "no frames": lambda t: t.pop("frames"),
+    "unpaired labels": lambda t: t.update(labels_01=t["labels_00"]),
+    "unpaired script": lambda t: t.update(script_01=t["script_00"], description=t["script_00"]),
+    "pair not from 00": lambda t: t.update(labels_01=t.pop("labels_00"),
+                                           script_01=t.pop("script_00")),
+    "unknown tensor": lambda t: t.update(extra=t["script_00"]),
+    "wrong case": lambda t: t.update(Frames=t.pop("frames")),
+}
+
+
+@pytest.mark.parametrize("edit", TENSOR_SETS.values(), ids=TENSOR_SETS.keys())
+def test_tensor_set_other_than_the_layout_names_video(tmp_path, edit):
+    m = load_manifest(write_minimal(tmp_path, edit=edit))
+    with pytest.raises(ManifestError, match="video 'v0': file 'videos/v0.sdvc' needs tensors"):
+        load_split(m, "train")
+
+
+def test_summaries_are_the_file_pairs_in_order(tmp_path):
+    def two_pairs(t):
+        t.update(script_01=np.ones((3, 4)), labels_01=np.ones((6, 1)),
+                 description=np.full((1, 4), 2.0))
+
+    m = load_manifest(write_minimal(tmp_path, edit=two_pairs))
+    v = load_video(m, m.videos[0])
+    assert [s.script.shape for s in v.summaries] == [(2, 4), (3, 4)]
+    assert v.summaries[1].labels.tolist() == [1.0] * 6
+    assert v.description.tolist() == [[2.0] * 4]
+
+
+@pytest.mark.parametrize("blob", [{"video": "v1"}, {}, {"video": "v0", "extra": 1}])
+def test_file_that_does_not_name_its_video_is_refused(tmp_path, blob):
+    m = load_manifest(write_minimal(tmp_path, blob=blob))
+    with pytest.raises(ManifestError, match="video 'v0': file 'videos/v0.sdvc' has blob"):
         load_split(m, "train")
 
 
@@ -102,37 +147,36 @@ def test_overlapping_fragments_rejected(tmp_path):
 def test_unreadable_file_names_video(tmp_path, name):
     path = write_minimal(tmp_path)
     doc = json.loads(path.read_text())
-    doc["videos"][0]["frames"] = name
+    doc["videos"][0]["file"] = name
     path.write_text(json.dumps(doc))
     m = load_manifest(path)
-    with pytest.raises(ManifestError, match="video 'v0': unreadable frame file"):
+    with pytest.raises(ManifestError, match="video 'v0': unreadable file"):
         load_split(m, "train")
 
 
 def test_files_are_read_once_by_the_loader_of_their_split(small_dataset, monkeypatch):
     out, manifest = small_dataset
-    read = []
-    real = sdvsum.datasets.read_embeddings
-    monkeypatch.setattr(sdvsum.datasets, "read_embeddings",
-                        lambda path: read.append(Path(path)) or real(path))
+    opened = []
+    real = open
+    monkeypatch.setattr("builtins.open",
+                        lambda path, *a, **k: opened.append(Path(path)) or real(path, *a, **k))
     m = load_manifest(out / "manifest.json")
-    assert read == []
+    opened.clear()
     load_split(m, "test")
-    expected = [m.resolve(rel) for v in m.split_videos("test")
-                for rel in (v.frames, *(f for s in v.summaries for f in (s.labels, s.script)),
-                            v.description)]
-    assert len(read) == len(set(read))
-    assert set(read) == set(expected)
+    # one data file per video, opened once
+    assert opened == [m.resolve(v.file) for v in m.split_videos("test")]
+    assert len(opened) == 2
 
 
 MALFORMED = {
-    "entry without frames": lambda d: d["videos"][0].pop("frames"),
-    "summary without labels": lambda d: d["videos"][0]["summaries"][0].pop("labels"),
-    "summary is a string": lambda d: d["videos"][0].update(summaries=["v0/labels.sdve"]),
+    "entry without file": lambda d: d["videos"][0].pop("file"),
+    "entry of the per-summary layout": lambda d: d["videos"][0].update(
+        file=None, frames="v0/frames.sdve",
+        summaries=[{"labels": "v0/labels.sdve", "script": "v0/script.sdve"}]),
     "fragment is a number": lambda d: d["videos"][0].update(fragments=[5]),
     "fragment is a triple": lambda d: d["videos"][0].update(fragments=[[0, 2, 3]]),
     "entry is a string": lambda d: d.update(videos=["v0"]),
-    "frames is a number": lambda d: d["videos"][0].update(frames=3),
+    "file is a number": lambda d: d["videos"][0].update(file=3),
     "videos is a string": lambda d: d.update(videos="abc"),
     "dimension is a boolean": lambda d: d.update(dimension=True),
     "fragment bound is a boolean": lambda d: d["videos"][0].update(fragments=[[False, 6]]),
@@ -155,13 +199,26 @@ def test_dimension_mismatch_names_video(tmp_path):
     doc["dimension"] = 8
     path.write_text(json.dumps(doc))
     m = load_manifest(path)
-    with pytest.raises(ManifestError, match="v0"):
+    with pytest.raises(ManifestError, match="video 'v0': frames has 4 columns, expected 8"):
+        load_split(m, "train")
+
+
+@pytest.mark.parametrize("name", ["script_00", "description"])
+def test_text_of_another_width_names_video(tmp_path, name):
+    m = load_manifest(write_minimal(tmp_path, edit=lambda t: t.update({name: np.ones((2, 5))})))
+    with pytest.raises(ManifestError, match=f"video 'v0': {name} has 5 columns, expected 4"):
         load_split(m, "train")
 
 
 def test_labels_of_another_length_name_video(tmp_path):
     m = load_manifest(write_minimal(tmp_path, labels=np.ones((5, 1))))
-    with pytest.raises(ManifestError, match=r"video 'v0': labels\[0\] has 5 rows, expected 6"):
+    with pytest.raises(ManifestError, match=r"video 'v0': labels_00 has 5 rows, expected 6"):
+        load_split(m, "train")
+
+
+def test_labels_of_two_columns_name_video(tmp_path):
+    m = load_manifest(write_minimal(tmp_path, labels=np.ones((6, 2))))
+    with pytest.raises(ManifestError, match=r"video 'v0': labels_00 has 2 columns, expected 1"):
         load_split(m, "train")
 
 
@@ -178,7 +235,7 @@ def test_non_binary_labels_rejected(tmp_path):
     labels = np.full((6, 1), 0.5, dtype=np.float32)
     path = write_minimal(tmp_path, labels=labels)
     m = load_manifest(path)
-    with pytest.raises(LabelError):
+    with pytest.raises(LabelError, match="video 'v0': labels_00 holds non-binary values"):
         load_video(m, m.videos[0])
 
 
@@ -186,7 +243,7 @@ def test_all_zero_labels_rejected(tmp_path):
     labels = np.zeros((6, 1), dtype=np.float32)
     path = write_minimal(tmp_path, labels=labels)
     m = load_manifest(path)
-    with pytest.raises(LabelError):
+    with pytest.raises(LabelError, match="video 'v0': labels_00 marks no positive frame"):
         load_video(m, m.videos[0])
 
 
@@ -224,9 +281,22 @@ def test_split_sizes_and_summary_count(small_dataset):
     _, manifest = small_dataset
     by_split = {s: manifest.split_videos(s) for s in ("train", "validation", "test")}
     assert [len(by_split[s]) for s in ("train", "validation", "test")] == [6, 2, 2]
-    for entry in manifest.videos:
-        assert len(entry.summaries) == 4
-        assert entry.description is not None
+    for split in by_split:
+        for v in load_split(manifest, split):
+            assert len(v.summaries) == 4
+            assert v.description is not None
+
+
+@pytest.mark.parametrize("spec, videos", [
+    (SynthSpec(videos_train=12, videos_validation=3, videos_test=3), 18),   # the ref64 corpus
+    (SynthSpec(), 300),   # the reference corpus
+], ids=["ref64", "reference"])
+def test_one_file_per_video_plus_the_manifest(tmp_path, spec, videos):
+    manifest = generate_synthetic(spec, tmp_path)
+    files = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+    assert len(files) == videos + 1
+    assert files == sorted(["manifest.json", *(v.file for v in manifest.videos)])
+    assert all(v.file == f"videos/{v.id}.sdvc" for v in manifest.videos)
 
 
 def test_positive_fraction_band(small_dataset):

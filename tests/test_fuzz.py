@@ -1,8 +1,9 @@
 """Property tests: malformed inputs fail through the documented error classes.
 
-Byte mutations of valid SDVE and SDVC files, random config text and random
-JSON manifests must either load or raise the class the CLI maps to an exit
-code (``DataFormatError`` -> 2, ``ConfigError`` -> 1), never anything else.
+Byte mutations of valid SDVE files, SDVC checkpoints and SDVC video files,
+random tensor sets in a video file, random config text and random JSON
+manifests must either load or raise the class the CLI maps to an exit code
+(``DataFormatError`` -> 2, ``ConfigError`` -> 1), never anything else.
 """
 
 import json
@@ -16,7 +17,7 @@ from sdvsum.datasets import SPLITS, load_manifest, load_split
 from sdvsum.errors import ConfigError, DataFormatError, ManifestError
 from sdvsum.model import ModelConfig, init_weights, load_checkpoint, save_checkpoint
 from sdvsum.rng import Rng
-from sdvsum.sdve import read_embeddings, write_embeddings
+from sdvsum.sdve import read_embeddings, write_container, write_embeddings
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
@@ -111,19 +112,16 @@ def test_random_config_bytes_raise_only_config_error(tmp_path, raw):
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 10) | st.floats(allow_nan=False)
-    | st.sampled_from(["", "train", "test", "v0", "v0/frames.sdve", "v0/labels.sdve",
-                       "v0/script.sdve", "x" * 300]),
+    | st.sampled_from(["", "train", "test", "v0", "videos/v0.sdvc", "videos", "x" * 300]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
                                                                  max_size=3),
     max_leaves=12,
 )
-_VALID_ENTRY = {"id": "v0", "split": "train", "frames": "v0/frames.sdve",
-                "summaries": [{"labels": "v0/labels.sdve", "script": "v0/script.sdve"}]}
-_SUMMARY = st.dictionaries(st.sampled_from(("labels", "script")), _JSON, max_size=2)
+_VALID_ENTRY = {"id": "v0", "split": "train", "file": "videos/v0.sdvc"}
 # a valid entry with some of its fields replaced, so the checks behind the first ones run
 _ENTRY = st.builds(lambda over: {**_VALID_ENTRY, **over}, st.dictionaries(
-    st.sampled_from(("id", "split", "frames", "summaries", "description", "fragments")),
-    _JSON | st.lists(_SUMMARY, max_size=2), max_size=2))
+    st.sampled_from(("id", "split", "file", "fragments")),
+    _JSON | st.lists(st.lists(st.integers(-1, 7), max_size=3), max_size=3), max_size=2))
 _MANIFEST = st.one_of(
     _JSON,
     st.fixed_dictionaries({"dimension": _JSON, "videos": st.lists(_ENTRY | _JSON, max_size=3)}),
@@ -134,13 +132,15 @@ _MANIFEST = st.one_of(
 
 @pytest.fixture(scope="module")
 def manifest_dir(tmp_path_factory):
-    """A directory holding one valid video's files, for manifests to point at."""
+    """A directory holding one valid video's file, for manifests to point at."""
     root = tmp_path_factory.mktemp("manifest")
-    (root / "v0").mkdir()
+    (root / "videos").mkdir()
     g = np.random.default_rng(0)
-    write_embeddings(g.normal(size=(6, 4)), root / "v0" / "frames.sdve")
-    write_embeddings(g.normal(size=(2, 4)), root / "v0" / "script.sdve")
-    write_embeddings(np.array([[1.0], [1], [0], [0], [0], [0]]), root / "v0" / "labels.sdve")
+    write_container({"video": "v0"}, {"frames": g.normal(size=(6, 4)),
+                                      "description": g.normal(size=(1, 4)),
+                                      "labels_00": np.array([[1.0], [1], [0], [0], [0], [0]]),
+                                      "script_00": g.normal(size=(2, 4))},
+                    root / "videos" / "v0.sdvc")
     return root
 
 
@@ -174,3 +174,40 @@ def test_random_manifest_bytes_raise_only_manifest_error(manifest_dir, raw):
     path = manifest_dir / "manifest.json"
     path.write_bytes(raw)
     _returns_or_raises(load_manifest, path, ManifestError)
+
+
+def _one_video_dataset(root, write_file):
+    """A manifest at ``root`` naming one train video, whose file ``write_file`` writes."""
+    (root / "videos").mkdir(exist_ok=True)
+    write_file(root / "videos" / "v0.sdvc")
+    (root / "manifest.json").write_text(json.dumps({"dimension": 4, "videos": [_VALID_ENTRY]}))
+    return root / "manifest.json"
+
+
+@given(data=st.data())
+@FUZZ
+def test_mutated_video_file_loads_or_raises_data_format_error(manifest_dir, tmp_path, data):
+    raw = (manifest_dir / "videos" / "v0.sdvc").read_bytes()
+    # half the examples hit the header, the blob and the first tensor names
+    head = data.draw(st.booleans())
+    blob = data.draw(mutated(raw[:80] if head else raw))
+    _loads_or_raises(_one_video_dataset(
+        tmp_path, lambda path: path.write_bytes(blob + raw[80:] if head else blob)))
+
+
+_TENSOR_NAME = st.sampled_from(["frames", "description", "labels_00", "script_00", "labels_01",
+                                "script_01", "labels_0", "script_02", "Frames", "x"])
+
+
+@given(names=st.dictionaries(_TENSOR_NAME, st.tuples(st.integers(1, 7), st.integers(1, 5)),
+                             max_size=6),
+       fill=st.sampled_from([0.0, 1.0, 0.5]),
+       blob=st.sampled_from([{"video": "v0"}, {"video": "v1"}, {}, {"video": 0},
+                             {"video": "v0", "x": 1}]))
+@example(names={"frames": (6, 4), "labels_00": (6, 1), "script_00": (2, 4)}, fill=1.0,
+         blob={"video": "v0"})
+@FUZZ
+def test_random_video_tensors_load_or_raise_data_format_error(tmp_path, names, fill, blob):
+    tensors = {name: np.full(shape, fill) for name, shape in names.items()}
+    _loads_or_raises(_one_video_dataset(
+        tmp_path, lambda path: write_container(blob, tensors, path)))

@@ -1,7 +1,9 @@
 """Binary container formats: byte-level layout, round-trips, negative controls."""
 
 import errno
+import json
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,8 +23,10 @@ from sdvsum import sdve
 from sdvsum.sdve import (
     atomic_write,
     read_checkpoint_file,
+    read_container,
     read_embeddings,
     write_checkpoint_file,
+    write_container,
     write_embeddings,
 )
 
@@ -210,6 +214,55 @@ def test_checkpoint_truncation(tmp_path):
     p.write_bytes(p.read_bytes()[:-8])
     with pytest.raises(TruncatedPayloadError):
         read_checkpoint_file(p)
+
+
+def container_bytes(blob, tensors):
+    """Reference SDVC encoder, written independently of the library."""
+    raw = json.dumps(blob, sort_keys=True).encode()
+    out = b"SDVC" + struct.pack("<II", 1, len(raw)) + raw + struct.pack("<I", len(tensors))
+    for name, values in tensors.items():
+        rows, cols = len(values), len(values[0])
+        flat = [x for row in values for x in row]
+        raw_name = name.encode()
+        out += struct.pack("<H", len(raw_name)) + raw_name + struct.pack("<II", rows, cols)
+        out += struct.pack(f"<{len(flat)}f", *flat)
+    return out
+
+
+def test_container_bytes_equal_a_hand_built_encoding(tmp_path):
+    values = {"frames": [[0.5, -1.0, 2.0], [3.25, 0.0, -0.125]], "labels_00": [[1.0], [0.0]],
+              "é": [[7.0, 8.0]]}
+    # float64, a transposed (non-contiguous) view and float32 are written alike
+    tensors = {"frames": np.array(values["frames"]),
+               "labels_00": np.array([[1.0, 0.0]], dtype=np.float32).T,
+               "é": np.array(values["é"], dtype=np.float32)}
+    blob = {"video": "v0", "a": [1, 2]}
+    write_container(blob, tensors, tmp_path / "v.sdvc")
+    assert (tmp_path / "v.sdvc").read_bytes() == container_bytes(blob, values)
+    write_checkpoint_file(blob, tensors, tmp_path / "c.sdvc")
+    assert (tmp_path / "c.sdvc").read_bytes() == (tmp_path / "v.sdvc").read_bytes()
+    back_blob, back = read_container(tmp_path / "v.sdvc")
+    assert back_blob == blob and list(back) == list(tensors)
+    assert back["labels_00"].tolist() == values["labels_00"]
+
+
+def test_container_writer_holds_no_copy_of_the_tensors(tmp_path):
+    tensors = {f"t{i}": np.ones((512, 512), dtype=np.float32) for i in range(8)}   # 8 MiB
+    tracemalloc.start()
+    try:
+        write_container({}, tensors, tmp_path / "big.sdvc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert (tmp_path / "big.sdvc").stat().st_size > 8 << 20
+
+
+def test_container_refused_midway_leaves_no_file(tmp_path):
+    bad = {"a": np.ones((2, 2)), "b": np.array([[np.nan]])}
+    with pytest.raises(NonFiniteValueError):
+        write_container({}, bad, tmp_path / "v.sdvc")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_checkpoint_bad_tensor_shape(tmp_path):

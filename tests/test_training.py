@@ -200,7 +200,17 @@ def test_adam_first_step_magnitude():
 
 
 def test_adam_matches_float64_reference():
-    cfg = TrainConfig(learning_rate=3e-3, l2_factor=1e-2)
+    _check_adam_against_float64_reference(scale=1.0)
+
+
+def test_adam_matches_float64_reference_at_eps_sized_gradients():
+    # gradients about eps in size make eps matter as much as the gradient
+    _check_adam_against_float64_reference(scale=1e-8)
+
+
+def _check_adam_against_float64_reference(scale):
+    # Adam's own constants, as literals: beta1 0.9, beta2 0.999, eps 1e-8
+    cfg = TrainConfig(learning_rate=3e-3, l2_factor=1e-2 * scale)
     rng = np.random.default_rng(2)
     w = rng.normal(size=16).astype(np.float32)
     ref = w.astype(np.float64)
@@ -208,14 +218,14 @@ def test_adam_matches_float64_reference():
     v2 = np.zeros_like(ref)
     state = OptimizerState.for_weights(w)
     for t in range(1, 4):
-        grads = rng.normal(size=w.shape).astype(np.float32)
+        grads = (scale * rng.normal(size=w.shape)).astype(np.float32)
         g = grads.astype(np.float64) + cfg.l2_factor * ref
         adam_step(w, grads, state, cfg)
-        m = training.ADAM_BETA1 * m + (1 - training.ADAM_BETA1) * g
-        v2 = training.ADAM_BETA2 * v2 + (1 - training.ADAM_BETA2) * g * g
-        mh = m / (1 - training.ADAM_BETA1 ** t)
-        vh = v2 / (1 - training.ADAM_BETA2 ** t)
-        ref = ref - cfg.learning_rate * mh / (np.sqrt(vh) + training.ADAM_EPS)
+        m = 0.9 * m + (1 - 0.9) * g
+        v2 = 0.999 * v2 + (1 - 0.999) * g * g
+        mh = m / (1 - 0.9 ** t)
+        vh = v2 / (1 - 0.999 ** t)
+        ref = ref - cfg.learning_rate * mh / (np.sqrt(vh) + 1e-8)
     assert np.abs(w - ref).max() < 1e-5
 
 
