@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = seeded(sub.add_parser("train", help="train a model"))
     p.add_argument("--manifest", required=True, help="dataset manifest JSON")
     p.add_argument("--config", help="run configuration (key = value file)")
-    p.add_argument("--out", required=True, help="output directory for checkpoints and the report")
+    p.add_argument("--out", required=True, help="output directory for best.sdvc and the report")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--manifest", required=True)

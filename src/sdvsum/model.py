@@ -9,10 +9,9 @@ head at once. Its output, the heads side by side, is projected by a D x D
 linear, and a fixed sinusoidal positional encoding is added. Every dense
 layer is one ``linear`` tape op. Training and ``make_score_fn`` hold each
 block's Q/K/V fused (``fuse_heads``); checkpoints store it per head
-(``split_heads``). After a
-dropout + layer-norm stage the frame representations pass through a small
-Transformer encoder stack and a sigmoid scoring head, giving one importance
-score in (0, 1) per frame.
+(``split_heads``). After a dropout + layer-norm stage the frame
+representations pass through a small Transformer encoder stack and a sigmoid
+scoring head, giving one importance score in (0, 1) per frame.
 
 Two text representations are supported: ``multi_vector`` keeps all M sentence
 embeddings as keys/values; ``single_vector`` first condenses the script into

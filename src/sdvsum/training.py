@@ -30,8 +30,8 @@ loss, which is where an overflowing Adam step shows, is one ``NumericError``
 naming the epoch, the sample and the Adam steps so far. After every epoch the
 weights must be finite (else a ``NumericError`` before anything of that epoch
 is written), and the model is scored on the validation split with dropout
-disabled; the checkpoint with the highest validation F-Score (earliest epoch
-on ties) is selected.
+disabled. Only the weights with the highest validation F-Score (earliest epoch
+on ties) are kept, in one checkpoint, ``best.sdvc``.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .sdve import atomic_write
 
 __all__ = [
     "TRAIN_MODES",
+    "BEST_CHECKPOINT",
     "STACK_ROWS",
     "ADAM_SLICE",
     "TrainConfig",
@@ -66,6 +67,9 @@ __all__ = [
 ]
 
 TRAIN_MODES = ("script_driven", "generic")
+
+# the one checkpoint a run keeps, under its output directory
+BEST_CHECKPOINT = "best.sdvc"
 
 # most frames stacked into one training tape: at 512-frame samples stacking
 # saved no time and raised the training memory peak by about half
@@ -189,7 +193,7 @@ class TrainReport:
     epochs: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = 0
     best_val_fscore: float = 0.0
-    checkpoint: str = ""
+    checkpoint: str = BEST_CHECKPOINT   # relative to the run's output directory
 
     def to_json_lines(self) -> str:
         lines = [r.to_json() for r in self.epochs]
@@ -250,12 +254,12 @@ def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarra
 def train_run(manifest: DatasetManifest, model_config: ModelConfig,
               train_config: TrainConfig, out_dir, on_epoch=None,
               cache: dict[str, LoadedVideo] | None = None) -> TrainReport:
-    """Train, validate each epoch, checkpoint each epoch, select the best.
+    """Train, validate each epoch, keep the best epoch's weights.
 
-    Writes ``epoch_XXX.sdvc`` per epoch plus ``train_report.jsonl`` under
-    ``out_dir``. The report's checkpoint field is the best epoch's file name
-    relative to ``out_dir``, so reports are identical across output locations.
-    ``cache`` is ``load_split``'s, shared with the caller's other runs.
+    Under ``out_dir``, an epoch that beats every earlier one overwrites
+    ``BEST_CHECKPOINT``, and every epoch then rewrites ``train_report.jsonl``
+    with the epochs so far. Its checkpoint field is that relative name, so
+    reports are identical across output locations. ``cache`` is ``load_split``'s.
     """
     # Looked up on each call, not bound at import: perfbench/tracing.py wraps
     # model.save_checkpoint and this module's evaluate_script_driven, bce_loss,
@@ -315,19 +319,15 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
         val = evaluate(make_score_fn(weights, model_config), manifest, "validation",
                        cache=cache).fscore
 
-        name = f"epoch_{epoch:03d}.sdvc"
-        out_dir.mkdir(parents=True, exist_ok=True)   # only now: a failed run writes nothing
-        save_checkpoint(weights, model_config, out_dir / name)
-        record = EpochRecord(epoch=epoch, train_loss=float(np.mean(epoch_losses)),
-                             val_fscore=val)
+        record = EpochRecord(epoch, float(np.mean(epoch_losses)), val)
         report.epochs.append(record)
+        out_dir.mkdir(parents=True, exist_ok=True)   # only now: a failed run writes nothing
         if not report.best_epoch or val > report.best_val_fscore:
-            report.best_epoch = epoch
-            report.best_val_fscore = val
-            report.checkpoint = name
+            save_checkpoint(weights, model_config, out_dir / BEST_CHECKPOINT)
+            report.best_epoch, report.best_val_fscore = epoch, val
+        # after the checkpoint: a run that fails later leaves the two in step
+        with atomic_write(out_dir / "train_report.jsonl", "w", encoding="utf-8") as fh:
+            fh.write(report.to_json_lines())
         if on_epoch is not None:
             on_epoch(record)
-
-    with atomic_write(out_dir / "train_report.jsonl", "w", encoding="utf-8") as fh:
-        fh.write(report.to_json_lines())
     return report

@@ -123,15 +123,17 @@ def test_synth_seed_flag_beats_config_seed(tmp_path, capsys):
 
 def test_train_emits_checkpoints_and_report(workspace):
     root, report = workspace
-    assert (root / "run" / "epoch_001.sdvc").exists()
-    assert (root / "run" / "epoch_002.sdvc").exists()
+    assert sorted(p.name for p in (root / "run").iterdir()) == \
+        ["best.sdvc", "train_report.jsonl"]
     assert {"epoch", "train_loss", "val_fscore"} <= set(report[0])
-    assert {"best_epoch", "best_val_fscore", "checkpoint"} <= set(report[-1])
+    scores = [line["val_fscore"] for line in report[:-1]]
+    assert report[-1] == {"best_epoch": scores.index(max(scores)) + 1,
+                          "best_val_fscore": max(scores), "checkpoint": "best.sdvc"}
 
 
 def test_train_model_dim_follows_manifest(workspace):
     root, report = workspace
-    _, config = load_checkpoint(root / "run" / "epoch_001.sdvc")
+    _, config = load_checkpoint(root / "run" / "best.sdvc")
     assert config.dim == 16
     assert config.heads == 4
 
@@ -161,7 +163,7 @@ def test_train_heads_divide_the_manifest_dimension(tmp_path, capsys):
     code, _, err = run(capsys, "train", "--manifest", str(tmp_path / "data" / "manifest.json"),
                        "--config", str(tmp_path / "t.cfg"), "--out", str(tmp_path / "r"))
     assert (code, err) == (0, "")
-    _, config = load_checkpoint(tmp_path / "r" / "epoch_001.sdvc")
+    _, config = load_checkpoint(tmp_path / "r" / "best.sdvc")
     assert (config.dim, config.heads) == (48, 6)
 
 
@@ -386,7 +388,7 @@ def test_eval_validation_matches_train_report(workspace, capsys):
 
 def test_eval_generic_mode_reports_rank_stats(workspace, capsys):
     root, report = workspace
-    ckpt = root / "run" / "epoch_001.sdvc"
+    ckpt = root / "run" / "best.sdvc"
     code, out, _ = run(capsys, "eval", "--manifest", str(root / "data" / "manifest.json"),
                        "--checkpoint", str(ckpt), "--split", "test", "--mode", "generic")
     assert code == 0
@@ -413,7 +415,7 @@ def test_eval_generic_one_frame_video_is_degenerate(workspace, tmp_path, capsys)
     video.pop("fragments", None)
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     code, out, err = run(capsys, "eval", "--manifest", str(manifest_path),
-                         "--checkpoint", str(root / "run" / "epoch_001.sdvc"),
+                         "--checkpoint", str(root / "run" / "best.sdvc"),
                          "--split", "test", "--mode", "generic")
     assert code == 0
     assert "1 all-tied videos (tau), 1 (rho)" in err
@@ -429,7 +431,7 @@ def test_eval_overlap_matrix_csv(workspace, tmp_path, capsys):
     ids_file.write_text("\n".join(test_ids) + "\n", encoding="utf-8")
     out_csv = tmp_path / "m.csv"
     code, _, err = run(capsys, "eval", "--manifest", str(root / "data" / "manifest.json"),
-                       "--checkpoint", str(root / "run" / "epoch_001.sdvc"),
+                       "--checkpoint", str(root / "run" / "best.sdvc"),
                        "--split", "test", "--mode", "script",
                        "--overlap", str(ids_file), "--overlap-out", str(out_csv))
     assert code == 0
@@ -442,7 +444,7 @@ def test_eval_overlap_with_no_ids_is_usage_error(workspace, tmp_path, capsys):
     ids_file = tmp_path / "ids.txt"
     ids_file.write_text("\n  \n", encoding="utf-8")
     code, _, err = run(capsys, "eval", "--manifest", str(root / "data" / "manifest.json"),
-                       "--checkpoint", str(root / "run" / "epoch_001.sdvc"),
+                       "--checkpoint", str(root / "run" / "best.sdvc"),
                        "--split", "test", "--mode", "script",
                        "--overlap", str(ids_file), "--overlap-out", str(tmp_path / "m.csv"))
     assert code == 1
@@ -471,7 +473,7 @@ def test_eval_overlap_scores_each_pair_once(workspace, tmp_path, capsys, monkeyp
         out_csv = tmp_path / f"{split}.csv"
         calls.clear()
         code, _, err = run(capsys, "eval", "--manifest", str(root / "data" / "manifest.json"),
-                           "--checkpoint", str(root / "run" / "epoch_001.sdvc"),
+                           "--checkpoint", str(root / "run" / "best.sdvc"),
                            "--split", "test", "--mode", "script",
                            "--overlap", str(ids_file), "--overlap-out", str(out_csv))
         assert code == expected_code
@@ -495,7 +497,7 @@ def test_eval_malformed_manifest_is_data_error(workspace, tmp_path, capsys):
     bad = tmp_path / "manifest.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
     code, _, err = run(capsys, "eval", "--manifest", str(bad),
-                       "--checkpoint", str(root / "run" / "epoch_001.sdvc"),
+                       "--checkpoint", str(root / "run" / "best.sdvc"),
                        "--split", "test", "--mode", "script")
     assert code == 2
     assert err == "data error: video 'train_0000': file: expected str, got None\n"
@@ -504,7 +506,7 @@ def test_eval_malformed_manifest_is_data_error(workspace, tmp_path, capsys):
 def test_eval_bad_split_is_usage_error(workspace, capsys):
     root, _ = workspace
     code, _, _ = run(capsys, "eval", "--manifest", str(root / "data" / "manifest.json"),
-                     "--checkpoint", str(root / "run" / "epoch_001.sdvc"),
+                     "--checkpoint", str(root / "run" / "best.sdvc"),
                      "--split", "train", "--mode", "script")
     assert code == 1
 
@@ -693,7 +695,7 @@ def _without(argv, *flags):
 def _summarize(root, frames=None, script=None, checkpoint=None, manifest=None, summary=0):
     """summarize on the test video: its frames from the manifest and its first
     script, unless ``frames`` or ``script`` names an SDVE file."""
-    argv = ["summarize", "--checkpoint", str(checkpoint or root / "run" / "epoch_001.sdvc")]
+    argv = ["summarize", "--checkpoint", str(checkpoint or root / "run" / "best.sdvc")]
     if frames is None:
         argv += ["--manifest", str(manifest or root / "data" / "manifest.json"),
                  "--video", _test_video(root)["id"]]
@@ -704,7 +706,7 @@ def _summarize(root, frames=None, script=None, checkpoint=None, manifest=None, s
 
 def _eval(root, manifest=None, checkpoint=None):
     return ["eval", "--manifest", str(manifest or root / "data" / "manifest.json"),
-            "--checkpoint", str(checkpoint or root / "run" / "epoch_001.sdvc"),
+            "--checkpoint", str(checkpoint or root / "run" / "best.sdvc"),
             "--split", "test", "--mode", "script"]
 
 
@@ -736,7 +738,7 @@ def _corpus_with_inf_frames(root, tmp):
 
 
 def _checkpoint_with(root, tmp, edit):
-    blob, tensors = read_checkpoint_file(root / "run" / "epoch_001.sdvc")
+    blob, tensors = read_checkpoint_file(root / "run" / "best.sdvc")
     tensors = {name: t.copy() for name, t in tensors.items()}
     edit(blob, tensors)
     write_checkpoint_file(blob, tensors, tmp / "edited.sdvc")
@@ -756,7 +758,7 @@ MALFORMED = {
     "inf_corpus_frames": lambda root, tmp: _eval(root, manifest=_corpus_with_inf_frames(root, tmp)),
     "nan_checkpoint_tensor": lambda root, tmp: _eval(root, checkpoint=_raw(
         tmp / "nan.sdvc",   # the last tensor's last value
-        (root / "run" / "epoch_001.sdvc").read_bytes()[:-4] + struct.pack("<f", np.nan))),
+        (root / "run" / "best.sdvc").read_bytes()[:-4] + struct.pack("<f", np.nan))),
     "frames_width": lambda root, tmp: _summarize(
         root, frames=_written(tmp / "f.sdve", _test_frames(root)),
         script=_script_file(root, tmp), checkpoint=_narrow_checkpoint(tmp)),
@@ -811,6 +813,9 @@ def test_ablate_runs_five_variants(workspace, tmp_path, capsys):
             assert sdvsum["parameters"] < row["parameters"]
     csv_lines = (tmp_path / "ab" / "ablation.csv").read_text().strip().splitlines()
     assert len(csv_lines) == 6  # header + five variants
+    for row in rows:   # each variant keeps one checkpoint
+        assert sorted(p.name for p in (tmp_path / "ab" / row["name"]).iterdir()) == \
+            ["best.sdvc", "train_report.jsonl"]
 
 
 def test_ablate_reads_each_dataset_file_once(workspace, tmp_path, capsys, monkeypatch):

@@ -7,12 +7,14 @@ import math
 import numpy as np
 import pytest
 
+import sdvsum.model
 from sdvsum import training
 from sdvsum.autodiff import ShapeError, Tape, bce, mse, sigmoid
 from sdvsum.datasets import SynthSpec, generate_synthetic, load_split
 from sdvsum.errors import ConfigError, LabelError, ManifestError, NumericError
-from sdvsum.metrics import mode_pairs
-from sdvsum.model import ModelConfig, fuse_heads, init_weights, load_checkpoint, model_forward
+from sdvsum.metrics import evaluate_script_driven, mode_pairs
+from sdvsum.model import (ModelConfig, fuse_heads, init_weights, load_checkpoint,
+                          make_score_fn, model_forward)
 from sdvsum.rng import Rng
 from sdvsum.training import (
     OptimizerState,
@@ -332,17 +334,68 @@ def test_remainder_group_is_averaged_over_its_actual_size(tiny, tmp_path, monkey
 def test_train_run_outputs_and_best_selection(tiny, tmp_path):
     out = tmp_path / "o"
     report = train_run(tiny, MODEL, FAST, out)
-    assert (out / "epoch_001.sdvc").exists() and (out / "epoch_002.sdvc").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["best.sdvc", "train_report.jsonl"]
     scores = [r.val_fscore for r in report.epochs]
     assert report.best_val_fscore == max(scores)
     assert report.best_epoch == scores.index(max(scores)) + 1  # earliest on ties
-    assert report.checkpoint == f"epoch_{report.best_epoch:03d}.sdvc"
+    assert report.checkpoint == training.BEST_CHECKPOINT == "best.sdvc"
     lines = (out / "train_report.jsonl").read_text().splitlines()
     assert len(lines) == 3
     assert json.loads(lines[0]) == {"epoch": 1,
                                     "train_loss": report.epochs[0].train_loss,
                                     "val_fscore": report.epochs[0].val_fscore}
     assert json.loads(lines[-1])["best_epoch"] == report.best_epoch
+
+
+def test_train_run_writes_the_checkpoint_at_each_improvement_only(tiny, tmp_path,
+                                                                  monkeypatch):
+    saved = []
+    real = sdvsum.model.save_checkpoint
+    monkeypatch.setattr(sdvsum.model, "save_checkpoint",
+                        lambda *a: (saved.append(a[2].name), real(*a)))
+    cfg = dataclasses.replace(FAST, epochs=3, seed=9)
+    report = train_run(tiny, MODEL, cfg, tmp_path / "three")
+    scores = [r.val_fscore for r in report.epochs]
+    improved = [e for e in range(3) if all(scores[e] > s for s in scores[:e])]
+    assert 1 < report.best_epoch < 3   # this seed improves at epoch 2, then ties
+    assert saved == ["best.sdvc"] * len(improved) and len(improved) == 2
+    assert sorted(p.name for p in (tmp_path / "three").iterdir()) == \
+        ["best.sdvc", "train_report.jsonl"]
+    lines = (tmp_path / "three" / "train_report.jsonl").read_text().splitlines()
+    assert json.loads(lines[-1]) == {"best_epoch": 2, "best_val_fscore": max(scores),
+                                     "checkpoint": "best.sdvc"}
+    # the shuffle and dropout streams are keyed by epoch: a run that stops at
+    # the best epoch holds the same weights
+    train_run(tiny, MODEL, dataclasses.replace(cfg, epochs=report.best_epoch),
+              tmp_path / "short")
+    assert ((tmp_path / "three" / "best.sdvc").read_bytes()
+            == (tmp_path / "short" / "best.sdvc").read_bytes())
+
+
+def test_a_failed_rerun_leaves_the_report_in_step_with_the_checkpoint(tiny, tmp_path,
+                                                                     monkeypatch):
+    out = tmp_path / "r"
+    first = train_run(tiny, MODEL, dataclasses.replace(FAST, epochs=1, seed=7), out)
+    steps = []
+    real = training.adam_step
+
+    class Stopped(Exception):
+        pass
+
+    def stop_in_epoch_2(*a):   # 8 Adam steps per epoch
+        steps.append(1)
+        if len(steps) > 8:
+            raise Stopped
+        real(*a)
+
+    monkeypatch.setattr(training, "adam_step", stop_in_epoch_2)
+    with pytest.raises(Stopped):
+        train_run(tiny, MODEL, dataclasses.replace(FAST, epochs=3, seed=9), out)
+    best = json.loads((out / "train_report.jsonl").read_text().splitlines()[-1])
+    weights, config = load_checkpoint(out / best["checkpoint"])
+    val = evaluate_script_driven(make_score_fn(weights, config), tiny, "validation").fscore
+    assert best["best_val_fscore"] == val
+    assert val != first.best_val_fscore   # the second run's epoch 1 replaced the first run
 
 
 def test_train_run_deterministic_across_reruns(tiny, tmp_path):
