@@ -84,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("summarize", help="summarize one video")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--frames", help="frame embeddings (SDVE); or give --manifest and --video")
-    p.add_argument("--script", help="script sentence embeddings (SDVE); or give --summary")
+    p.add_argument("--frames", help="frame embeddings file (SDVC); or give --manifest and --video")
+    p.add_argument("--script", help="script sentence embeddings file (SDVC); or give --summary")
     p.add_argument("--manifest", help="dataset manifest that holds --video")
     p.add_argument("--video", help="video id in --manifest: its frames, its fragments for "
                    "--fragments from-manifest, and the output's name (default: the "
@@ -113,7 +113,8 @@ def _training_setup(args) -> tuple[RunConfig, DatasetManifest, Path]:
     """``train``'s and ``ablate``'s config, manifest and output directory.
 
     The config is validated once, with ``--seed`` applied and the model as
-    wide as the manifest's embeddings.
+    wide as the manifest's embeddings. The corpus settings are not checked:
+    no corpus is built.
     """
     out = Path(args.out)
     near = out   # a file on its path is refused before training, not at the first write
@@ -122,7 +123,8 @@ def _training_setup(args) -> tuple[RunConfig, DatasetManifest, Path]:
     if near.exists() and not near.is_dir():
         raise DataFormatError(f"--out {out}: {near} exists and is not a directory")
     manifest = load_manifest(args.manifest)
-    return parse_config(args.config, args.seed, manifest.dimension), manifest, out
+    config = parse_config(args.config, args.seed, manifest.dimension, ("model", "train"))
+    return config, manifest, out
 
 
 def _cmd_synth(args) -> int:

@@ -15,7 +15,7 @@ class ConfigError(ValueError):
 
 
 class DataFormatError(ValueError):
-    """Base class for malformed data files (SDVE/SDVC containers, manifests)."""
+    """Base class for malformed data files (SDVC containers, manifests)."""
 
 
 class BadMagicError(DataFormatError):

@@ -1,16 +1,14 @@
-"""Binary containers for embeddings/labels ("SDVE") and checkpoints ("SDVC").
+"""The SDVC binary container, the one file format of checkpoints, dataset
+videos and loose embedding matrices.
 
-SDVE layout: magic ``SDVE`` | u32 version=1 | u32 rows | u32 cols | rows*cols
-float32 values, row-major. Everything little-endian, no padding, no trailing
-bytes. Labels ride in the same container with cols=1 so one reader and one
-writer cover both.
-
-SDVC layout: magic ``SDVC`` | u32 version=1 | u32 blob length | UTF-8 JSON
-blob | u32 tensor count | per tensor: u16 name length, name, u32 rows, u32
-cols, float32 data. One writer and one reader serve both of its uses: a
-checkpoint (the blob is the model config, the tensors are the weights named
-in the model module, e.g. ``attn.h3.wq``) and a dataset video (see the
-datasets module).
+Layout: magic ``SDVC`` | u32 version=1 | u32 blob length | UTF-8 JSON blob |
+u32 tensor count | per tensor: u16 name length, name, u32 rows, u32 cols,
+rows*cols float32 values, row-major. Everything little-endian, no padding, no
+trailing bytes. One writer and one reader serve all three uses: a checkpoint
+(the blob is the model config, the tensors are the weights named in the model
+module, e.g. ``attn.h3.wq``), a dataset video (see the datasets module), and
+an embeddings file (the blob ``{}`` and one tensor named ``embeddings``),
+which ``summarize --frames/--script`` reads.
 
 Each malformation is reported with a distinct exception type so negative
 tests can pin the failure mode, not just "something raised".
@@ -41,8 +39,7 @@ from .errors import (
 
 __all__ = [
     "atomic_write",
-    "EMBED_MAGIC",
-    "CHECKPOINT_MAGIC",
+    "MAGIC",
     "FORMAT_VERSION",
     "write_embeddings",
     "read_embeddings",
@@ -52,8 +49,7 @@ __all__ = [
     "read_checkpoint_file",
 ]
 
-EMBED_MAGIC = b"SDVE"
-CHECKPOINT_MAGIC = b"SDVC"
+MAGIC = b"SDVC"
 FORMAT_VERSION = 1
 
 # rows*cols capped so total element count stays within a signed 32-bit range
@@ -119,18 +115,6 @@ class _Reader:
     def u16(self, what: str) -> int:
         return _U16.unpack(self.take(2, what))[0]
 
-    def expect_magic(self, magic: bytes) -> None:
-        got = self.take(len(magic), "magic")
-        if got != magic:
-            raise BadMagicError(f"{self.path}: bad magic {got!r}, expected {magic!r}")
-
-    def expect_version(self) -> None:
-        v = self.u32("version")
-        if v != FORMAT_VERSION:
-            raise VersionMismatchError(
-                f"{self.path}: format version {v}, this reader handles {FORMAT_VERSION}"
-            )
-
     def matrix(self, rows: int, cols: int, what: str) -> np.ndarray:
         raw = self.take(rows * cols * 4, what)
         a = np.frombuffer(raw, dtype="<f4").reshape(rows, cols)
@@ -157,31 +141,6 @@ def _as_f32_matrix(m, path) -> np.ndarray:
     return a
 
 
-def write_embeddings(m, path) -> None:
-    """Write one matrix as an SDVE file."""
-    a = _as_f32_matrix(m, path)
-    with atomic_write(path) as fh:
-        fh.write(EMBED_MAGIC)
-        fh.write(_U32.pack(FORMAT_VERSION))
-        fh.write(_U32.pack(a.shape[0]))
-        fh.write(_U32.pack(a.shape[1]))
-        fh.write(a.astype("<f4", copy=False).tobytes(order="C"))
-
-
-def read_embeddings(path) -> np.ndarray:
-    """Read an SDVE file back into a float32 matrix; byte-exact round-trip."""
-    with open(path, "rb") as fh:
-        r = _Reader(fh.read(), path)
-    r.expect_magic(EMBED_MAGIC)
-    r.expect_version()
-    rows = r.u32("row count")
-    cols = r.u32("column count")
-    _check_dims(rows, cols, path)
-    m = r.matrix(rows, cols, f"{rows}x{cols} float payload")
-    r.done()
-    return m
-
-
 _MAX_NAME = 2**16 - 1
 
 
@@ -194,7 +153,7 @@ def write_container(blob: dict, tensors: dict[str, np.ndarray], path) -> None:
     """
     raw_blob = json.dumps(blob, sort_keys=True).encode("utf-8")
     with atomic_write(path) as fh:
-        fh.write(CHECKPOINT_MAGIC + _U32.pack(FORMAT_VERSION) + _U32.pack(len(raw_blob))
+        fh.write(MAGIC + _U32.pack(FORMAT_VERSION) + _U32.pack(len(raw_blob))
                  + raw_blob + _U32.pack(len(tensors)))
         for name, t in tensors.items():
             raw_name = name.encode("utf-8")
@@ -210,8 +169,13 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read an SDVC file into (JSON blob, name -> tensor map)."""
     with open(path, "rb") as fh:
         r = _Reader(fh.read(), path)
-    r.expect_magic(CHECKPOINT_MAGIC)
-    r.expect_version()
+    magic = r.take(len(MAGIC), "magic")
+    if magic != MAGIC:
+        raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+    version = r.u32("version")
+    if version != FORMAT_VERSION:
+        raise VersionMismatchError(f"{path}: format version {version}, "
+                                   f"this reader handles {FORMAT_VERSION}")
     blob_len = r.u32("blob length")
     raw_blob = r.take(blob_len, "blob")
     try:
@@ -238,6 +202,21 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         tensors[name] = r.matrix(rows, cols, f"tensor {name!r} payload")
     r.done()
     return blob, tensors
+
+
+def write_embeddings(m, path) -> None:
+    """Write one matrix as an embeddings file: the blob ``{}`` and one tensor ``embeddings``."""
+    write_container({}, {"embeddings": m}, path)
+
+
+def read_embeddings(path) -> np.ndarray:
+    """Read an embeddings file back into a float32 matrix; byte-exact round-trip."""
+    blob, tensors = read_container(path)
+    if blob or list(tensors) != ["embeddings"]:
+        raise TensorNameError(f"{path}: expected the blob {{}} and one tensor 'embeddings', got "
+                              f"{len(blob)} blob key(s) and {len(tensors)} tensor(s), "
+                              f"first {list(tensors)[:3]}")
+    return tensors["embeddings"]
 
 
 # A checkpoint is a container of the model config and the weights. Its I/O keeps

@@ -260,6 +260,9 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
     ``BEST_CHECKPOINT``, and every epoch then rewrites ``train_report.jsonl``
     with the epochs so far. Its checkpoint field is that relative name, so
     reports are identical across output locations. ``cache`` is ``load_split``'s.
+    The two are separate atomic writes, the report second: if the report write
+    itself fails after a new ``BEST_CHECKPOINT``, the report on disk (an earlier
+    epoch's, or an earlier run's) no longer describes that checkpoint.
     """
     # Looked up on each call, not bound at import: perfbench/tracing.py wraps
     # model.save_checkpoint and this module's evaluate_script_driven, bce_loss,
@@ -325,7 +328,7 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
         if not report.best_epoch or val > report.best_val_fscore:
             save_checkpoint(weights, model_config, out_dir / BEST_CHECKPOINT)
             report.best_epoch, report.best_val_fscore = epoch, val
-        # after the checkpoint: a run that fails later leaves the two in step
+        # after the checkpoint: a failure in a later epoch leaves the two in step
         with atomic_write(out_dir / "train_report.jsonl", "w", encoding="utf-8") as fh:
             fh.write(report.to_json_lines())
         if on_epoch is not None:

@@ -486,7 +486,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     ok = (reports_equal and weights_equal and scores_bitwise and sdve_exact
           and sdvc_exact and elapsed < 60)
     _report(8, ok, f"reports equal={reports_equal}, weights bitwise={weights_equal}, "
-                   f"scores bitwise={scores_bitwise}, SDVE byte-exact={sdve_exact}, "
+                   f"scores bitwise={scores_bitwise}, embeddings byte-exact={sdve_exact}, "
                    f"SDVC byte-exact={sdvc_exact}, {elapsed:.1f}s")
 
 

@@ -14,7 +14,7 @@ import pytest
 import sdvsum.cli
 import sdvsum.datasets
 from sdvsum.cli import ABLATION_VARIANTS, main
-from sdvsum.datasets import load_manifest, load_split
+from sdvsum.datasets import DatasetManifest, VideoEntry, load_manifest, load_split, write_manifest
 from sdvsum.model import ModelConfig, init_weights, load_checkpoint, save_checkpoint
 from sdvsum.rng import Rng
 from sdvsum.sdve import (read_checkpoint_file, read_container, write_checkpoint_file,
@@ -165,6 +165,26 @@ def test_train_heads_divide_the_manifest_dimension(tmp_path, capsys):
     assert (code, err) == (0, "")
     _, config = load_checkpoint(tmp_path / "r" / "best.sdvc")
     assert (config.dim, config.heads) == (48, 6)
+
+
+def test_train_checks_no_corpus_setting(tmp_path, capsys):
+    # synth refuses dim < 8, but train builds no corpus: a config that repeats
+    # a dim-4 manifest's width trains
+    g = np.random.default_rng(0)
+    entries = []
+    for split in ("train", "validation"):
+        write_container({"video": split}, {"frames": g.normal(size=(6, 4)),
+                                           "labels_00": np.array([[1.0], [1], [0], [0], [0], [0]]),
+                                           "script_00": g.normal(size=(2, 4))},
+                        tmp_path / f"{split}.sdvc")
+        entries.append(VideoEntry(split, split, f"{split}.sdvc"))
+    write_manifest(DatasetManifest(4, entries), tmp_path / "manifest.json")
+    (tmp_path / "t.cfg").write_text("dim = 4\nheads = 2\nepochs = 1\n", encoding="utf-8")
+    code, _, err = run(capsys, "train", "--manifest", str(tmp_path / "manifest.json"),
+                       "--config", str(tmp_path / "t.cfg"), "--out", str(tmp_path / "r"))
+    assert (code, err) == (0, "")
+    _, config = load_checkpoint(tmp_path / "r" / "best.sdvc")
+    assert (config.dim, config.heads) == (4, 2)
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
@@ -544,11 +564,11 @@ def test_summarize_default_fragments_are_five_frames(workspace, capsys):
 
 
 def test_summarize_files_give_the_manifest_video_output(workspace, tmp_path, capsys):
-    # the same frames and script, read from SDVE files, summarize the same way
+    # the same frames and script, read from embeddings files, summarize the same way
     root, _ = workspace
     video = _test_video(root)
-    frames = _written(tmp_path / "f.sdve", _test_frames(root))
-    script = _written(tmp_path / "s.sdve", _loaded_test_video(root).summaries[1].script)
+    frames = _written(tmp_path / "f.sdvc", _test_frames(root))
+    script = _written(tmp_path / "s.sdvc", _loaded_test_video(root).summaries[1].script)
     outputs = []
     for argv in (_summarize(root, summary=1), _summarize(root, script=script),
                  _summarize(root, frames=frames, script=script)):
@@ -564,9 +584,9 @@ def test_summarize_names_the_video_without_video(workspace, tmp_path, capsys, mo
     root, _ = workspace
     frames = _test_frames(root)
     (tmp_path / "test_0000").mkdir()
-    named = {_written(tmp_path / "test_0000" / "frames.sdve", frames): "frames",
-             _written(tmp_path / "clip_7.sdve", frames): "clip_7",
-             "frames.sdve": "frames"}
+    named = {_written(tmp_path / "test_0000" / "frames.sdvc", frames): "frames",
+             _written(tmp_path / "clip_7.sdvc", frames): "clip_7",
+             "frames.sdvc": "frames"}
     script = _script_file(root, tmp_path)
     monkeypatch.chdir(tmp_path / "test_0000")   # a bare file name is read from here
     for path, video_id in named.items():
@@ -576,15 +596,15 @@ def test_summarize_names_the_video_without_video(workspace, tmp_path, capsys, mo
 
 SOURCES = {
     "no frames": lambda a: _without(a, "--manifest", "--video"),
-    "frames twice": lambda a: [*a, "--frames", "f.sdve"],
+    "frames twice": lambda a: [*a, "--frames", "f.sdvc"],
     "manifest without video": lambda a: _without(a, "--video"),
     "video without manifest": lambda a: _without(a, "--manifest"),
     "no script": lambda a: _without(a, "--summary"),
-    "script twice": lambda a: [*a, "--script", "s.sdve"],
+    "script twice": lambda a: [*a, "--script", "s.sdvc"],
     "summary of a file": lambda a: [*_without(a, "--manifest", "--video"),
-                                    "--frames", "f.sdve"],
+                                    "--frames", "f.sdvc"],
     "fragments of a file": lambda a: [*_without(a, "--manifest", "--video", "--summary"),
-                                      "--frames", "f.sdve", "--script", "s.sdve",
+                                      "--frames", "f.sdvc", "--script", "s.sdvc",
                                       "--fragments", "from-manifest"],
 }
 
@@ -660,7 +680,7 @@ def test_summarize_manifest_fragments_that_overlap_are_data_error(workspace, tmp
 
 def test_summarize_corrupt_embeddings_is_data_error(workspace, tmp_path, capsys):
     root, _ = workspace
-    bad = tmp_path / "bad.sdve"
+    bad = tmp_path / "bad.sdvc"
     bad.write_bytes(b"not an embedding file")
     code, _, _ = run(capsys, *_summarize(root, frames=bad, script=bad))
     assert code == 2
@@ -680,7 +700,7 @@ def _test_frames(root):
 
 
 def _script_file(root, tmp):
-    return _written(tmp / "script.sdve", _loaded_test_video(root).summaries[0].script)
+    return _written(tmp / "script.sdvc", _loaded_test_video(root).summaries[0].script)
 
 
 def _without(argv, *flags):
@@ -694,7 +714,7 @@ def _without(argv, *flags):
 
 def _summarize(root, frames=None, script=None, checkpoint=None, manifest=None, summary=0):
     """summarize on the test video: its frames from the manifest and its first
-    script, unless ``frames`` or ``script`` names an SDVE file."""
+    script, unless ``frames`` or ``script`` names an embeddings file."""
     argv = ["summarize", "--checkpoint", str(checkpoint or root / "run" / "best.sdvc")]
     if frames is None:
         argv += ["--manifest", str(manifest or root / "data" / "manifest.json"),
@@ -721,10 +741,12 @@ def _raw(path, data: bytes):
 
 
 def _poisoned(m, dst, value):
-    # write_embeddings refuses non-finite values, so the file is made by hand
+    # write_embeddings refuses non-finite values, so the file is made by hand:
+    # the blob {} and one tensor, 'embeddings'
     m = m.copy()
     m[0, 0] = value
-    return _raw(dst, b"SDVE" + struct.pack("<III", 1, *m.shape) + m.astype("<f4").tobytes())
+    return _raw(dst, b"SDVC" + struct.pack("<II", 1, 2) + b"{}" + struct.pack("<IH", 1, 10)
+                + b"embeddings" + struct.pack("<II", *m.shape) + m.astype("<f4").tobytes())
 
 
 def _corpus_with_inf_frames(root, tmp):
@@ -751,40 +773,71 @@ def _narrow_checkpoint(tmp):
     return tmp / "narrow.sdvc"
 
 
+def _sdve_file(root, tmp):
+    # the earlier one-matrix format, which no reader accepts
+    m = _test_frames(root)
+    return _raw(tmp / "f.sdve", b"SDVE" + struct.pack("<III", 1, *m.shape)
+                + m.astype("<f4").tobytes())
+
+
+# case: (the command line, a fragment its one stderr line must hold)
+_WIDTH = "has width 16 but checkpoint"
+_NOT_EMBEDDINGS = "expected the blob {} and one tensor 'embeddings', got "
 MALFORMED = {
-    "nan_frames": lambda root, tmp: _summarize(
-        root, frames=_poisoned(_test_frames(root), tmp / "nan.sdve", np.nan),
-        script=_script_file(root, tmp)),
-    "inf_corpus_frames": lambda root, tmp: _eval(root, manifest=_corpus_with_inf_frames(root, tmp)),
-    "nan_checkpoint_tensor": lambda root, tmp: _eval(root, checkpoint=_raw(
+    "nan_frames": (lambda root, tmp: _summarize(
+        root, frames=_poisoned(_test_frames(root), tmp / "nan.sdvc", np.nan),
+        script=_script_file(root, tmp)), "tensor 'embeddings' payload holds NaN"),
+    "inf_corpus_frames": (lambda root, tmp: _eval(
+        root, manifest=_corpus_with_inf_frames(root, tmp)), "tensor 'frames' payload holds NaN"),
+    "nan_checkpoint_tensor": (lambda root, tmp: _eval(root, checkpoint=_raw(
         tmp / "nan.sdvc",   # the last tensor's last value
         (root / "run" / "best.sdvc").read_bytes()[:-4] + struct.pack("<f", np.nan))),
-    "frames_width": lambda root, tmp: _summarize(
-        root, frames=_written(tmp / "f.sdve", _test_frames(root)),
+        "tensor 'scorer.head.b' payload holds NaN"),
+    "sdve_frames": (lambda root, tmp: _summarize(
+        root, frames=_sdve_file(root, tmp), script=_script_file(root, tmp)),
+        "f.sdve: bad magic b'SDVE', expected b'SDVC'"),
+    "checkpoint_as_frames": (lambda root, tmp: _summarize(
+        root, frames=root / "run" / "best.sdvc", script=_script_file(root, tmp)),
+        "best.sdvc: " + _NOT_EMBEDDINGS),
+    "video_file_as_frames": (lambda root, tmp: _summarize(
+        root, frames=root / "data" / _test_video(root)["file"], script=_script_file(root, tmp)),
+        "test_0000.sdvc: " + _NOT_EMBEDDINGS + "1 blob key(s)"),
+    "frames_width": (lambda root, tmp: _summarize(
+        root, frames=_written(tmp / "f.sdvc", _test_frames(root)),
         script=_script_file(root, tmp), checkpoint=_narrow_checkpoint(tmp)),
-    "manifest_video_width": lambda root, tmp: _summarize(root, checkpoint=_narrow_checkpoint(tmp)),
-    "script_width": lambda root, tmp: _summarize(root, script=_written(
-        tmp / "narrow.sdve", np.ones((3, 8)))),
-    "manifest_dimension": lambda root, tmp: _eval(root, checkpoint=_narrow_checkpoint(tmp)),
-    "config_blob_type": lambda root, tmp: _eval(root, checkpoint=_checkpoint_with(
+        "f.sdvc " + _WIDTH),
+    "manifest_video_width": (lambda root, tmp: _summarize(
+        root, checkpoint=_narrow_checkpoint(tmp)), "manifest.json " + _WIDTH),
+    "script_width": (lambda root, tmp: _summarize(root, script=_written(
+        tmp / "narrow.sdvc", np.ones((3, 8)))), "narrow.sdvc has width 8 but checkpoint"),
+    "manifest_dimension": (lambda root, tmp: _eval(
+        root, checkpoint=_narrow_checkpoint(tmp)), "manifest.json " + _WIDTH),
+    "config_blob_type": (lambda root, tmp: _eval(root, checkpoint=_checkpoint_with(
         root, tmp, lambda blob, tensors: blob.update(dim=str(blob["dim"])))),
-    "config_blob_bool_string": lambda root, tmp: _eval(root, checkpoint=_checkpoint_with(
+        "key 'dim' needs a int, got '16'"),
+    "config_blob_bool_string": (lambda root, tmp: _eval(root, checkpoint=_checkpoint_with(
         root, tmp, lambda blob, tensors: blob.update(use_scaling="false"))),
-    "config_blob_float_dim": lambda root, tmp: _eval(root, checkpoint=_checkpoint_with(
+        "key 'use_scaling' needs a bool, got 'false'"),
+    "config_blob_float_dim": (lambda root, tmp: _eval(root, checkpoint=_checkpoint_with(
         root, tmp, lambda blob, tensors: blob.update(dim=float(blob["dim"])))),
-    "config_blob_bool_heads": lambda root, tmp: _eval(root, checkpoint=_checkpoint_with(
+        "key 'dim' needs a int, got 16.0"),
+    "config_blob_bool_heads": (lambda root, tmp: _eval(root, checkpoint=_checkpoint_with(
         root, tmp, lambda blob, tensors: blob.update(heads=True))),
-    "overlap_ids_not_utf8": lambda root, tmp: [*_eval(root), "--overlap", str(_raw(
-        tmp / "ids.txt", b"\xff\xfe"))],
+        "key 'heads' needs a int, got True"),
+    "overlap_ids_not_utf8": (lambda root, tmp: [*_eval(root), "--overlap", str(_raw(
+        tmp / "ids.txt", b"\xff\xfe"))], "ids.txt is not UTF-8"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_is_data_error(workspace, tmp_path, capsys, case):
+    # one "data error: " line, and it names this case's fault
     root, _ = workspace
-    code, _, err = run(capsys, *MALFORMED[case](root, tmp_path))
-    assert code == 2
-    assert err.startswith("data error: ")
+    argv, fragment = MALFORMED[case]
+    code, stdout, err = run(capsys, *argv(root, tmp_path))
+    assert (code, stdout) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("data error: ")
+    assert fragment in err
 
 
 @pytest.mark.parametrize("argv", [_eval, _summarize])

@@ -1,6 +1,6 @@
 """Property tests: malformed inputs fail through the documented error classes.
 
-Byte mutations of valid SDVE files, SDVC checkpoints and SDVC video files,
+Byte mutations of a valid embeddings file, checkpoint and video file (all SDVC),
 random tensor sets in a video file, random config text and random JSON
 manifests must either load or raise the class the CLI maps to an exit code
 (``DataFormatError`` -> 2, ``ConfigError`` -> 1), never anything else.
@@ -28,12 +28,12 @@ FUZZ = settings(max_examples=150, deadline=None,
 
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
-    """Bytes of a valid SDVE file and a valid SDVC checkpoint."""
+    """Bytes of a valid embeddings file and a valid checkpoint."""
     root = tmp_path_factory.mktemp("fuzz")
-    write_embeddings(np.random.default_rng(0).normal(size=(3, 4)), root / "e.sdve")
+    write_embeddings(np.random.default_rng(0).normal(size=(3, 4)), root / "e.sdvc")
     config = ModelConfig(dim=4, heads=2, ffn_dim=4)
     save_checkpoint(init_weights(config, Rng(0)), config, root / "c.sdvc")
-    return (root / "e.sdve").read_bytes(), (root / "c.sdvc").read_bytes()
+    return (root / "e.sdvc").read_bytes(), (root / "c.sdvc").read_bytes()
 
 
 @st.composite
@@ -62,8 +62,9 @@ def _returns_or_raises(load, path, allowed):
 
 @given(data=st.data())
 @FUZZ
-def test_mutated_sdve_returns_or_raises_data_format_error(valid_files, tmp_path, data):
-    path = tmp_path / "m.sdve"
+def test_mutated_embeddings_file_returns_or_raises_data_format_error(valid_files, tmp_path,
+                                                                     data):
+    path = tmp_path / "m.sdvc"
     path.write_bytes(data.draw(mutated(valid_files[0])))
     _returns_or_raises(read_embeddings, path, DataFormatError)
 

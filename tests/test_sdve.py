@@ -1,7 +1,9 @@
-"""Binary container formats: byte-level layout, round-trips, negative controls."""
+"""The SDVC container and its embeddings files: byte-level layout, round-trips,
+negative controls."""
 
 import errno
 import json
+import re
 import struct
 import tracemalloc
 import warnings
@@ -20,6 +22,8 @@ from sdvsum.errors import (
     VersionMismatchError,
 )
 from sdvsum import sdve
+from sdvsum.model import ModelConfig, init_weights, save_checkpoint
+from sdvsum.rng import Rng
 from sdvsum.sdve import (
     atomic_write,
     read_checkpoint_file,
@@ -31,97 +35,135 @@ from sdvsum.sdve import (
 )
 
 
-def embed_bytes(rows, cols, values):
-    """Reference encoder, written independently of the library."""
-    head = b"SDVE" + struct.pack("<III", 1, rows, cols)
-    return head + struct.pack(f"<{len(values)}f", *values)
+def embed_bytes(rows, cols, values, version=1):
+    """Reference encoder of an embeddings file, written independently of the library."""
+    head = b"SDVC" + struct.pack("<II", version, 2) + b"{}" + struct.pack("<I", 1)
+    tensor = struct.pack("<H", 10) + b"embeddings" + struct.pack("<II", rows, cols)
+    return head + tensor + struct.pack(f"<{len(values)}f", *values)
 
 
 # ---------------------------------------------------------------------------
-# embeddings
+# embeddings files and the container reader's refusals
 
 
 def test_layout_matches_reference_encoder(tmp_path):
     m = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], dtype=np.float32)
-    p = tmp_path / "m.sdve"
+    p = tmp_path / "m.sdvc"
     write_embeddings(m, p)
+    assert p.read_bytes() == (
+        b"SDVC"                                       # magic
+        + b"\x01\x00\x00\x00"                         # version 1
+        + b"\x02\x00\x00\x00" + b"{}"                 # blob length, blob
+        + b"\x01\x00\x00\x00"                         # one tensor
+        + b"\x0a\x00" + b"embeddings"                 # name length, name
+        + b"\x02\x00\x00\x00" + b"\x03\x00\x00\x00"   # rows, cols
+        + b"\x00\x00\x80\x3f" + b"\x00\x00\x00\x40" + b"\x00\x00\x40\x40"   # 1, 2, 3
+        + b"\x00\x00\x80\x40" + b"\x00\x00\xa0\x40" + b"\x00\x00\xc0\x40"   # 4, 5, 6
+    )
     assert p.read_bytes() == embed_bytes(2, 3, [1, 2, 3, 4, 5, 6])
+    blob, tensors = read_container(p)
+    assert blob == {} and list(tensors) == ["embeddings"]
+    assert np.array_equal(tensors["embeddings"], m)
 
 
 def test_round_trip_is_identity(tmp_path):
     rng = np.random.default_rng(0)
     for shape in [(1, 1), (1, 7), (7, 1), (3, 4), (60, 64)]:
         m = rng.normal(size=shape).astype(np.float32)
-        p = tmp_path / "m.sdve"
+        p, q = tmp_path / "m.sdvc", tmp_path / "n.sdvc"
         write_embeddings(m, p)
         out = read_embeddings(p)
         assert out.dtype == np.float32
         assert np.array_equal(out, m)
+        write_embeddings(out, q)
+        assert q.read_bytes() == p.read_bytes()
 
 
 def test_round_trip_preserves_special_values(tmp_path):
     m = np.array([[0.0, -0.0, np.float32(1e-38), np.float32(3.4e38)]], dtype=np.float32)
-    p = tmp_path / "m.sdve"
+    p = tmp_path / "m.sdvc"
     write_embeddings(m, p)
     assert read_embeddings(p).tobytes() == m.tobytes()
 
 
+def _checkpoint(path):
+    config = ModelConfig(dim=4, heads=2, ffn_dim=4)
+    save_checkpoint(init_weights(config, Rng(0)), config, path)
+
+
+def _video(path):
+    write_container({"video": "v0"}, {"frames": np.ones((2, 3)), "labels_00": np.ones((2, 1)),
+                                      "script_00": np.ones((1, 3))}, path)
+
+
+OTHER_CONTAINERS = {
+    "checkpoint": _checkpoint,
+    "video": _video,
+    "blob": lambda p: write_container({"note": 1}, {"embeddings": np.ones((2, 3))}, p),
+    "second_tensor": lambda p: write_container(
+        {}, {"embeddings": np.ones((2, 3)), "x": np.ones((1, 3))}, p),
+    "renamed_tensor": lambda p: write_container({}, {"frames": np.ones((2, 3))}, p),
+}
+
+
+@pytest.mark.parametrize("case", OTHER_CONTAINERS)
+def test_read_embeddings_refuses_other_containers(tmp_path, case):
+    # valid SDVC files that are not embeddings files: refused, naming what they hold
+    path = tmp_path / "c.sdvc"
+    OTHER_CONTAINERS[case](path)
+    blob, tensors = read_container(path)
+    got = (f"got {len(blob)} blob key(s) and {len(tensors)} tensor(s), "
+           f"first {list(tensors)[:3]}")
+    with pytest.raises(TensorNameError, match=r"expected the blob \{\} and one tensor "
+                                              r"'embeddings', " + re.escape(got)):
+        read_embeddings(path)
+
+
 def test_wrong_magic(tmp_path):
+    # a file of the earlier SDVE format: header, then one 1x1 matrix
     p = tmp_path / "m.sdve"
-    p.write_bytes(b"XXXX" + struct.pack("<III", 1, 1, 1) + struct.pack("<f", 0.0))
-    with pytest.raises(BadMagicError):
-        read_embeddings(p)
+    p.write_bytes(b"SDVE" + struct.pack("<III", 1, 1, 1) + struct.pack("<f", 0.0))
+    for read in (read_container, read_embeddings):
+        with pytest.raises(BadMagicError, match=r"bad magic b'SDVE', expected b'SDVC'"):
+            read(p)
 
 
 def test_wrong_version(tmp_path):
-    p = tmp_path / "m.sdve"
-    p.write_bytes(b"SDVE" + struct.pack("<III", 2, 1, 1) + struct.pack("<f", 0.0))
-    with pytest.raises(VersionMismatchError):
-        read_embeddings(p)
-
-
-def test_truncated_payload(tmp_path):
-    # Header says 2x3 but only 5 floats follow (the sixth is missing).
-    p = tmp_path / "m.sdve"
-    p.write_bytes(embed_bytes(2, 3, [1, 2, 3, 4, 5]))
-    with pytest.raises(TruncatedPayloadError):
-        read_embeddings(p)
+    p = tmp_path / "m.sdvc"
+    p.write_bytes(embed_bytes(1, 1, [0.0], version=2))
+    for read in (read_container, read_embeddings):
+        with pytest.raises(VersionMismatchError, match="format version 2, this reader handles 1"):
+            read(p)
 
 
 def test_truncated_header(tmp_path):
-    p = tmp_path / "m.sdve"
-    p.write_bytes(b"SDVE" + struct.pack("<I", 1))
-    with pytest.raises(TruncatedPayloadError):
-        read_embeddings(p)
-
-
-def test_trailing_bytes_rejected(tmp_path):
-    p = tmp_path / "m.sdve"
-    p.write_bytes(embed_bytes(1, 2, [1, 2]) + b"\x00")
-    with pytest.raises(TrailingBytesError):
-        read_embeddings(p)
+    p = tmp_path / "m.sdvc"
+    p.write_bytes(b"SDVC" + struct.pack("<I", 1))
+    with pytest.raises(TruncatedPayloadError, match="blob length"):
+        read_container(p)
 
 
 def test_dimension_overflow(tmp_path):
-    p = tmp_path / "m.sdve"
-    p.write_bytes(b"SDVE" + struct.pack("<III", 1, 2**20, 2**20))
-    with pytest.raises(DimensionOverflowError):
+    # the header declares 2^40 floats; the reader refuses before reading any
+    p = tmp_path / "m.sdvc"
+    p.write_bytes(embed_bytes(2**20, 2**20, []))
+    with pytest.raises(DimensionOverflowError, match="1048576x1048576"):
         read_embeddings(p)
 
 
 def test_zero_extent_rejected(tmp_path):
-    p = tmp_path / "m.sdve"
-    p.write_bytes(b"SDVE" + struct.pack("<III", 1, 0, 3))
-    with pytest.raises(Exception):
+    p = tmp_path / "m.sdvc"
+    p.write_bytes(embed_bytes(0, 3, []))
+    with pytest.raises(TensorShapeError, match="non-positive dimensions 0x3"):
         read_embeddings(p)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_payload_rejected(tmp_path, value):
     # the writers refuse such values, so the files are made by hand
-    (tmp_path / "m.sdve").write_bytes(embed_bytes(1, 2, [1.0, value]))
-    with pytest.raises(NonFiniteValueError):
-        read_embeddings(tmp_path / "m.sdve")
+    (tmp_path / "m.sdvc").write_bytes(embed_bytes(1, 2, [1.0, value]))
+    with pytest.raises(NonFiniteValueError, match="'embeddings'"):
+        read_embeddings(tmp_path / "m.sdvc")
     write_checkpoint_file({}, {"w": np.array([[1.0]])}, tmp_path / "c.sdvc")
     raw = (tmp_path / "c.sdvc").read_bytes()
     (tmp_path / "c.sdvc").write_bytes(raw[:-4] + struct.pack("<f", value))
@@ -136,7 +178,7 @@ def test_writers_refuse_what_the_readers_refuse(tmp_path, value):
     # and the overflowing cast warns nothing
     m = np.array([[1.0, value]])
     old = embed_bytes(1, 1, [2.0])
-    for write, name in ((lambda p: write_embeddings(m, p), "m.sdve"),
+    for write, name in ((lambda p: write_embeddings(m, p), "m.sdvc"),
                         (lambda p: write_checkpoint_file({}, {"w": m}, p), "c.sdvc")):
         fresh, kept = tmp_path / f"fresh-{name}", tmp_path / f"kept-{name}"
         fresh.mkdir()
@@ -153,8 +195,9 @@ def test_writers_refuse_what_the_readers_refuse(tmp_path, value):
 
 
 def test_write_rejects_non_matrix(tmp_path):
-    with pytest.raises(Exception):
-        write_embeddings(np.zeros((2, 2, 2), dtype=np.float32), tmp_path / "m.sdve")
+    with pytest.raises(TensorShapeError, match="expected a 2-D matrix"):
+        write_embeddings(np.zeros((2, 2, 2), dtype=np.float32), tmp_path / "m.sdvc")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +225,6 @@ def test_checkpoint_round_trip(tmp_path):
     for name in tensors:
         assert np.array_equal(tensors2[name], tensors[name])
         assert tensors2[name].dtype == np.float32
-
-
-def test_checkpoint_magic_distinct_from_embeddings(tmp_path):
-    config, tensors = ckpt_pair()
-    p = tmp_path / "c.sdvc"
-    write_checkpoint_file(config, tensors, p)
-    assert p.read_bytes()[:4] == b"SDVC"
-    with pytest.raises(BadMagicError):
-        read_embeddings(p)
 
 
 def test_checkpoint_empty_name_rejected(tmp_path):
@@ -282,7 +316,7 @@ def test_hypothesis_round_trip(tmp_path):
     @settings(max_examples=40, deadline=None)
     def inner(rows, cols, seed):
         m = np.random.default_rng(seed).normal(size=(rows, cols)).astype(np.float32)
-        p = tmp_path / "h.sdve"
+        p = tmp_path / "h.sdvc"
         write_embeddings(m, p)
         assert np.array_equal(read_embeddings(p), m)
 
