@@ -682,8 +682,9 @@ def test_summarize_corrupt_embeddings_is_data_error(workspace, tmp_path, capsys)
     root, _ = workspace
     bad = tmp_path / "bad.sdvc"
     bad.write_bytes(b"not an embedding file")
-    code, _, _ = run(capsys, *_summarize(root, frames=bad, script=bad))
+    code, _, err = run(capsys, *_summarize(root, frames=bad, script=bad))
     assert code == 2
+    assert err == f"data error: {bad}: bad magic b'not ', expected b'SDVC'\n"
 
 
 def _test_video(root):
