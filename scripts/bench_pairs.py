@@ -84,8 +84,7 @@ def cli_flow(work: Path, dim: int, run) -> None:
     for mode in ("script_driven", "generic"):
         for rep in ("multi_vector", "single_vector"):
             cfg = work / f"{mode}-{rep}.cfg"
-            cfg.write_text(f"epochs = 2\nlearning_rate = 1e-3\nmode = {mode}\n"
-                           f"text_rep = {rep}\nencoder_layers = 2\nscorer_head = hidden\n")
+            cfg.write_text(f"epochs = 2\nlearning_rate = 1e-3\nmode = {mode}\ntext_rep = {rep}\n")
             out = run(f"train {mode} {rep}", ["train", "--manifest", manifest,
                                               "--config", cfg, "--out", work / cfg.stem])
             try:

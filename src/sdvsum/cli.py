@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="script: the J-th reference summary's script of --video")
     p.add_argument("--budget-frac", type=float, default=TOP_FRACTION)
     p.add_argument("--fragments", default=f"fixed:{FIXED_SEGMENT}",
-                   help="'from-manifest' (needs --manifest and --video) or 'fixed:<len>'")
+                   help="'from-manifest' (needs --manifest and --video) or 'fixed:<len>'; "
+                   "a fixed length above the frame budget is cut to the budget")
 
     p = seeded(sub.add_parser("ablate", help="train and compare the five variants"))
     p.add_argument("--manifest", required=True, help="dataset manifest JSON")
@@ -112,9 +114,10 @@ def _check_width(source: str, width: int, checkpoint, model_config: ModelConfig)
 def _training_setup(args) -> tuple[RunConfig, DatasetManifest, Path]:
     """``train``'s and ``ablate``'s config, manifest and output directory.
 
-    The config is validated once, with ``--seed`` applied and the model as
-    wide as the manifest's embeddings. The corpus settings are not checked:
-    no corpus is built.
+    The config is parsed with ``--seed`` applied and the model as wide as the
+    manifest's embeddings. Its training settings are checked here, its model by
+    ``train_run`` or per ``ablate`` variant, before any split is read; its
+    corpus settings not at all, since no corpus is built.
     """
     out = Path(args.out)
     near = out   # a file on its path is refused before training, not at the first write
@@ -123,7 +126,7 @@ def _training_setup(args) -> tuple[RunConfig, DatasetManifest, Path]:
     if near.exists() and not near.is_dir():
         raise DataFormatError(f"--out {out}: {near} exists and is not a directory")
     manifest = load_manifest(args.manifest)
-    config = parse_config(args.config, args.seed, manifest.dimension, ("model", "train"))
+    config = parse_config(args.config, args.seed, manifest.dimension, ("train",))
     return config, manifest, out
 
 
@@ -162,13 +165,9 @@ def _cmd_eval(args) -> int:
         result = evaluate_script_driven(score_fn, manifest, args.split)
     else:
         result = evaluate_generic(score_fn, manifest, args.split)
-        if result.degenerate_tau or result.degenerate_rho:
-            print(
-                f"note: excluded from rank-correlation averages: "
-                f"{result.degenerate_tau} all-tied videos (tau), "
-                f"{result.degenerate_rho} (rho)",
-                file=sys.stderr,
-            )
+        if result.degenerate:
+            print(f"note: excluded from rank-correlation averages: "
+                  f"{result.degenerate} all-tied videos", file=sys.stderr)
     matrix = overlap_matrix(result, ids) if args.overlap else None
     print(result.to_json())
     if matrix is not None:
@@ -178,10 +177,12 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _fragments_for(spec: str, entry: VideoEntry | None, n_frames: int) -> list[tuple[int, int]]:
-    """``summarize``'s fragments; a manifest video's were checked when it was loaded."""
+def _fragments_for(spec: str, entry: VideoEntry | None, n_frames: int,
+                   budget: int) -> list[tuple[int, int]]:
+    """``summarize``'s fragments: a manifest video's (checked when it was loaded), or
+    fixed ones of at most ``budget`` frames, so that each fits."""
     if spec == "from-manifest":
-        return entry.fragments or fixed_fragmentation(n_frames, FIXED_SEGMENT)
+        return entry.fragments or fixed_fragmentation(n_frames, min(FIXED_SEGMENT, budget))
     if spec.startswith("fixed:"):
         try:
             seg = int(spec.split(":", 1)[1])
@@ -189,7 +190,7 @@ def _fragments_for(spec: str, entry: VideoEntry | None, n_frames: int) -> list[t
             seg = 0
         if seg < 1:
             raise UsageError(f"bad fragment spec {spec!r}, expected fixed:<len> with len >= 1")
-        return fixed_fragmentation(n_frames, seg)
+        return fixed_fragmentation(n_frames, min(seg, budget))
     raise UsageError(f"bad --fragments value {spec!r}")
 
 
@@ -235,8 +236,8 @@ def _cmd_summarize(args) -> int:
     scores = make_score_fn(weights, model_config)(x, y)
     n = scores.shape[0]
     selection = select_top_fraction(scores, args.budget_frac)
-    fragments = _fragments_for(args.fragments, entry, n)
     budget = max(1, math.floor(args.budget_frac * n))
+    fragments = _fragments_for(args.fragments, entry, n, budget)
     chosen = fragment_knapsack(scores, fragments, budget)
     print(json.dumps({
         "video_id": args.video or Path(args.frames).stem,
@@ -248,23 +249,25 @@ def _cmd_summarize(args) -> int:
 
 def _cmd_ablate(args) -> int:
     config, manifest, out = _training_setup(args)
+    # the variants' own text_rep, heads and use_scaling are checked, not the config's
+    variants = {name: replace(config.model, text_rep=text_rep, heads=heads, use_scaling=scaling)
+                for name, text_rep, heads, scaling in ABLATION_VARIANTS}
+    for variant in variants.values():
+        variant.validate()
     cache: dict = {}   # every file read once, and a bad one refused before any write
     for split in SPLITS:
         load_split(manifest, split, cache)
     rows = []
-    for name, text_rep, heads, use_scaling in ABLATION_VARIANTS:
-        variant = ModelConfig(**{**config.model.to_dict(), "text_rep": text_rep,
-                                 "heads": heads, "use_scaling": use_scaling})
-        variant.validate()
+    for name, variant in variants.items():
         report = train_run(manifest, variant, config.train, out / name, cache=cache)
         weights, _ = load_checkpoint(out / name / report.checkpoint)
         result = evaluate_script_driven(make_score_fn(weights, variant), manifest, "test",
                                         cache=cache)
         rows.append({
             "name": name,
-            "text_rep": text_rep,
-            "heads": heads,
-            "use_scaling": use_scaling,
+            "text_rep": variant.text_rep,
+            "heads": variant.heads,
+            "use_scaling": variant.use_scaling,
             "parameters": parameter_count(variant),
             "best_val_fscore": report.best_val_fscore,
             "test_fscore": result.fscore,

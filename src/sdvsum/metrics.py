@@ -197,8 +197,7 @@ class EvalResult:
     tau: float | None
     rho: float | None
     records: list[EvalRecord] = field(default_factory=list)
-    degenerate_tau: int = 0
-    degenerate_rho: int = 0
+    degenerate: int = 0   # generic-mode videos with no tau or rho: scores or references all tied
 
     def to_json(self) -> str:
         return json.dumps({
@@ -255,8 +254,7 @@ def _evaluate(score_fn, manifest: DatasetManifest, split: str, mode: str, cache)
         tau=float(np.mean(taus)) if taus else None,
         rho=float(np.mean(rhos)) if rhos else None,
         records=records,
-        degenerate_tau=len(records) - len(taus) if generic else 0,
-        degenerate_rho=len(records) - len(rhos) if generic else 0,
+        degenerate=len(records) - len(taus) if generic else 0,
     )
 
 

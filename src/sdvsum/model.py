@@ -10,16 +10,20 @@ linear, and a fixed sinusoidal positional encoding is added. Every dense
 layer is one ``linear`` tape op. Training and ``make_score_fn`` hold each
 block's Q/K/V fused (``fuse_heads``); checkpoints store it per head
 (``split_heads``). After a dropout + layer-norm stage the frame
-representations pass through a small Transformer encoder stack and a sigmoid
-scoring head, giving one importance score in (0, 1) per frame.
+representations pass through one Transformer encoder block and a linear
+sigmoid head, giving one importance score in (0, 1) per frame.
 
 Two text representations are supported: ``multi_vector`` keeps all M sentence
 embeddings as keys/values; ``single_vector`` first condenses the script into
-one vector by concatenating T uniformly spaced sentence embeddings (a numpy
-gather: embeddings are constants) and projecting to D. The condenser is what
-makes the single-vector model strictly larger in parameter count.
+one vector by concatenating T = 8 uniformly spaced sentence embeddings (a
+numpy gather: embeddings are constants) and projecting to D. The condenser is
+what makes the single-vector model strictly larger in parameter count.
 
-Inside the encoder stack, self-attention always uses the conventional
+That architecture is fixed. A checkpoint's config still names it
+(``encoder_layers`` 1, ``scorer_head`` "direct", ``single_vector_t`` 8), and a
+checkpoint that names another value is refused.
+
+Inside the encoder block, self-attention always uses the conventional
 sqrt(D/H) scaling; ``use_scaling`` only governs the cross-modal stage.
 Dropout is applied to attention matrices and to the post-attention stage,
 nowhere else.
@@ -59,7 +63,7 @@ from .rng import Rng
 
 __all__ = [
     "TEXT_REPS",
-    "SCORER_HEADS",
+    "SINGLE_VECTOR_T",
     "scalar_fields",
     "ModelConfig",
     "tensor_shapes",
@@ -79,7 +83,9 @@ __all__ = [
 ]
 
 TEXT_REPS = ("multi_vector", "single_vector")
-SCORER_HEADS = ("direct", "hidden")
+SINGLE_VECTOR_T = 8   # sentences the single-vector condenser concatenates
+# the fixed architecture, by the names a checkpoint's config gives it
+_FIXED = {"encoder_layers": 1, "scorer_head": "direct", "single_vector_t": SINGLE_VECTOR_T}
 
 
 def scalar_fields(cls) -> dict[str, type]:
@@ -106,11 +112,8 @@ class ModelConfig:
     heads: int = 8
     use_scaling: bool = False
     text_rep: str = "multi_vector"
-    single_vector_t: int = 8
     dropout_rate: float = 0.5
-    encoder_layers: int = 1
     ffn_dim: int | None = None   # None -> 4*dim
-    scorer_head: str = "direct"
 
     def validate(self) -> None:
         if self.dim < 1 or self.heads < 1:
@@ -123,12 +126,6 @@ class ModelConfig:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.text_rep not in TEXT_REPS:
             raise ConfigError(f"text_rep must be one of {TEXT_REPS}, got {self.text_rep!r}")
-        if self.scorer_head not in SCORER_HEADS:
-            raise ConfigError(f"scorer_head must be one of {SCORER_HEADS}, got {self.scorer_head!r}")
-        if self.encoder_layers < 1:
-            raise ConfigError(f"encoder_layers must be >= 1, got {self.encoder_layers}")
-        if self.single_vector_t < 1:
-            raise ConfigError(f"single_vector_t must be >= 1, got {self.single_vector_t}")
         if self.ffn_dim is not None and self.ffn_dim < 1:
             raise ConfigError(f"ffn_dim must be >= 1, got {self.ffn_dim}")
 
@@ -141,10 +138,17 @@ class ModelConfig:
         return 4 * self.dim if self.ffn_dim is None else self.ffn_dim
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), **_FIXED}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """The config a checkpoint's blob names; it may name the fixed architecture."""
+        d = dict(d)
+        for key, fixed in _FIXED.items():
+            value = d.pop(key, fixed)
+            if value != fixed or type(value) is not type(fixed):
+                raise ConfigError(f"{key} {value!r} is not this model's architecture "
+                                  f"({key} {fixed!r})")
         kinds = scalar_fields(cls)
         unknown = set(d) - set(kinds)
         if unknown:
@@ -177,24 +181,20 @@ def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
     d = config.dim
     shapes: dict[str, tuple[int, int]] = {}
     if config.text_rep == "single_vector":
-        shapes["condenser.w"] = (config.single_vector_t * d, d)
+        shapes["condenser.w"] = (SINGLE_VECTOR_T * d, d)
         shapes["condenser.b"] = (1, d)
     shapes.update(_attention_block("attn", config))
     shapes["post.ln.gain"] = (1, d)
     shapes["post.ln.bias"] = (1, d)
-    for l in range(config.encoder_layers):
-        shapes.update(_attention_block(f"enc{l}.attn", config))
-        shapes[f"enc{l}.ln1.gain"] = (1, d)
-        shapes[f"enc{l}.ln1.bias"] = (1, d)
-        shapes[f"enc{l}.ffn.w1"] = (d, config.ffn)
-        shapes[f"enc{l}.ffn.b1"] = (1, config.ffn)
-        shapes[f"enc{l}.ffn.w2"] = (config.ffn, d)
-        shapes[f"enc{l}.ffn.b2"] = (1, d)
-        shapes[f"enc{l}.ln2.gain"] = (1, d)
-        shapes[f"enc{l}.ln2.bias"] = (1, d)
-    if config.scorer_head == "hidden":
-        shapes["scorer.hidden.w"] = (d, d)
-        shapes["scorer.hidden.b"] = (1, d)
+    shapes.update(_attention_block("enc0.attn", config))
+    shapes["enc0.ln1.gain"] = (1, d)
+    shapes["enc0.ln1.bias"] = (1, d)
+    shapes["enc0.ffn.w1"] = (d, config.ffn)
+    shapes["enc0.ffn.b1"] = (1, config.ffn)
+    shapes["enc0.ffn.w2"] = (config.ffn, d)
+    shapes["enc0.ffn.b2"] = (1, d)
+    shapes["enc0.ln2.gain"] = (1, d)
+    shapes["enc0.ln2.bias"] = (1, d)
     shapes["scorer.head.w"] = (d, 1)
     shapes["scorer.head.b"] = (1, 1)
     return shapes
@@ -312,25 +312,19 @@ def cross_modal_attention(tape: Tape, x: Node, y_rep: Node, weights,
 
 
 def scorer_forward(tape: Tape, z: Node, weights, config: ModelConfig, offsets=None) -> Node:
-    """Encoder stack plus sigmoid scoring head; input is the post-norm Z.
+    """Encoder block plus linear sigmoid head; input is the post-norm Z.
 
     Stacked samples (row ``offsets``) attend only to their own frames.
     """
-    d = config.dim
-    for l in range(config.encoder_layers):
-        # the encoder layer itself runs dropout-free; the rate applies to the
-        # cross-modal attention matrices and the post-attention stage only
-        att = _multi_head(tape, z, z, weights, f"enc{l}.attn", config.heads,
-                          math.sqrt(config.head_dim), q_offsets=offsets, k_offsets=offsets)
-        z = layer_norm(add(z, att),
-                       _p(tape, weights, f"enc{l}.ln1.gain"),
-                       _p(tape, weights, f"enc{l}.ln1.bias"))
-        hidden = relu(_dense(tape, z, weights, f"enc{l}.ffn", "1"))
-        z = layer_norm(add(z, _dense(tape, hidden, weights, f"enc{l}.ffn", "2")),
-                       _p(tape, weights, f"enc{l}.ln2.gain"),
-                       _p(tape, weights, f"enc{l}.ln2.bias"))
-    if config.scorer_head == "hidden":
-        z = relu(_dense(tape, z, weights, "scorer.hidden"))
+    # the encoder block itself runs dropout-free; the rate applies to the
+    # cross-modal attention matrices and the post-attention stage only
+    att = _multi_head(tape, z, z, weights, "enc0.attn", config.heads,
+                      math.sqrt(config.head_dim), q_offsets=offsets, k_offsets=offsets)
+    z = layer_norm(add(z, att), _p(tape, weights, "enc0.ln1.gain"),
+                   _p(tape, weights, "enc0.ln1.bias"))
+    hidden = relu(_dense(tape, z, weights, "enc0.ffn", "1"))
+    z = layer_norm(add(z, _dense(tape, hidden, weights, "enc0.ffn", "2")),
+                   _p(tape, weights, "enc0.ln2.gain"), _p(tape, weights, "enc0.ln2.bias"))
     return sigmoid(_dense(tape, z, weights, "scorer.head"))
 
 
@@ -339,14 +333,14 @@ def _text_representation(tape: Tape, y, weights, config: ModelConfig,
     """The text rows the frames attend to, and each sample's offsets into them.
 
     The one place the raw script ``y`` is checked (by ``matrix``). Single-vector
-    text is one row per sample: T uniformly spaced sentences concatenated (in
-    numpy) and projected to 1 x D by the condenser. Row i of a sample of M
+    text is one row per sample: T = 8 uniformly spaced sentences concatenated
+    (in numpy) and projected to 1 x D by the condenser. Row i of a sample of M
     sentences is floor(i*M/T): the exact-fit case M=T walks every sentence
     once, M<T repeats sentences, M>T strides uniformly.
     """
     if config.text_rep == "single_vector":
         y = matrix(y)
-        bounds, t = segment_offsets(offsets, y.shape[0]), config.single_vector_t
+        bounds, t = segment_offsets(offsets, y.shape[0]), SINGLE_VECTOR_T
         idx = [lo + (i * (hi - lo)) // t for lo, hi in zip(bounds, bounds[1:]) for i in range(t)]
         flat = tape.constant(y[idx].reshape(len(bounds) - 1, t * config.dim))
         return _dense(tape, flat, weights, "condenser"), tuple(range(len(bounds)))

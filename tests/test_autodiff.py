@@ -540,7 +540,7 @@ def _ownership_cases():
     def twice(x):
         return add(x, x)
 
-    cfg = ModelConfig(dim=16, heads=4, encoder_layers=2, scorer_head="hidden")
+    cfg = ModelConfig(dim=16, heads=4)
     rng = np.random.default_rng(2)
     X, Y = rng.normal(size=(6, 16)), rng.normal(size=(3, 16))
     labels = np.array([1, 0, 1, 0, 0, 1], dtype=np.float32)

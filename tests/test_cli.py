@@ -201,6 +201,20 @@ def test_config_dim_other_than_the_manifest_writes_nothing(workspace, tmp_path, 
     assert sorted(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("line", ["encoder_layers = 1", "scorer_head = direct",
+                                  "single_vector_t = 8"])
+def test_fixed_architecture_is_no_key(workspace, tmp_path, capsys, line):
+    # one encoder block, a linear head and T = 8 are the model, not settings
+    root, _ = workspace
+    cfg = tmp_path / "arch.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    code, stdout, err = run(capsys, "train", "--manifest", str(root / "data" / "manifest.json"),
+                            "--config", str(cfg), "--out", str(tmp_path / "r"))
+    assert (code, stdout) == (1, "")
+    assert err == f"configuration error: {cfg}:1: unknown key '{line.split()[0]}'\n"
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
 @pytest.mark.parametrize("command", ["synth", "train"])
 def test_seed_out_of_range_is_one_config_error(workspace, tmp_path, capsys, command, seed):
@@ -438,7 +452,7 @@ def test_eval_generic_one_frame_video_is_degenerate(workspace, tmp_path, capsys)
                          "--checkpoint", str(root / "run" / "best.sdvc"),
                          "--split", "test", "--mode", "generic")
     assert code == 0
-    assert "1 all-tied videos (tau), 1 (rho)" in err
+    assert err == "note: excluded from rank-correlation averages: 1 all-tied videos\n"
     record = next(r for r in json.loads(out)["videos"] if r["id"] == video["id"])
     assert record["tau"] is None and record["rho"] is None
 
@@ -545,13 +559,15 @@ def test_summarize_budget_and_shape(workspace, capsys):
     for a, b in result["selected_fragments"]:
         assert 0 <= a < b <= n
 
-    # a budget below the shortest fragment admits no fragment at all
+    # a budget below the fixed length cuts the fragments to the budget, so one fits
     code, out, _ = run(capsys, *_summarize(root), "--fragments", "fixed:4",
                        "--budget-frac", "0.15")
     assert code == 0
     tight = json.loads(out)
-    assert len(tight["selected_frames"]) == max(1, math.floor(0.15 * n))
-    assert tight["selected_fragments"] == []
+    budget = max(1, math.floor(0.15 * n))
+    assert budget < 4
+    assert len(tight["selected_frames"]) == budget
+    assert [b - a for a, b in tight["selected_fragments"]] == [budget]
 
 
 def test_summarize_default_fragments_are_five_frames(workspace, capsys):
@@ -561,6 +577,20 @@ def test_summarize_default_fragments_are_five_frames(workspace, capsys):
     code, out, _ = run(capsys, *_summarize(root), "--budget-frac", "1")
     assert code == 0
     assert json.loads(out)["selected_fragments"] == [[a, min(a + 5, n)] for a in range(0, n, 5)]
+
+
+def test_summarize_default_fragments_fit_a_short_video(workspace, capsys):
+    # below 34 frames the budget, floor(0.15 n), is under 5 frames: the default
+    # fixed:5 fragments are cut to the budget, and the summary is never empty
+    root, _ = workspace
+    n = _test_frames(root).shape[0]
+    budget = max(1, math.floor(0.15 * n))
+    assert n < 34 and budget < 5
+    code, out, _ = run(capsys, *_summarize(root))
+    assert code == 0
+    chosen = json.loads(out)["selected_fragments"]
+    assert [b - a for a, b in chosen] == [budget]
+    assert chosen[0][0] % budget == 0
 
 
 def test_summarize_files_give_the_manifest_video_output(workspace, tmp_path, capsys):
@@ -825,6 +855,15 @@ MALFORMED = {
     "config_blob_bool_heads": (lambda root, tmp: _eval(root, checkpoint=_checkpoint_with(
         root, tmp, lambda blob, tensors: blob.update(heads=True))),
         "key 'heads' needs a int, got True"),
+    "config_blob_encoder_layers": (lambda root, tmp: _eval(root, checkpoint=_checkpoint_with(
+        root, tmp, lambda blob, tensors: blob.update(encoder_layers=2))),
+        "bad model config: encoder_layers 2 is not this model's architecture"),
+    "config_blob_scorer_head": (lambda root, tmp: _eval(root, checkpoint=_checkpoint_with(
+        root, tmp, lambda blob, tensors: blob.update(scorer_head="hidden"))),
+        "bad model config: scorer_head 'hidden' is not this model's architecture"),
+    "config_blob_single_vector_t": (lambda root, tmp: _eval(root, checkpoint=_checkpoint_with(
+        root, tmp, lambda blob, tensors: blob.update(single_vector_t=3))),
+        "bad model config: single_vector_t 3 is not this model's architecture"),
     "overlap_ids_not_utf8": (lambda root, tmp: [*_eval(root), "--overlap", str(_raw(
         tmp / "ids.txt", b"\xff\xfe"))], "ids.txt is not UTF-8"),
 }
@@ -870,6 +909,25 @@ def test_ablate_runs_five_variants(workspace, tmp_path, capsys):
     for row in rows:   # each variant keeps one checkpoint
         assert sorted(p.name for p in (tmp_path / "ab" / row["name"]).iterdir()) == \
             ["best.sdvc", "train_report.jsonl"]
+
+
+def test_ablate_checks_the_variants_not_the_config(workspace, tmp_path, capsys):
+    # every variant sets its own heads, text_rep and use_scaling, so the config's
+    # are never run: 5 heads do not divide dim 16, and no variant uses them
+    root, _ = workspace
+    cfg = tmp_path / "ab.cfg"
+    cfg.write_text("heads = 5\ntext_rep = both\nepochs = 1\n", encoding="utf-8")
+    argv = ["ablate", "--manifest", str(root / "data" / "manifest.json"), "--config", str(cfg)]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "ab"))
+    assert (code, err) == (0, "")
+    rows = json.loads(out[out.index("["):])
+    assert [r["heads"] for r in rows] == [v[2] for v in ABLATION_VARIANTS]
+    # a setting the variants keep is still checked before anything is written
+    cfg.write_text("heads = 5\ndropout_rate = 1.0\nepochs = 1\n", encoding="utf-8")
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "refused"))
+    assert (code, out) == (1, "")
+    assert err == "configuration error: dropout_rate must be in [0, 1), got 1.0\n"
+    assert not (tmp_path / "refused").exists()
 
 
 def test_ablate_reads_each_dataset_file_once(workspace, tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import time
 import tracemalloc
 import weakref
@@ -74,7 +75,7 @@ def np_forward(X, Y, w64, cfg):
     """Inference-mode forward, step by step, independent of the tape code."""
     d = cfg.dim
     if cfg.text_rep == "single_vector":
-        m, t = Y.shape[0], cfg.single_vector_t
+        m, t = Y.shape[0], 8   # the condenser's fixed T
         idx = [(i * m) // t for i in range(t)]
         flat = Y[idx].reshape(1, t * d)
         y_rep = flat @ w64["condenser.w"] + w64["condenser.b"]
@@ -84,15 +85,11 @@ def np_forward(X, Y, w64, cfg):
     z = np_multi_head(X, y_rep, w64, "attn", cfg.heads, scale)
     z = z + positional_encoding(X.shape[0], d).astype(np.float64)
     z = np_layer_norm(z, w64["post.ln.gain"], w64["post.ln.bias"])
-    for l in range(cfg.encoder_layers):
-        att = np_multi_head(z, z, w64, f"enc{l}.attn", cfg.heads,
-                            math.sqrt(cfg.head_dim))
-        z = np_layer_norm(z + att, w64[f"enc{l}.ln1.gain"], w64[f"enc{l}.ln1.bias"])
-        hidden = np.maximum(z @ w64[f"enc{l}.ffn.w1"] + w64[f"enc{l}.ffn.b1"], 0.0)
-        ffn = hidden @ w64[f"enc{l}.ffn.w2"] + w64[f"enc{l}.ffn.b2"]
-        z = np_layer_norm(z + ffn, w64[f"enc{l}.ln2.gain"], w64[f"enc{l}.ln2.bias"])
-    if cfg.scorer_head == "hidden":
-        z = np.maximum(z @ w64["scorer.hidden.w"] + w64["scorer.hidden.b"], 0.0)
+    att = np_multi_head(z, z, w64, "enc0.attn", cfg.heads, math.sqrt(cfg.head_dim))
+    z = np_layer_norm(z + att, w64["enc0.ln1.gain"], w64["enc0.ln1.bias"])
+    hidden = np.maximum(z @ w64["enc0.ffn.w1"] + w64["enc0.ffn.b1"], 0.0)
+    ffn = hidden @ w64["enc0.ffn.w2"] + w64["enc0.ffn.b2"]
+    z = np_layer_norm(z + ffn, w64["enc0.ln2.gain"], w64["enc0.ln2.bias"])
     logits = z @ w64["scorer.head.w"] + w64["scorer.head.b"]
     return 1.0 / (1.0 + np.exp(-logits))
 
@@ -112,8 +109,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(dropout_rate=-0.1).validate()
     with pytest.raises(ConfigError):
-        ModelConfig(encoder_layers=0).validate()
-    with pytest.raises(ConfigError):
         ModelConfig(text_rep="both").validate()
 
 
@@ -127,7 +122,7 @@ def test_tensor_shapes_and_projection_sizes():
     assert shapes["scorer.head.w"] == (64, 1)
     assert "condenser.w" not in shapes
 
-    single = ModelConfig(dim=64, heads=8, text_rep="single_vector", single_vector_t=8)
+    single = ModelConfig(dim=64, heads=8, text_rep="single_vector")
     s2 = tensor_shapes(single)
     assert s2["condenser.w"] == (8 * 64, 64)
     assert s2["condenser.b"] == (1, 64)
@@ -136,13 +131,12 @@ def test_tensor_shapes_and_projection_sizes():
 def test_parameter_count_multi_below_single():
     base = dict(dim=64, heads=8)
     multi = parameter_count(ModelConfig(**base))
-    single = parameter_count(ModelConfig(**base, text_rep="single_vector",
-                                         single_vector_t=8))
+    single = parameter_count(ModelConfig(**base, text_rep="single_vector"))
     assert single - multi == 8 * 64 * 64 + 64  # condenser weights + bias
 
 
 def test_parameter_count_matches_shapes():
-    cfg = ModelConfig(dim=32, heads=4, scorer_head="hidden")
+    cfg = ModelConfig(dim=32, heads=4, text_rep="single_vector", ffn_dim=40)
     total = sum(r * c for r, c in tensor_shapes(cfg).values())
     assert parameter_count(cfg) == total
 
@@ -214,21 +208,21 @@ def condense(y, w, cfg):
 
 
 def test_condense_exact_fit_and_stride():
-    cfg = ModelConfig(dim=8, heads=2, text_rep="single_vector", single_vector_t=4)
+    cfg = ModelConfig(dim=8, heads=2, text_rep="single_vector")
     w = init_weights(cfg, Rng(3))
     rng = np.random.default_rng(0)
-    y16 = rng.normal(size=(16, 8)).astype(np.float32)
-    # M=16, T=4 -> rows {0,4,8,12}; feeding exactly those rows as M=T must match
-    direct = condense(y16[[0, 4, 8, 12]], w, cfg)
-    strided = condense(y16, w, cfg)
+    y20 = rng.normal(size=(20, 8)).astype(np.float32)
+    # M=20, T=8 -> rows floor(i*20/8) = {0,2,5,7,10,12,15,17}; those rows as M=T must match
+    direct = condense(y20[[0, 2, 5, 7, 10, 12, 15, 17]], w, cfg)
+    strided = condense(y20, w, cfg)
     assert np.array_equal(direct, strided)
 
 
 def test_condense_single_sentence_repeats():
-    cfg = ModelConfig(dim=8, heads=2, text_rep="single_vector", single_vector_t=4)
+    cfg = ModelConfig(dim=8, heads=2, text_rep="single_vector")
     w = init_weights(cfg, Rng(3))
     y1 = np.random.default_rng(1).normal(size=(1, 8)).astype(np.float32)
-    rep = np.repeat(y1, 4, axis=0)
+    rep = np.repeat(y1, 8, axis=0)
     assert np.array_equal(condense(y1, w, cfg), condense(rep, w, cfg))
 
 
@@ -236,11 +230,11 @@ def test_condense_is_bitwise_the_on_tape_gather_and_flatten():
     """Stacked ragged scripts, M < T, M = T and M > T, against a numpy
     transcription of the row gather and flatten that once ran on the tape,
     as two ops, feeding the condenser's ``linear``."""
-    t, d = 4, 8
-    cfg = ModelConfig(dim=d, heads=2, text_rep="single_vector", single_vector_t=t)
+    t, d = 8, 8
+    cfg = ModelConfig(dim=d, heads=2, text_rep="single_vector")
     w = init_weights(cfg, Rng(5))
     rng = np.random.default_rng(6)
-    sizes = [2, 4, 7]
+    sizes = [3, 8, 13]
     bounds = np.cumsum([0] + sizes).tolist()
     y = rng.normal(size=(sum(sizes), d)).astype(np.float32)
     g = rng.normal(size=(len(sizes), d)).astype(np.float32)
@@ -353,8 +347,8 @@ def test_sentence_permutation_invariance():
 @pytest.mark.parametrize("cfg", [
     ModelConfig(dim=8, heads=2),
     ModelConfig(dim=8, heads=2, use_scaling=True),
-    ModelConfig(dim=8, heads=4, text_rep="single_vector", single_vector_t=3),
-    ModelConfig(dim=8, heads=2, scorer_head="hidden", encoder_layers=2),
+    ModelConfig(dim=8, heads=4, text_rep="single_vector"),
+    ModelConfig(dim=8, heads=2, text_rep="single_vector", use_scaling=True, ffn_dim=12),
 ])
 def test_forward_matches_numpy_oracle(cfg):
     w = init_weights(cfg, Rng(10))
@@ -386,7 +380,7 @@ def test_degenerate_single_frame_single_sentence():
 
 @pytest.mark.parametrize("text_rep", ["multi_vector", "single_vector"])
 def test_the_script_is_checked_once_per_forward(monkeypatch, text_rep):
-    cfg = ModelConfig(dim=8, heads=2, text_rep=text_rep, single_vector_t=2)
+    cfg = ModelConfig(dim=8, heads=2, text_rep=text_rep)
     w = init_weights(cfg, Rng(30))
     rng = np.random.default_rng(31)
     X, Y = unit_rows(rng, 4, 8), unit_rows(rng, 3, 8)
@@ -408,18 +402,14 @@ def test_the_script_is_checked_once_per_forward(monkeypatch, text_rep):
                 forward(X, bad, w, cfg)
 
 
-@pytest.mark.parametrize("layers", [1, 2])
 @pytest.mark.parametrize("use_scaling", [False, True])
-@pytest.mark.parametrize("scorer_head", ["direct", "hidden"])
 @pytest.mark.parametrize("text_rep", ["multi_vector", "single_vector"])
 @pytest.mark.parametrize("heads", [4, 8])
 @pytest.mark.parametrize("dim", [16, 64])
-def test_inference_is_bitwise_the_recording_tape(dim, heads, text_rep, scorer_head,
-                                                 use_scaling, layers):
+def test_inference_is_bitwise_the_recording_tape(dim, heads, text_rep, use_scaling):
     """The scorer (joined Q/K/V, no tape), ``score_frames`` (per-head, no tape)
     and a recording tape give the same bytes, and so do the attention matrices."""
-    cfg = ModelConfig(dim=dim, heads=heads, text_rep=text_rep, scorer_head=scorer_head,
-                      use_scaling=use_scaling, encoder_layers=layers, single_vector_t=3)
+    cfg = ModelConfig(dim=dim, heads=heads, text_rep=text_rep, use_scaling=use_scaling)
     w = init_weights(cfg, Rng(40))
     rng = np.random.default_rng(41)
     X, Y = unit_rows(rng, 7, dim), unit_rows(rng, 4, dim)
@@ -452,7 +442,7 @@ def test_a_scorer_calls_score_frames_through_the_module(monkeypatch):
 
 
 def test_make_score_fn_runs_on_fused_weights_as_given(monkeypatch):
-    cfg = ModelConfig(dim=16, heads=4, encoder_layers=2)
+    cfg = ModelConfig(dim=16, heads=4)
     fused = fuse_heads(init_weights(cfg, Rng(46)), cfg)
     rng = np.random.default_rng(47)
     calls = []
@@ -462,19 +452,17 @@ def test_make_score_fn_runs_on_fused_weights_as_given(monkeypatch):
     assert list(given) == list(fused) and all(given[n] is a for n, a in fused.items())
 
 
-@pytest.mark.parametrize("dim, text_rep, scorer_head, layers, mode", [
-    (16, "multi_vector", "direct", 1, "script_driven"),
-    (16, "single_vector", "hidden", 2, "generic"),
-    (64, "multi_vector", "hidden", 2, "generic"),
-    (64, "single_vector", "direct", 1, "script_driven"),
-    (512, "multi_vector", "direct", 2, "script_driven"),
-    (512, "single_vector", "hidden", 1, "generic"),
+@pytest.mark.parametrize("dim, text_rep, mode", [
+    (16, "multi_vector", "script_driven"),
+    (16, "single_vector", "generic"),
+    (64, "multi_vector", "generic"),
+    (64, "single_vector", "script_driven"),
+    (512, "multi_vector", "script_driven"),
+    (512, "single_vector", "generic"),
 ])
-def test_fused_and_per_head_weights_give_the_same_gradient_bytes(dim, text_rep, scorer_head,
-                                                                 layers, mode):
+def test_fused_and_per_head_weights_give_the_same_gradient_bytes(dim, text_rep, mode):
     # a stacked training group with dropout, run as training runs it, on both layouts
-    cfg = ModelConfig(dim=dim, heads=4 if dim == 16 else 8, text_rep=text_rep,
-                      scorer_head=scorer_head, encoder_layers=layers, single_vector_t=3)
+    cfg = ModelConfig(dim=dim, heads=4 if dim == 16 else 8, text_rep=text_rep)
     w = init_weights(cfg, Rng(48))
     rng = np.random.default_rng(49)
     stack = [(f"v{i}", unit_rows(rng, n, dim), unit_rows(rng, m, dim),
@@ -490,7 +478,7 @@ def test_fused_and_per_head_weights_give_the_same_gradient_bytes(dim, text_rep, 
 
     per_head, losses = gradients(w)
     fused, fused_losses = gradients(fuse_heads(w, cfg))
-    assert len(fused) == len(w) - 6 * (cfg.heads - 1) * (layers + 1)   # 6 per block
+    assert len(fused) == len(w) - 6 * (cfg.heads - 1) * 2   # 6 per block, 2 blocks
     assert fused_losses == losses
     split = split_heads(fused, cfg)
     assert split.keys() == per_head.keys()
@@ -498,8 +486,7 @@ def test_fused_and_per_head_weights_give_the_same_gradient_bytes(dim, text_rep, 
 
 
 def test_a_checkpoint_of_fused_weights_is_the_per_head_checkpoint(tmp_path):
-    cfg = ModelConfig(dim=16, heads=4, encoder_layers=2, text_rep="single_vector",
-                      single_vector_t=2)
+    cfg = ModelConfig(dim=16, heads=4, text_rep="single_vector")
     w = init_weights(cfg, Rng(51))
     save_checkpoint(w, cfg, tmp_path / "per_head.sdvc")
     save_checkpoint(fuse_heads(w, cfg), cfg, tmp_path / "fused.sdvc")
@@ -509,7 +496,7 @@ def test_a_checkpoint_of_fused_weights_is_the_per_head_checkpoint(tmp_path):
 
 
 def test_a_no_record_forward_keeps_nothing(monkeypatch):
-    cfg = ModelConfig(dim=16, heads=4, encoder_layers=2, scorer_head="hidden")
+    cfg = ModelConfig(dim=16, heads=4)
     w = init_weights(cfg, Rng(44))
     rng = np.random.default_rng(45)
     X, Y = unit_rows(rng, 6, 16), unit_rows(rng, 3, 16)
@@ -648,7 +635,7 @@ def test_training_step_memory_at_2000_frames():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    cfg = ModelConfig(dim=16, heads=4, text_rep="single_vector", single_vector_t=2)
+    cfg = ModelConfig(dim=16, heads=4, text_rep="single_vector")
     w = init_weights(cfg, Rng(22))
     path = tmp_path / "m.sdvc"
     save_checkpoint(w, cfg, path)
@@ -667,6 +654,26 @@ def test_config_from_dict_rejects_mistyped_values(key, value):
     blob = ModelConfig(dim=16, heads=4).to_dict()
     blob[key] = value
     with pytest.raises(ConfigError, match=key):
+        ModelConfig.from_dict(blob)
+
+
+def test_checkpoint_config_names_the_fixed_architecture():
+    config = ModelConfig(dim=16, heads=4)
+    blob = config.to_dict()
+    assert {k: blob[k] for k in ("encoder_layers", "scorer_head", "single_vector_t")} \
+        == {"encoder_layers": 1, "scorer_head": "direct", "single_vector_t": 8}
+    assert ModelConfig.from_dict(blob) == config
+    for key in ("encoder_layers", "scorer_head", "single_vector_t"):   # an older blob omits it
+        assert ModelConfig.from_dict({k: v for k, v in blob.items() if k != key}) == config
+
+
+@pytest.mark.parametrize("key, value", [
+    ("encoder_layers", 2), ("encoder_layers", True), ("scorer_head", "hidden"),
+    ("single_vector_t", 3), ("single_vector_t", 8.0),
+])
+def test_config_from_dict_refuses_another_architecture(key, value):
+    blob = dict(ModelConfig(dim=16, heads=4).to_dict(), **{key: value})
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{key} {value!r}')} is not this model"):
         ModelConfig.from_dict(blob)
 
 

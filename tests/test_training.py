@@ -469,8 +469,7 @@ def test_stacked_group_gradient_is_the_mean_of_sample_gradients(tiny, tmp_path, 
                                                                 mode, text_rep):
     # the first group's gradient, one stacked tape, against each of its samples
     # run alone on its own tape with the same dropout stream, in the same order
-    model = ModelConfig(dim=16, heads=4, dropout_rate=0.5, text_rep=text_rep,
-                        single_vector_t=3)
+    model = ModelConfig(dim=16, heads=4, dropout_rate=0.5, text_rep=text_rep)
     cfg = dataclasses.replace(FAST, epochs=1, mode=mode)
     seen = []
     real = training.adam_step
@@ -492,7 +491,10 @@ def test_stacked_group_gradient_is_the_mean_of_sample_gradients(tiny, tmp_path, 
         grads = tape.backward(loss_fn(f, target))
         total += np.concatenate([a.reshape(-1) for a in fuse_heads(grads, model).values()])
     assert len(group) > 1
-    np.testing.assert_allclose(seen[0], total / len(group), rtol=1e-5, atol=1e-7)
+    # stacking changes only float32 summation order (over each sample's frames, for
+    # the condenser's gradient), so the error scales with the largest component
+    mean = total / len(group)
+    np.testing.assert_allclose(seen[0], mean, rtol=1e-5, atol=1e-6 * np.abs(mean).max())
 
 
 def test_a_group_is_one_tape_unless_its_frames_exceed_the_row_budget():
