@@ -402,14 +402,20 @@ def test_the_script_is_checked_once_per_forward(monkeypatch, text_rep):
                 forward(X, bad, w, cfg)
 
 
+@pytest.mark.parametrize("layers", [1])   # the blob names the fixed architecture
 @pytest.mark.parametrize("use_scaling", [False, True])
+@pytest.mark.parametrize("scorer_head", ["direct"])
 @pytest.mark.parametrize("text_rep", ["multi_vector", "single_vector"])
 @pytest.mark.parametrize("heads", [4, 8])
 @pytest.mark.parametrize("dim", [16, 64])
-def test_inference_is_bitwise_the_recording_tape(dim, heads, text_rep, use_scaling):
+def test_inference_is_bitwise_the_recording_tape(dim, heads, text_rep, scorer_head,
+                                                 use_scaling, layers):
     """The scorer (joined Q/K/V, no tape), ``score_frames`` (per-head, no tape)
-    and a recording tape give the same bytes, and so do the attention matrices."""
-    cfg = ModelConfig(dim=dim, heads=heads, text_rep=text_rep, use_scaling=use_scaling)
+    and a recording tape give the same bytes, and so do the attention matrices,
+    on a config read as a checkpoint blob that names its architecture."""
+    cfg = ModelConfig.from_dict(dict(dim=dim, heads=heads, text_rep=text_rep,
+                                     scorer_head=scorer_head, use_scaling=use_scaling,
+                                     encoder_layers=layers))
     w = init_weights(cfg, Rng(40))
     rng = np.random.default_rng(41)
     X, Y = unit_rows(rng, 7, dim), unit_rows(rng, 4, dim)
@@ -452,17 +458,20 @@ def test_make_score_fn_runs_on_fused_weights_as_given(monkeypatch):
     assert list(given) == list(fused) and all(given[n] is a for n, a in fused.items())
 
 
-@pytest.mark.parametrize("dim, text_rep, mode", [
-    (16, "multi_vector", "script_driven"),
-    (16, "single_vector", "generic"),
-    (64, "multi_vector", "generic"),
-    (64, "single_vector", "script_driven"),
-    (512, "multi_vector", "script_driven"),
-    (512, "single_vector", "generic"),
+@pytest.mark.parametrize("dim, text_rep, scorer_head, layers, mode", [
+    (16, "multi_vector", "direct", 1, "script_driven"),
+    (16, "single_vector", "direct", 1, "generic"),
+    (64, "multi_vector", "direct", 1, "generic"),
+    (64, "single_vector", "direct", 1, "script_driven"),
+    (512, "multi_vector", "direct", 1, "script_driven"),
+    (512, "single_vector", "direct", 1, "generic"),
 ])
-def test_fused_and_per_head_weights_give_the_same_gradient_bytes(dim, text_rep, mode):
-    # a stacked training group with dropout, run as training runs it, on both layouts
-    cfg = ModelConfig(dim=dim, heads=4 if dim == 16 else 8, text_rep=text_rep)
+def test_fused_and_per_head_weights_give_the_same_gradient_bytes(dim, text_rep, scorer_head,
+                                                                 layers, mode):
+    # a stacked training group with dropout, run as training runs it, on both layouts,
+    # on a config read as a checkpoint blob that names the fixed architecture
+    cfg = ModelConfig.from_dict(dict(dim=dim, heads=4 if dim == 16 else 8, text_rep=text_rep,
+                                     scorer_head=scorer_head, encoder_layers=layers))
     w = init_weights(cfg, Rng(48))
     rng = np.random.default_rng(49)
     stack = [(f"v{i}", unit_rows(rng, n, dim), unit_rows(rng, m, dim),
