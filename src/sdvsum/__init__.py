@@ -13,15 +13,7 @@ from .datasets import (
     load_split,
     write_manifest,
 )
-from .errors import (
-    ConfigError,
-    ConfigMismatchError,
-    DataFormatError,
-    LabelError,
-    ManifestError,
-    NumericError,
-    UsageError,
-)
+from .errors import ConfigError, DataFormatError, NumericError, UsageError
 from .metrics import (
     EvalResult,
     OverlapMatrix,

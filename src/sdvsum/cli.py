@@ -26,7 +26,7 @@ import numpy as np
 from .config import RunConfig, parse_config
 from .datasets import (SPLITS, DatasetManifest, LoadedVideo, VideoEntry, generate_synthetic,
                        load_manifest, load_split, load_video)
-from .errors import ConfigError, ConfigMismatchError, DataFormatError, NumericError, UsageError
+from .errors import ConfigError, DataFormatError, NumericError, UsageError
 from .metrics import TOP_FRACTION, evaluate_generic, evaluate_script_driven, overlap_matrix
 from .model import ModelConfig, load_checkpoint, make_score_fn, parameter_count
 from .sdve import atomic_write, read_embeddings
@@ -107,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_width(source: str, width: int, checkpoint, model_config: ModelConfig) -> None:
     if width != model_config.dim:
-        raise ConfigMismatchError(f"{source} has width {width} but checkpoint {checkpoint} "
-                                  f"has dim {model_config.dim}")
+        raise DataFormatError(f"{source} has width {width} but checkpoint {checkpoint} "
+                              f"has dim {model_config.dim}")
 
 
 def _training_setup(args) -> tuple[RunConfig, DatasetManifest, Path]:
@@ -239,6 +239,10 @@ def _cmd_summarize(args) -> int:
     budget = max(1, math.floor(args.budget_frac * n))
     fragments = _fragments_for(args.fragments, entry, n, budget)
     chosen = fragment_knapsack(scores, fragments, budget)
+    shortest = min(end - start for start, end in fragments)
+    if shortest > budget:   # only manifest fragments can be: fixed ones are cut to the budget
+        print(f"note: no manifest fragment fits the budget of {budget} frames "
+              f"(the shortest has {shortest})", file=sys.stderr)
     print(json.dumps({
         "video_id": args.video or Path(args.frames).stem,
         "selected_frames": [int(i) for i in np.nonzero(selection)[0]],
@@ -303,10 +307,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 1
-    except DataFormatError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (DataFormatError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, LabelError, ManifestError
+from .errors import ConfigError, DataFormatError
 from .rng import Rng, check_seed
 # read_embeddings is not called here, but perfbench/tracing.py wraps it by this name
 from .sdve import atomic_write, read_container, read_embeddings, write_container  # noqa: F401
@@ -75,13 +75,13 @@ class DatasetManifest:
 
     def split_videos(self, split: str) -> list[VideoEntry]:
         if split not in SPLITS:
-            raise ManifestError(f"unknown split {split!r}, expected one of {SPLITS}")
+            raise DataFormatError(f"unknown split {split!r}, expected one of {SPLITS}")
         return [v for v in self.videos if v.split == split]
 
 
 def _typed(value, kind: type, what: str):
     if not isinstance(value, kind):
-        raise ManifestError(f"{what}: expected {kind.__name__}, got {value!r}")
+        raise DataFormatError(f"{what}: expected {kind.__name__}, got {value!r}")
     return value
 
 
@@ -89,7 +89,7 @@ def _fragment_pairs(raw, vid: str) -> list[tuple[int, int]]:
     pairs = []
     for f in _typed(raw, list, f"video {vid!r}: fragments"):
         if not (isinstance(f, list) and len(f) == 2 and all(type(x) is int for x in f)):
-            raise ManifestError(f"video {vid!r}: fragment {f!r} is not a [start, end] pair")
+            raise DataFormatError(f"video {vid!r}: fragment {f!r} is not a [start, end] pair")
         pairs.append((f[0], f[1]))
     return pairs
 
@@ -98,10 +98,10 @@ def _parse_entry(raw, where) -> VideoEntry:
     raw = _typed(raw, dict, f"{where}: video entry")
     vid = raw.get("id")
     if not isinstance(vid, str) or not vid:
-        raise ManifestError(f"{where}: video without a string id: {raw!r}")
+        raise DataFormatError(f"{where}: video without a string id: {raw!r}")
     split = raw.get("split")
     if split not in SPLITS:
-        raise ManifestError(f"video {vid!r}: invalid split {split!r}, expected one of {SPLITS}")
+        raise DataFormatError(f"video {vid!r}: invalid split {split!r}, expected one of {SPLITS}")
     return VideoEntry(
         id=vid,
         split=split,
@@ -117,19 +117,19 @@ def load_manifest(path) -> DatasetManifest:
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as e:   # ValueError: not UTF-8, not JSON
-        raise ManifestError(f"cannot read manifest {path}: {e}") from e
+        raise DataFormatError(f"cannot read manifest {path}: {e}") from e
     if not isinstance(doc, dict) or "dimension" not in doc or "videos" not in doc:
-        raise ManifestError(f"{path}: manifest needs top-level 'dimension' and 'videos'")
+        raise DataFormatError(f"{path}: manifest needs top-level 'dimension' and 'videos'")
     dim = doc["dimension"]
     if type(dim) is not int or dim < 1:   # JSON true/false are Python ints
-        raise ManifestError(f"{path}: dimension must be a positive integer, got {dim!r}")
+        raise DataFormatError(f"{path}: dimension must be a positive integer, got {dim!r}")
 
     videos = []
     seen_ids = set()
     for raw in _typed(doc["videos"], list, f"{path}: videos"):
         entry = _parse_entry(raw, path)
         if entry.id in seen_ids:
-            raise ManifestError(f"duplicate video id {entry.id!r}")
+            raise DataFormatError(f"duplicate video id {entry.id!r}")
         seen_ids.add(entry.id)
         videos.append(entry)
 
@@ -184,22 +184,22 @@ def _read_video_file(manifest: DatasetManifest,
     try:
         blob, tensors = read_container(manifest.resolve(rel))
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
-        raise ManifestError(f"video {vid!r}: missing file {rel!r}") from None
+        raise DataFormatError(f"video {vid!r}: missing file {rel!r}") from None
     except (OSError, ValueError) as e:   # a name too long or holding NUL, or not SDVC
-        raise ManifestError(f"video {vid!r}: unreadable file {rel!r}: {e}") from e
+        raise DataFormatError(f"video {vid!r}: unreadable file {rel!r}: {e}") from e
     if blob != {"video": vid}:
-        raise ManifestError(f"video {vid!r}: file {rel!r} has blob "
-                            f"{json.dumps(blob, sort_keys=True)[:80]}, expected "
-                            f"{json.dumps({'video': vid})}")
+        raise DataFormatError(f"video {vid!r}: file {rel!r} has blob "
+                              f"{json.dumps(blob, sort_keys=True)[:80]}, expected "
+                              f"{json.dumps({'video': vid})}")
     # frames and pairs from 00 up: an odd tensor out shows as its missing partner
     pairs = max(1, (len(tensors) - ("description" in tensors)) // 2)
     expected = {"frames", *(["description"] if "description" in tensors else []),
                 *(name for j in range(pairs) for name in _pair_names(j))}
     missing, unexpected = sorted(expected - set(tensors)), sorted(set(tensors) - expected)
     if missing or unexpected:
-        raise ManifestError(f"video {vid!r}: file {rel!r} needs tensors frames, an optional "
-                            f"description and labels_JJ/script_JJ pairs from 00 on; "
-                            f"missing {missing}, unexpected {unexpected}")
+        raise DataFormatError(f"video {vid!r}: file {rel!r} needs tensors frames, an optional "
+                              f"description and labels_JJ/script_JJ pairs from 00 on; "
+                              f"missing {missing}, unexpected {unexpected}")
     return tensors, pairs
 
 
@@ -207,9 +207,9 @@ def _checked(tensors, name: str, vid: str, cols: int, rows: int | None = None) -
     """Tensor ``name`` of video ``vid``, which must be ``rows`` x ``cols``."""
     m = tensors[name]
     if m.shape[1] != cols:
-        raise ManifestError(f"video {vid!r}: {name} has {m.shape[1]} columns, expected {cols}")
+        raise DataFormatError(f"video {vid!r}: {name} has {m.shape[1]} columns, expected {cols}")
     if rows is not None and m.shape[0] != rows:
-        raise ManifestError(f"video {vid!r}: {name} has {m.shape[0]} rows, expected {rows}")
+        raise DataFormatError(f"video {vid!r}: {name} has {m.shape[0]} rows, expected {rows}")
     return m
 
 
@@ -224,9 +224,9 @@ def load_video(manifest: DatasetManifest, entry: VideoEntry) -> LoadedVideo:
         labels_name, script_name = _pair_names(j)
         labels = _checked(tensors, labels_name, vid, 1, n_frames)[:, 0]
         if not np.all((labels == 0.0) | (labels == 1.0)):
-            raise LabelError(f"video {vid!r}: {labels_name} holds non-binary values")
+            raise DataFormatError(f"video {vid!r}: {labels_name} holds non-binary values")
         if labels.sum() < 1:
-            raise LabelError(f"video {vid!r}: {labels_name} marks no positive frame")
+            raise DataFormatError(f"video {vid!r}: {labels_name} marks no positive frame")
         summaries.append(LoadedSummary(labels=labels,
                                        script=_checked(tensors, script_name, vid, dim)))
     description = (_checked(tensors, "description", vid, dim)
@@ -235,7 +235,7 @@ def load_video(manifest: DatasetManifest, entry: VideoEntry) -> LoadedVideo:
         try:
             validate_fragments(entry.fragments, n_frames)
         except ValueError as e:
-            raise ManifestError(f"video {vid!r}: {e}") from e
+            raise DataFormatError(f"video {vid!r}: {e}") from e
     return LoadedVideo(id=vid, frames=frames, summaries=summaries, description=description)
 
 
@@ -245,7 +245,7 @@ def load_split(manifest: DatasetManifest, split: str,
     cache = {} if cache is None else cache
     entries = manifest.split_videos(split)
     if not entries:
-        raise ManifestError(f"{split} split is empty")
+        raise DataFormatError(f"{split} split is empty")
     for entry in entries:
         if entry.id not in cache:
             cache[entry.id] = load_video(manifest, entry)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .autodiff import ShapeError
 from .datasets import DatasetManifest, LoadedVideo, load_split
-from .errors import ManifestError
+from .errors import DataFormatError
 from .selection import select_top_fraction
 
 __all__ = [
@@ -219,11 +219,12 @@ def mode_pairs(video: LoadedVideo, mode: str) -> list[tuple[np.ndarray, list[np.
 
     script_driven: each summary's script with its own labels, in summary
     order. generic: one pair, the video's description with every summary's
-    labels; a video without a description is a ``ManifestError``.
+    labels; a video without a description is a ``DataFormatError``.
     """
     if mode == "generic":
         if video.description is None:
-            raise ManifestError(f"video {video.id!r}: generic mode needs a description embedding")
+            raise DataFormatError(f"video {video.id!r}: generic mode needs a description "
+                                  f"embedding")
         return [(video.description, [s.labels for s in video.summaries])]
     return [(s.script, [s.labels]) for s in video.summaries]
 
@@ -294,9 +295,9 @@ def overlap_matrix(result: EvalResult, video_ids: list[str]) -> OverlapMatrix:
     rows = {r.video_id: r.per_summary for r in result.records}
     for vid in video_ids:
         if vid not in rows:
-            raise ManifestError(f"video {vid!r} is not in the evaluated {result.split!r} split")
+            raise DataFormatError(f"video {vid!r} is not in the evaluated {result.split!r} split")
         if len(rows[vid]) != len(rows[video_ids[0]]):
-            raise ManifestError(f"video {vid!r} has {len(rows[vid])} summaries, "
-                                f"expected {len(rows[video_ids[0]])}")
+            raise DataFormatError(f"video {vid!r} has {len(rows[vid])} summaries, "
+                                  f"expected {len(rows[video_ids[0]])}")
     return OverlapMatrix(video_ids=list(video_ids),
                          values=np.array([rows[vid] for vid in video_ids], dtype=np.float64))

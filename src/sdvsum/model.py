@@ -58,7 +58,7 @@ from .autodiff import (
     segment_offsets,
     sigmoid,
 )
-from .errors import ConfigError, DataFormatError, TensorNameError, TensorShapeError
+from .errors import ConfigError, DataFormatError
 from .rng import Rng
 
 __all__ = [
@@ -261,7 +261,7 @@ def _weight(weights: dict[str, np.ndarray], name: str) -> np.ndarray:
     try:
         return weights[name]
     except KeyError:
-        raise TensorNameError(f"missing weight tensor {name!r}") from None
+        raise DataFormatError(f"missing weight tensor {name!r}") from None
 
 
 def _p(tape: Tape, weights: dict[str, np.ndarray], name: str) -> Node:
@@ -453,10 +453,10 @@ def _check_tensors(tensors: dict[str, np.ndarray], config: ModelConfig, where: s
     missing = [name for name in expected if name not in tensors]
     extra = sorted(set(tensors) - set(expected))
     if missing or extra:
-        raise TensorNameError(f"{where}: missing tensors {missing}, unexpected {extra}")
+        raise DataFormatError(f"{where}: missing tensors {missing}, unexpected {extra}")
     for name, shape in expected.items():
         if tuple(tensors[name].shape) != shape:
-            raise TensorShapeError(
+            raise DataFormatError(
                 f"{where}: tensor {name!r} has shape {tensors[name].shape}, expected {shape}"
             )
 

@@ -10,8 +10,8 @@ module, e.g. ``attn.h3.wq``), a dataset video (see the datasets module), and
 an embeddings file (the blob ``{}`` and one tensor named ``embeddings``),
 which ``summarize --frames/--script`` reads.
 
-Each malformation is reported with a distinct exception type so negative
-tests can pin the failure mode, not just "something raised".
+Each malformation raises a ``DataFormatError`` whose message names the
+fault, so negative tests pin the failure mode, not just "something raised".
 
 Every file the package writes goes through :func:`atomic_write`, so an
 interrupted write never leaves a half-written file in place.
@@ -26,16 +26,7 @@ import struct
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    DimensionOverflowError,
-    NonFiniteValueError,
-    TensorNameError,
-    TensorShapeError,
-    TrailingBytesError,
-    TruncatedPayloadError,
-    VersionMismatchError,
-)
+from .errors import DataFormatError
 
 __all__ = [
     "atomic_write",
@@ -84,9 +75,9 @@ def atomic_write(path, mode: str = "wb", **open_args):
 
 def _check_dims(rows: int, cols: int, path) -> None:
     if rows < 1 or cols < 1:
-        raise TensorShapeError(f"{path}: non-positive dimensions {rows}x{cols}")
+        raise DataFormatError(f"{path}: non-positive dimensions {rows}x{cols}")
     if rows * cols > _MAX_ELEMENTS:
-        raise DimensionOverflowError(
+        raise DataFormatError(
             f"{path}: {rows}x{cols} exceeds the {_MAX_ELEMENTS}-element limit"
         )
 
@@ -101,7 +92,7 @@ class _Reader:
 
     def take(self, n: int, what: str) -> bytes:
         if self.pos + n > len(self.buf):
-            raise TruncatedPayloadError(
+            raise DataFormatError(
                 f"{self.path}: truncated while reading {what} "
                 f"(needed {n} bytes at offset {self.pos}, file has {len(self.buf)})"
             )
@@ -119,12 +110,12 @@ class _Reader:
         raw = self.take(rows * cols * 4, what)
         a = np.frombuffer(raw, dtype="<f4").reshape(rows, cols)
         if not np.isfinite(a).all():
-            raise NonFiniteValueError(f"{self.path}: {what} holds NaN or infinite values")
+            raise DataFormatError(f"{self.path}: {what} holds NaN or infinite values")
         return np.ascontiguousarray(a).astype(np.float32, copy=False)
 
     def done(self) -> None:
         if self.pos != len(self.buf):
-            raise TrailingBytesError(
+            raise DataFormatError(
                 f"{self.path}: {len(self.buf) - self.pos} trailing bytes after payload"
             )
 
@@ -134,10 +125,10 @@ def _as_f32_matrix(m, path) -> np.ndarray:
     with np.errstate(over="ignore"):   # beyond float32's range is refused just below
         a = np.ascontiguousarray(m, dtype=np.float32)
     if a.ndim != 2:
-        raise TensorShapeError(f"{path}: expected a 2-D matrix, got shape {a.shape}")
+        raise DataFormatError(f"{path}: expected a 2-D matrix, got shape {a.shape}")
     _check_dims(a.shape[0], a.shape[1], path)
     if not np.isfinite(a).all():
-        raise NonFiniteValueError(f"{path}: matrix holds NaN or values infinite in float32")
+        raise DataFormatError(f"{path}: matrix holds NaN or values infinite in float32")
     return a
 
 
@@ -158,7 +149,7 @@ def write_container(blob: dict, tensors: dict[str, np.ndarray], path) -> None:
         for name, t in tensors.items():
             raw_name = name.encode("utf-8")
             if not raw_name or len(raw_name) > _MAX_NAME:
-                raise TensorNameError(f"{path}: tensor name {name!r} empty or too long")
+                raise DataFormatError(f"{path}: tensor name {name!r} empty or too long")
             a = _as_f32_matrix(t, path).astype("<f4", copy=False)
             fh.write(_U16.pack(len(raw_name)) + raw_name + _U32.pack(a.shape[0])
                      + _U32.pack(a.shape[1]))
@@ -171,19 +162,19 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         r = _Reader(fh.read(), path)
     magic = r.take(len(MAGIC), "magic")
     if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        raise DataFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     version = r.u32("version")
     if version != FORMAT_VERSION:
-        raise VersionMismatchError(f"{path}: format version {version}, "
-                                   f"this reader handles {FORMAT_VERSION}")
+        raise DataFormatError(f"{path}: format version {version}, "
+                              f"this reader handles {FORMAT_VERSION}")
     blob_len = r.u32("blob length")
     raw_blob = r.take(blob_len, "blob")
     try:
         blob = json.loads(raw_blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise TruncatedPayloadError(f"{path}: blob is not valid JSON: {e}") from e
+        raise DataFormatError(f"{path}: blob is not valid JSON: {e}") from e
     if not isinstance(blob, dict):
-        raise TruncatedPayloadError(f"{path}: blob is not a JSON object")
+        raise DataFormatError(f"{path}: blob is not a JSON object")
     count = r.u32("tensor count")
     tensors: dict[str, np.ndarray] = {}
     for i in range(count):
@@ -191,11 +182,11 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         try:
             name = r.take(name_len, f"tensor {i} name").decode("utf-8")
         except UnicodeDecodeError as e:
-            raise TensorNameError(f"{path}: tensor {i} name is not UTF-8") from e
+            raise DataFormatError(f"{path}: tensor {i} name is not UTF-8") from e
         if not name:
-            raise TensorNameError(f"{path}: tensor {i} has an empty name")
+            raise DataFormatError(f"{path}: tensor {i} has an empty name")
         if name in tensors:
-            raise TensorNameError(f"{path}: duplicate tensor name {name!r}")
+            raise DataFormatError(f"{path}: duplicate tensor name {name!r}")
         rows = r.u32(f"tensor {name!r} row count")
         cols = r.u32(f"tensor {name!r} column count")
         _check_dims(rows, cols, path)
@@ -213,7 +204,7 @@ def read_embeddings(path) -> np.ndarray:
     """Read an embeddings file back into a float32 matrix; byte-exact round-trip."""
     blob, tensors = read_container(path)
     if blob or list(tensors) != ["embeddings"]:
-        raise TensorNameError(f"{path}: expected the blob {{}} and one tensor 'embeddings', got "
+        raise DataFormatError(f"{path}: expected the blob {{}} and one tensor 'embeddings', got "
                               f"{len(blob)} blob key(s) and {len(tensors)} tensor(s), "
                               f"first {list(tensors)[:3]}")
     return tensors["embeddings"]

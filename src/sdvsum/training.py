@@ -45,7 +45,7 @@ import numpy as np
 
 from .autodiff import Node, Tape, bce, mse
 from .datasets import DatasetManifest, LoadedVideo, load_split
-from .errors import ConfigError, LabelError, NumericError
+from .errors import ConfigError, DataFormatError, NumericError
 from .metrics import average_ground_truth, evaluate_generic, evaluate_script_driven, mode_pairs
 from .model import ModelConfig, fuse_heads, init_weights, make_score_fn, model_forward
 from .rng import Rng, check_seed
@@ -114,10 +114,10 @@ class TrainConfig:
 
 def bce_loss(f: Node, labels: np.ndarray, offsets=None,
              collect: list[float] | None = None) -> Node:
-    """``autodiff.bce`` for strictly 0/1 labels; any other label is a ``LabelError``."""
+    """``autodiff.bce`` for strictly 0/1 labels; any other label is a ``DataFormatError``."""
     y = np.asarray(labels, dtype=np.float32)
     if not np.all((y == 0.0) | (y == 1.0)):
-        raise LabelError("bce_loss needs strictly binary labels")
+        raise DataFormatError("bce_loss needs strictly binary labels")
     return bce(f, y, offsets, collect)
 
 

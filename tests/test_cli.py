@@ -1,5 +1,6 @@
 """Operator surface: subcommand wiring, exit codes, emitted artifacts."""
 
+import errno
 import hashlib
 import json
 import math
@@ -13,8 +14,10 @@ import pytest
 
 import sdvsum.cli
 import sdvsum.datasets
+import sdvsum.errors
 from sdvsum.cli import ABLATION_VARIANTS, main
 from sdvsum.datasets import DatasetManifest, VideoEntry, load_manifest, load_split, write_manifest
+from sdvsum.errors import ConfigError, DataFormatError, NumericError, UsageError
 from sdvsum.model import ModelConfig, init_weights, load_checkpoint, save_checkpoint
 from sdvsum.rng import Rng
 from sdvsum.sdve import (read_checkpoint_file, read_container, write_checkpoint_file,
@@ -89,17 +92,38 @@ def test_missing_required_flag_is_usage_error(capsys):
     assert code == 1
 
 
-def test_out_of_memory_is_exit_4_with_one_line(monkeypatch, capsys):
-    message = "Unable to allocate 7.63 GiB for an array with shape (8, 16000, 16000)"
+# case: (what a command raises, the exit code, the one stderr line)
+FAILURES = {
+    "UsageError": (UsageError("--budget-frac must be in (0, 1], got 2.0"), 1,
+                   "error: --budget-frac must be in (0, 1], got 2.0"),
+    "ConfigError": (ConfigError("t.cfg:3: unknown key 'depth'"), 1,
+                    "configuration error: t.cfg:3: unknown key 'depth'"),
+    "DataFormatError": (DataFormatError("m.sdvc: bad magic b'SDVE', expected b'SDVC'"), 2,
+                        "data error: m.sdvc: bad magic b'SDVE', expected b'SDVC'"),
+    "OSError": (OSError(errno.ENOENT, "No such file or directory", "m.sdvc"), 2,
+                "data error: [Errno 2] No such file or directory: 'm.sdvc'"),
+    "NumericError": (NumericError("non-finite training loss at epoch 1"), 3,
+                     "numeric failure: non-finite training loss at epoch 1"),
+    "MemoryError": (MemoryError("Unable to allocate 7.63 GiB for an array with shape "
+                                "(8, 16000, 16000)"), 4,
+                    "out of memory: Unable to allocate 7.63 GiB for an array with shape "
+                    "(8, 16000, 16000)"),
+}
 
-    def exhausted(args):
-        raise MemoryError(message)
 
-    monkeypatch.setitem(sdvsum.cli._COMMANDS, "synth", exhausted)
-    code, out, err = run(capsys, "synth", "--spec", "x.cfg", "--out", "y")
-    assert code == 4
-    assert out == ""
-    assert err.splitlines() == [f"out of memory: {message}"]
+@pytest.mark.parametrize("failure, code, line", FAILURES.values(), ids=FAILURES.keys())
+def test_each_failure_is_one_line_and_its_exit_code(monkeypatch, capsys, failure, code, line):
+    def failing(args):
+        raise failure
+
+    monkeypatch.setitem(sdvsum.cli._COMMANDS, "synth", failing)
+    assert run(capsys, "synth", "--spec", "x.cfg", "--out", "y") == (code, "", f"{line}\n")
+
+
+def test_errors_define_one_class_per_failure_line():
+    classes = {name for name, value in vars(sdvsum.errors).items()
+               if isinstance(value, type) and issubclass(value, BaseException)}
+    assert classes == {"UsageError", "ConfigError", "DataFormatError", "NumericError"}
 
 
 def test_synth_emits_manifest(workspace, capsys):
@@ -678,15 +702,20 @@ def test_summarize_non_positive_fragment_length_is_usage_error(workspace, capsys
     assert spec in err
 
 
-def _summarize_refused_fragments(root, tmp_path, capsys, fragments):
-    """summarize's stderr on a copy of the corpus whose test video has ``fragments(n)``."""
+def _summarize_manifest_fragments(root, tmp_path, capsys, fragments):
+    """summarize --fragments from-manifest on a copy of the corpus whose test
+    video has ``fragments``: its exit code, stdout and stderr."""
     shutil.copytree(root / "data", tmp_path / "data")
     manifest = tmp_path / "data" / "manifest.json"
     doc = json.loads(manifest.read_text())
     next(v for v in doc["videos"] if v["split"] == "test")["fragments"] = fragments
     manifest.write_text(json.dumps(doc))
-    code, stdout, err = run(capsys, *_summarize(root, manifest=manifest),
-                            "--fragments", "from-manifest")
+    return run(capsys, *_summarize(root, manifest=manifest), "--fragments", "from-manifest")
+
+
+def _summarize_refused_fragments(root, tmp_path, capsys, fragments):
+    """summarize's stderr on a copy of the corpus whose test video has ``fragments``."""
+    code, stdout, err = _summarize_manifest_fragments(root, tmp_path, capsys, fragments)
     assert code == 2 and stdout == ""
     return err
 
@@ -706,6 +735,19 @@ def test_summarize_manifest_fragments_that_overlap_are_data_error(workspace, tmp
     err = _summarize_refused_fragments(root, tmp_path, capsys, [[0, 5], [4, n]])
     assert err.startswith(f"data error: video 'test_0000': fragments must be sorted, "
                           f"disjoint and cover [0, {n})")
+
+
+def test_summarize_manifest_fragments_over_the_budget_are_noted(workspace, tmp_path, capsys):
+    # each manifest fragment is longer than the budget: nothing is chosen, and stderr says why
+    root, _ = workspace
+    n = _test_frames(root).shape[0]
+    budget = max(1, math.floor(0.15 * n))
+    assert budget < 3
+    code, out, err = _summarize_manifest_fragments(root, tmp_path, capsys, [[0, 3], [3, n]])
+    assert code == 0
+    assert json.loads(out)["selected_fragments"] == []
+    assert err == (f"note: no manifest fragment fits the budget of {budget} frames "
+                   f"(the shortest has 3)\n")
 
 
 def test_summarize_corrupt_embeddings_is_data_error(workspace, tmp_path, capsys):

@@ -16,7 +16,7 @@ from sdvsum.datasets import (
     load_video,
     write_manifest,
 )
-from sdvsum.errors import ConfigError, LabelError, ManifestError
+from sdvsum.errors import ConfigError, DataFormatError
 from sdvsum.rng import Rng
 from sdvsum.sdve import write_container
 
@@ -88,13 +88,13 @@ def test_minimal_manifest_parses(tmp_path):
 def test_missing_file_names_video(tmp_path):
     m = load_manifest(write_minimal(tmp_path))
     (tmp_path / "videos" / "v0.sdvc").unlink()
-    with pytest.raises(ManifestError, match="video 'v0': missing file 'videos/v0.sdvc'"):
+    with pytest.raises(DataFormatError, match="video 'v0': missing file 'videos/v0.sdvc'"):
         load_split(m, "train")
 
 
 def test_missing_labels_file_names_video(tmp_path):
     m = load_manifest(write_minimal(tmp_path, edit=lambda t: t.pop("labels_00")))
-    with pytest.raises(ManifestError, match=r"video 'v0': .*missing \['labels_00'\], "
+    with pytest.raises(DataFormatError, match=r"video 'v0': .*missing \['labels_00'\], "
                                             r"unexpected \[\]"):
         load_split(m, "train")
 
@@ -114,7 +114,7 @@ TENSOR_SETS = {
 @pytest.mark.parametrize("edit", TENSOR_SETS.values(), ids=TENSOR_SETS.keys())
 def test_tensor_set_other_than_the_layout_names_video(tmp_path, edit):
     m = load_manifest(write_minimal(tmp_path, edit=edit))
-    with pytest.raises(ManifestError, match="video 'v0': file 'videos/v0.sdvc' needs tensors"):
+    with pytest.raises(DataFormatError, match="video 'v0': file 'videos/v0.sdvc' needs tensors"):
         load_split(m, "train")
 
 
@@ -133,13 +133,13 @@ def test_summaries_are_the_file_pairs_in_order(tmp_path):
 @pytest.mark.parametrize("blob", [{"video": "v1"}, {}, {"video": "v0", "extra": 1}])
 def test_file_that_does_not_name_its_video_is_refused(tmp_path, blob):
     m = load_manifest(write_minimal(tmp_path, blob=blob))
-    with pytest.raises(ManifestError, match="video 'v0': file 'videos/v0.sdvc' has blob"):
+    with pytest.raises(DataFormatError, match="video 'v0': file 'videos/v0.sdvc' has blob"):
         load_split(m, "train")
 
 
 def test_overlapping_fragments_rejected(tmp_path):
     m = load_manifest(write_minimal(tmp_path, fragments=[[0, 5], [4, 6]]))
-    with pytest.raises(ManifestError, match="v0"):
+    with pytest.raises(DataFormatError, match="v0"):
         load_split(m, "train")
 
 
@@ -150,7 +150,7 @@ def test_unreadable_file_names_video(tmp_path, name):
     doc["videos"][0]["file"] = name
     path.write_text(json.dumps(doc))
     m = load_manifest(path)
-    with pytest.raises(ManifestError, match="video 'v0': unreadable file"):
+    with pytest.raises(DataFormatError, match="video 'v0': unreadable file"):
         load_split(m, "train")
 
 
@@ -168,28 +168,39 @@ def test_files_are_read_once_by_the_loader_of_their_split(small_dataset, monkeyp
     assert len(opened) == 2
 
 
+# case: (an edit of the manifest, the fault its one message names)
 MALFORMED = {
-    "entry without file": lambda d: d["videos"][0].pop("file"),
-    "entry of the per-summary layout": lambda d: d["videos"][0].update(
+    "entry without file": (lambda d: d["videos"][0].pop("file"),
+                           "video 'v0': file: expected str, got None"),
+    "entry of the per-summary layout": (lambda d: d["videos"][0].update(
         file=None, frames="v0/frames.sdve",
         summaries=[{"labels": "v0/labels.sdve", "script": "v0/script.sdve"}]),
-    "fragment is a number": lambda d: d["videos"][0].update(fragments=[5]),
-    "fragment is a triple": lambda d: d["videos"][0].update(fragments=[[0, 2, 3]]),
-    "entry is a string": lambda d: d.update(videos=["v0"]),
-    "file is a number": lambda d: d["videos"][0].update(file=3),
-    "videos is a string": lambda d: d.update(videos="abc"),
-    "dimension is a boolean": lambda d: d.update(dimension=True),
-    "fragment bound is a boolean": lambda d: d["videos"][0].update(fragments=[[False, 6]]),
+        "video 'v0': file: expected str, got None"),
+    "fragment is a number": (lambda d: d["videos"][0].update(fragments=[5]),
+                             r"video 'v0': fragment 5 is not a \[start, end\] pair"),
+    "fragment is a triple": (lambda d: d["videos"][0].update(fragments=[[0, 2, 3]]),
+                             r"video 'v0': fragment \[0, 2, 3\] is not a \[start, end\] pair"),
+    "entry is a string": (lambda d: d.update(videos=["v0"]),
+                          "manifest.json: video entry: expected dict, got 'v0'"),
+    "file is a number": (lambda d: d["videos"][0].update(file=3),
+                         "video 'v0': file: expected str, got 3"),
+    "videos is a string": (lambda d: d.update(videos="abc"),
+                           "manifest.json: videos: expected list, got 'abc'"),
+    "dimension is a boolean": (lambda d: d.update(dimension=True),
+                               "manifest.json: dimension must be a positive integer, got True"),
+    "fragment bound is a boolean": (
+        lambda d: d["videos"][0].update(fragments=[[False, 6]]),
+        r"video 'v0': fragment \[False, 6\] is not a \[start, end\] pair"),
 }
 
 
-@pytest.mark.parametrize("mutate", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_manifest_is_manifest_error(tmp_path, mutate):
+@pytest.mark.parametrize("mutate, fault", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_manifest_is_manifest_error(tmp_path, mutate, fault):
     path = write_minimal(tmp_path, dim=1)   # width 1: a dimension of true (== 1) would fit
     doc = json.loads(path.read_text())
     mutate(doc)
     path.write_text(json.dumps(doc))
-    with pytest.raises(ManifestError):
+    with pytest.raises(DataFormatError, match=fault):
         load_manifest(path)
 
 
@@ -199,26 +210,26 @@ def test_dimension_mismatch_names_video(tmp_path):
     doc["dimension"] = 8
     path.write_text(json.dumps(doc))
     m = load_manifest(path)
-    with pytest.raises(ManifestError, match="video 'v0': frames has 4 columns, expected 8"):
+    with pytest.raises(DataFormatError, match="video 'v0': frames has 4 columns, expected 8"):
         load_split(m, "train")
 
 
 @pytest.mark.parametrize("name", ["script_00", "description"])
 def test_text_of_another_width_names_video(tmp_path, name):
     m = load_manifest(write_minimal(tmp_path, edit=lambda t: t.update({name: np.ones((2, 5))})))
-    with pytest.raises(ManifestError, match=f"video 'v0': {name} has 5 columns, expected 4"):
+    with pytest.raises(DataFormatError, match=f"video 'v0': {name} has 5 columns, expected 4"):
         load_split(m, "train")
 
 
 def test_labels_of_another_length_name_video(tmp_path):
     m = load_manifest(write_minimal(tmp_path, labels=np.ones((5, 1))))
-    with pytest.raises(ManifestError, match=r"video 'v0': labels_00 has 5 rows, expected 6"):
+    with pytest.raises(DataFormatError, match=r"video 'v0': labels_00 has 5 rows, expected 6"):
         load_split(m, "train")
 
 
 def test_labels_of_two_columns_name_video(tmp_path):
     m = load_manifest(write_minimal(tmp_path, labels=np.ones((6, 2))))
-    with pytest.raises(ManifestError, match=r"video 'v0': labels_00 has 2 columns, expected 1"):
+    with pytest.raises(DataFormatError, match=r"video 'v0': labels_00 has 2 columns, expected 1"):
         load_split(m, "train")
 
 
@@ -227,7 +238,7 @@ def test_bad_split_label_rejected(tmp_path):
     doc = json.loads(path.read_text())
     doc["videos"][0]["split"] = "dev"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ManifestError, match="v0"):
+    with pytest.raises(DataFormatError, match="v0"):
         load_manifest(path)
 
 
@@ -235,7 +246,7 @@ def test_non_binary_labels_rejected(tmp_path):
     labels = np.full((6, 1), 0.5, dtype=np.float32)
     path = write_minimal(tmp_path, labels=labels)
     m = load_manifest(path)
-    with pytest.raises(LabelError, match="video 'v0': labels_00 holds non-binary values"):
+    with pytest.raises(DataFormatError, match="video 'v0': labels_00 holds non-binary values"):
         load_video(m, m.videos[0])
 
 
@@ -243,7 +254,7 @@ def test_all_zero_labels_rejected(tmp_path):
     labels = np.zeros((6, 1), dtype=np.float32)
     path = write_minimal(tmp_path, labels=labels)
     m = load_manifest(path)
-    with pytest.raises(LabelError, match="video 'v0': labels_00 marks no positive frame"):
+    with pytest.raises(DataFormatError, match="video 'v0': labels_00 marks no positive frame"):
         load_video(m, m.videos[0])
 
 

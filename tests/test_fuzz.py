@@ -14,7 +14,7 @@ import pytest
 
 from sdvsum.config import KNOWN_KEYS, parse_config
 from sdvsum.datasets import SPLITS, load_manifest, load_split
-from sdvsum.errors import ConfigError, DataFormatError, ManifestError
+from sdvsum.errors import ConfigError, DataFormatError
 from sdvsum.model import ModelConfig, init_weights, load_checkpoint, save_checkpoint
 from sdvsum.rng import Rng
 from sdvsum.sdve import read_embeddings, write_container, write_embeddings
@@ -146,11 +146,11 @@ def manifest_dir(tmp_path_factory):
 
 
 def _loads_or_raises(path):
-    """``load_manifest`` returns or raises ``ManifestError``; loading each split of
-    what it returns returns or raises a ``DataFormatError`` (a ``LabelError``, say)."""
+    """``load_manifest``, then loading each split of what it returns, returns or
+    raises a ``DataFormatError``."""
     try:
         manifest = load_manifest(path)
-    except ManifestError:
+    except DataFormatError:
         return
     for split in SPLITS:
         try:
@@ -174,7 +174,7 @@ def test_random_manifest_raises_only_manifest_error(manifest_dir, doc):
 def test_random_manifest_bytes_raise_only_manifest_error(manifest_dir, raw):
     path = manifest_dir / "manifest.json"
     path.write_bytes(raw)
-    _returns_or_raises(load_manifest, path, ManifestError)
+    _returns_or_raises(load_manifest, path, DataFormatError)
 
 
 def _one_video_dataset(root, write_file):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sdvsum.datasets import SynthSpec, generate_synthetic, load_split
-from sdvsum.errors import ManifestError
+from sdvsum.errors import DataFormatError
 from sdvsum.metrics import (
     EvalRecord,
     EvalResult,
@@ -306,9 +306,9 @@ def test_overlap_rows_must_come_from_the_evaluation():
     result = EvalResult(split="test", mode="script_driven", fscore=0.0, tau=None, rho=None,
                         records=[EvalRecord("a", [10.0, 20.0], 15.0),
                                  EvalRecord("b", [30.0], 30.0)])
-    with pytest.raises(ManifestError, match="'c' is not in the evaluated 'test' split"):
+    with pytest.raises(DataFormatError, match="'c' is not in the evaluated 'test' split"):
         overlap_matrix(result, ["a", "c"])
-    with pytest.raises(ManifestError, match="'b' has 1 summaries, expected 2"):
+    with pytest.raises(DataFormatError, match="'b' has 1 summaries, expected 2"):
         overlap_matrix(result, ["a", "b"])
 
 
@@ -326,7 +326,7 @@ def test_mode_pairs_is_the_text_and_references_of_each_prediction(corpus):
     [(text, refs)] = mode_pairs(video, "generic")
     assert text is video.description
     assert len(refs) == 3 and all(r is s.labels for r, s in zip(refs, summaries))
-    with pytest.raises(ManifestError, match="generic mode needs a description embedding"):
+    with pytest.raises(DataFormatError, match="generic mode needs a description embedding"):
         mode_pairs(dataclasses.replace(video, description=None), "generic")
 
 
@@ -337,5 +337,5 @@ def test_mode_pairs_is_the_text_and_references_of_each_prediction(corpus):
 ], ids=["load_split", "evaluate_script_driven", "evaluate_generic"])
 def test_an_empty_split_is_refused(corpus, run):
     no_test = dataclasses.replace(corpus, videos=[v for v in corpus.videos if v.split != "test"])
-    with pytest.raises(ManifestError, match="^test split is empty$"):
+    with pytest.raises(DataFormatError, match="^test split is empty$"):
         run(no_test)

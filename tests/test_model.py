@@ -13,7 +13,7 @@ import pytest
 import sdvsum.autodiff
 import sdvsum.model
 from sdvsum.autodiff import ShapeError, Tape, mse
-from sdvsum.errors import ConfigError, TensorNameError, TensorShapeError
+from sdvsum.errors import ConfigError, DataFormatError
 from sdvsum.model import (
     ModelConfig,
     _text_representation,
@@ -696,22 +696,24 @@ def test_checkpoint_rejects_missing_tensor(tmp_path):
     cfg = ModelConfig(dim=16, heads=4)
     w = init_weights(cfg, Rng(24))
     del w["scorer.head.b"]
-    with pytest.raises(TensorNameError):
+    with pytest.raises(DataFormatError,
+                       match=r"m.sdvc: missing tensors \['scorer.head.b'\], unexpected \[\]"):
         save_checkpoint(w, cfg, tmp_path / "m.sdvc")
 
 
-@pytest.mark.parametrize("tamper, error", [
-    (lambda w: w.pop("scorer.head.b"), TensorNameError),
-    (lambda w: w.update(extra=np.zeros((1, 1), dtype=np.float32)), TensorNameError),
+@pytest.mark.parametrize("tamper, fault", [
+    (lambda w: w.pop("scorer.head.b"), r"missing tensors \['scorer.head.b'\], unexpected \[\]"),
+    (lambda w: w.update(extra=np.zeros((1, 1), dtype=np.float32)),
+     r"missing tensors \[\], unexpected \['extra'\]"),
     (lambda w: w.update({"scorer.head.w": np.zeros((1, 16), dtype=np.float32)}),
-     TensorShapeError),
-])
-def test_checkpoint_save_and_load_reject_alike(tmp_path, tamper, error):
+     r"tensor 'scorer.head.w' has shape \(1, 16\), expected \(16, 1\)"),
+], ids=["missing", "unexpected", "shape"])
+def test_checkpoint_save_and_load_reject_alike(tmp_path, tamper, fault):
     cfg = ModelConfig(dim=16, heads=4)
     w = init_weights(cfg, Rng(27))
     tamper(w)
-    with pytest.raises(error):
+    with pytest.raises(DataFormatError, match=f"cannot save .*saved.sdvc: {fault}"):
         save_checkpoint(w, cfg, tmp_path / "saved.sdvc")
     write_checkpoint_file(cfg.to_dict(), w, tmp_path / "raw.sdvc")
-    with pytest.raises(error):
+    with pytest.raises(DataFormatError, match=f"checkpoint .*raw.sdvc: {fault}"):
         load_checkpoint(tmp_path / "raw.sdvc")

@@ -11,7 +11,7 @@ import sdvsum.model
 from sdvsum import training
 from sdvsum.autodiff import ShapeError, Tape, bce, mse, sigmoid
 from sdvsum.datasets import SynthSpec, generate_synthetic, load_split
-from sdvsum.errors import ConfigError, LabelError, ManifestError, NumericError
+from sdvsum.errors import ConfigError, DataFormatError, NumericError
 from sdvsum.metrics import evaluate_script_driven, mode_pairs
 from sdvsum.model import (ModelConfig, fuse_heads, init_weights, load_checkpoint,
                           make_score_fn, model_forward)
@@ -93,7 +93,7 @@ def test_bce_rejects_bad_inputs():
     with pytest.raises(ShapeError):
         bce_loss(node([0.5, 0.5]), np.array([1.0]))
     for labels in ([0.5, 1.0], [np.nan, 1.0], [2.0, 0.0]):
-        with pytest.raises(LabelError):
+        with pytest.raises(DataFormatError, match="^bce_loss needs strictly binary labels$"):
             bce_loss(node([0.5, 0.5]), np.array(labels))
 
 
@@ -425,11 +425,11 @@ def test_train_run_on_epoch_callback(tiny, tmp_path):
 def test_train_run_empty_split_rejected(tiny, tmp_path):
     no_val = dataclasses.replace(
         tiny, videos=[v for v in tiny.videos if v.split != "validation"])
-    with pytest.raises(ManifestError):
+    with pytest.raises(DataFormatError, match="^validation split is empty$"):
         train_run(no_val, MODEL, FAST, tmp_path / "e")
     no_train = dataclasses.replace(
         tiny, videos=[v for v in tiny.videos if v.split != "train"])
-    with pytest.raises(ManifestError):
+    with pytest.raises(DataFormatError, match="^train split is empty$"):
         train_run(no_train, MODEL, FAST, tmp_path / "f")
 
 
