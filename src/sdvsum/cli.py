@@ -240,7 +240,7 @@ def _cmd_summarize(args) -> int:
     fragments = _fragments_for(args.fragments, entry, n, budget)
     chosen = fragment_knapsack(scores, fragments, budget)
     shortest = min(end - start for start, end in fragments)
-    if shortest > budget:   # only manifest fragments can be: fixed ones are cut to the budget
+    if shortest > budget:   # fixed fragments are cut to the budget, so only a manifest's can be
         print(f"note: no manifest fragment fits the budget of {budget} frames "
               f"(the shortest has {shortest})", file=sys.stderr)
     print(json.dumps({
