@@ -4,7 +4,7 @@ reverse-mode autodiff core.
 """
 
 from .autodiff import Node, ShapeError, Tape, matrix
-from .config import RunConfig, parse_config
+from .config import RunConfig, parse_config, parse_spec
 from .datasets import (
     DatasetManifest,
     SynthSpec,

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, parse_config
+from .config import RunConfig, parse_config, parse_spec
 from .datasets import (SPLITS, DatasetManifest, LoadedVideo, VideoEntry, generate_synthetic,
                        load_manifest, load_split, load_video)
 from .errors import ConfigError, DataFormatError, NumericError, UsageError
@@ -116,8 +116,7 @@ def _training_setup(args) -> tuple[RunConfig, DatasetManifest, Path]:
 
     The config is parsed with ``--seed`` applied and the model as wide as the
     manifest's embeddings. Its training settings are checked here, its model by
-    ``train_run`` or per ``ablate`` variant, before any split is read; its
-    corpus settings not at all, since no corpus is built.
+    ``train_run`` or per ``ablate`` variant, before any split is read.
     """
     out = Path(args.out)
     near = out   # a file on its path is refused before training, not at the first write
@@ -126,14 +125,13 @@ def _training_setup(args) -> tuple[RunConfig, DatasetManifest, Path]:
     if near.exists() and not near.is_dir():
         raise DataFormatError(f"--out {out}: {near} exists and is not a directory")
     manifest = load_manifest(args.manifest)
-    config = parse_config(args.config, args.seed, manifest.dimension, ("train",))
+    config = parse_config(args.config, args.seed, manifest.dimension)
     return config, manifest, out
 
 
 def _cmd_synth(args) -> int:
-    spec = parse_config(args.spec, args.seed, sections=("synth",)).synth   # builds no model
     out = Path(args.out)
-    generate_synthetic(spec, out)
+    generate_synthetic(parse_spec(args.spec, args.seed), out)
     print(out / "manifest.json")
     return 0
 
@@ -168,12 +166,12 @@ def _cmd_eval(args) -> int:
         if result.degenerate:
             print(f"note: excluded from rank-correlation averages: "
                   f"{result.degenerate} all-tied videos", file=sys.stderr)
-    matrix = overlap_matrix(result, ids) if args.overlap else None
-    print(result.to_json())
-    if matrix is not None:
+    if args.overlap:   # written before the result, so that a failed eval prints none
+        matrix = overlap_matrix(result, ids)
         with atomic_write(args.overlap_out, "w", encoding="utf-8") as fh:
             fh.write(matrix.to_csv())
         print(f"overlap matrix written to {args.overlap_out}", file=sys.stderr)
+    print(result.to_json())
     return 0
 
 

@@ -1,26 +1,24 @@
-"""Flat ``key = value`` run configuration covering model, training and
-synthesis settings.
+"""Flat ``key = value`` files of two kinds: a run configuration (``train``,
+``ablate``) and a synthesis spec (``synth``).
 
-One namespace, one file format, no nesting: every key has a documented
-default, unknown keys are rejected, and ``#`` starts a comment. Defaults
-follow the reference implementation details (dim 512, heads 8, lr 5e-5,
-dropout 0.5, L2 1e-4, batch 4, 50 epochs). Paths are CLI flags, not keys.
+One reader, no nesting: every key has a documented default, a key outside
+its file's kind is rejected, and ``#`` starts a comment. Defaults follow the
+reference implementation details (heads 8, lr 5e-5, dropout 0.5, L2 1e-4,
+batch 4, 50 epochs). Paths are CLI flags, not keys.
 
-The keys are the config dataclasses' own fields: every bool, int, float or
-str field of ``ModelConfig``, ``TrainConfig`` and ``SynthSpec`` is a key of
-the same name and type (``int | None`` reads as ``int``), so a field added
-to one of them is a key with no other edit. A key sets every field of that
-name, which is how two keys fan out: ``dim`` sets both the model and the
-synthetic-corpus embedding dimension (when absent each keeps its own
-default: 512 for the model, 64 for synthesis); ``seed`` seeds both training
-and synthesis. ``parse_config`` takes the CLI's ``--seed`` and a manifest's
-dimension as arguments, so each value is checked once, at its final setting.
+The keys are the config dataclasses' own fields, of the same name and type
+(``int | None`` reads as ``int``), so a field added to one of them is a key
+with no other edit: a run configuration's keys are every bool, int, float
+or str field of ``ModelConfig`` and ``TrainConfig`` except ``dim``, a spec's
+every such field of ``SynthSpec``. The model's width is no key but the
+data's, passed to ``parse_config`` as ``dim``. Both parsers take the CLI's
+``--seed``, which beats the file's ``seed``, which beats 42.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .datasets import SynthSpec
@@ -28,25 +26,17 @@ from .errors import ConfigError
 from .model import ModelConfig, scalar_fields
 from .training import TrainConfig
 
-__all__ = ["RunConfig", "parse_config", "KNOWN_KEYS"]
+__all__ = ["RunConfig", "parse_config", "parse_spec", "RUN_KEYS", "SPEC_KEYS"]
+
+_MODEL_KEYS = {key: kind for key, kind in scalar_fields(ModelConfig).items() if key != "dim"}
+RUN_KEYS = {**_MODEL_KEYS, **scalar_fields(TrainConfig)}
+SPEC_KEYS = scalar_fields(SynthSpec)
 
 
 @dataclass
 class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    synth: SynthSpec = field(default_factory=SynthSpec)
-
-    def assign(self, key: str, value) -> None:
-        """Set ``key`` on every section with a field of that name."""
-        for section in (self.model, self.train, self.synth):
-            if key in {f.name for f in fields(section)}:
-                setattr(section, key, value)
-
-
-_KEY_TYPES = {key: kind for cls in (ModelConfig, TrainConfig, SynthSpec)
-              for key, kind in scalar_fields(cls).items()}
-KNOWN_KEYS = frozenset(_KEY_TYPES)
 
 
 def _convert(key: str, value: str, kind, origin: str, lineno: int):
@@ -70,15 +60,8 @@ def _convert(key: str, value: str, kind, origin: str, lineno: int):
     return number
 
 
-def parse_config(path=None, seed: int | None = None, dim: int | None = None,
-                 sections: tuple[str, ...] = ("model", "train", "synth")) -> RunConfig:
-    """Parse a config file (``None``: all defaults), then validate it once.
-
-    ``seed`` (the ``--seed`` flag) beats the file's ``seed``, which beats 42.
-    ``dim`` (a manifest's dimension) sets the model's width, which the file
-    may only repeat; the synthetic corpus keeps its own ``dim``. Only the
-    named ``sections`` are validated, so a command checks what it uses.
-    """
+def _read(path, kinds: dict[str, type], seed: int | None) -> dict[str, object]:
+    """The file's values (``None``: none) for keys of ``kinds``, ``seed`` beating its own."""
     values: dict[str, object] = {}
     if path is not None:
         origin = str(path)
@@ -94,22 +77,34 @@ def parse_config(path=None, seed: int | None = None, dim: int | None = None,
             key, value = key.strip(), value.strip()
             if not sep or not key or not value:
                 raise ConfigError(f"{origin}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            if key not in KNOWN_KEYS:
+            if key not in kinds:
                 raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
-            values[key] = _convert(key, value, _KEY_TYPES[key], origin, lineno)
-
+            values[key] = _convert(key, value, kinds[key], origin, lineno)
     if seed is not None:
         values["seed"] = seed
-    config = RunConfig()
-    for key, value in values.items():
-        config.assign(key, value)
+    return values
+
+
+def parse_config(path=None, seed: int | None = None, dim: int | None = None) -> RunConfig:
+    """A run configuration, its model ``dim`` wide (``None``: ``ModelConfig``'s 512).
+
+    Its training settings are validated here; its model where one is built,
+    since ``ablate`` swaps in each variant's ``heads``, ``text_rep`` and
+    ``use_scaling`` first.
+    """
+    values = _read(path, RUN_KEYS, seed)
+    model = ModelConfig(**{k: v for k, v in values.items() if k in _MODEL_KEYS})
     if dim is not None:
-        if values.get("dim", dim) != dim:
-            raise ConfigError(f"config sets dim={values['dim']} but the manifest "
-                              f"declares dimension {dim}")
-        config.model.dim = dim
-    for name in sections:
-        getattr(config, name).validate()
-    return config
+        model.dim = dim
+    train = TrainConfig(**{k: v for k, v in values.items() if k not in _MODEL_KEYS})
+    train.validate()
+    return RunConfig(model, train)
+
+
+def parse_spec(path=None, seed: int | None = None) -> SynthSpec:
+    """A synthesis spec, validated."""
+    spec = SynthSpec(**_read(path, SPEC_KEYS, seed))
+    spec.validate()
+    return spec

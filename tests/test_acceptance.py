@@ -473,20 +473,20 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     scores_bitwise = np.array_equal(s1, s2)
 
     arr = np.random.default_rng(5).normal(size=(7, 5)).astype(np.float32)
-    write_embeddings(arr, tmp_path / "x.sdve")
-    back = read_embeddings(tmp_path / "x.sdve")
-    write_embeddings(back, tmp_path / "y.sdve")
-    sdve_exact = (np.array_equal(arr, back) and
-                  (tmp_path / "x.sdve").read_bytes() == (tmp_path / "y.sdve").read_bytes())
+    write_embeddings(arr, tmp_path / "x.sdvc")
+    back = read_embeddings(tmp_path / "x.sdvc")
+    write_embeddings(back, tmp_path / "y.sdvc")
+    embeddings_exact = (np.array_equal(arr, back) and
+                        (tmp_path / "x.sdvc").read_bytes() == (tmp_path / "y.sdvc").read_bytes())
     save_checkpoint(w3, c3, tmp_path / "copy2.sdvc")
     sdvc_exact = ((tmp_path / "copy.sdvc").read_bytes()
                   == (tmp_path / "copy2.sdvc").read_bytes())
 
     elapsed = time.monotonic() - t0
-    ok = (reports_equal and weights_equal and scores_bitwise and sdve_exact
+    ok = (reports_equal and weights_equal and scores_bitwise and embeddings_exact
           and sdvc_exact and elapsed < 60)
     _report(8, ok, f"reports equal={reports_equal}, weights bitwise={weights_equal}, "
-                   f"scores bitwise={scores_bitwise}, embeddings byte-exact={sdve_exact}, "
+                   f"scores bitwise={scores_bitwise}, embeddings byte-exact={embeddings_exact}, "
                    f"SDVC byte-exact={sdvc_exact}, {elapsed:.1f}s")
 
 

@@ -16,6 +16,7 @@ import sdvsum.cli
 import sdvsum.datasets
 import sdvsum.errors
 from sdvsum.cli import ABLATION_VARIANTS, main
+from sdvsum.config import RUN_KEYS, SPEC_KEYS
 from sdvsum.datasets import DatasetManifest, VideoEntry, load_manifest, load_split, write_manifest
 from sdvsum.errors import ConfigError, DataFormatError, NumericError, UsageError
 from sdvsum.model import ModelConfig, init_weights, load_checkpoint, save_checkpoint
@@ -192,8 +193,8 @@ def test_train_heads_divide_the_manifest_dimension(tmp_path, capsys):
 
 
 def test_train_checks_no_corpus_setting(tmp_path, capsys):
-    # synth refuses dim < 8, but train builds no corpus: a config that repeats
-    # a dim-4 manifest's width trains
+    # synth refuses dim < 8, but train builds no corpus: on a dim-4 manifest,
+    # the model is 4 wide
     g = np.random.default_rng(0)
     entries = []
     for split in ("train", "validation"):
@@ -203,7 +204,7 @@ def test_train_checks_no_corpus_setting(tmp_path, capsys):
                         tmp_path / f"{split}.sdvc")
         entries.append(VideoEntry(split, split, f"{split}.sdvc"))
     write_manifest(DatasetManifest(4, entries), tmp_path / "manifest.json")
-    (tmp_path / "t.cfg").write_text("dim = 4\nheads = 2\nepochs = 1\n", encoding="utf-8")
+    (tmp_path / "t.cfg").write_text("heads = 2\nepochs = 1\n", encoding="utf-8")
     code, _, err = run(capsys, "train", "--manifest", str(tmp_path / "manifest.json"),
                        "--config", str(tmp_path / "t.cfg"), "--out", str(tmp_path / "r"))
     assert (code, err) == (0, "")
@@ -213,6 +214,7 @@ def test_train_checks_no_corpus_setting(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_config_dim_other_than_the_manifest_writes_nothing(workspace, tmp_path, capsys, command):
+    # the model's width is the manifest's: dim is no key of a run configuration
     root, _ = workspace
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(TRAIN_TEXT + "dim = 32\n", encoding="utf-8")
@@ -220,8 +222,31 @@ def test_config_dim_other_than_the_manifest_writes_nothing(workspace, tmp_path, 
     code, stdout, err = run(capsys, command, "--manifest", str(root / "data" / "manifest.json"),
                             "--config", str(cfg), "--out", str(out))
     assert code == 1 and stdout == ""
-    assert err == ("configuration error: config sets dim=32 but the manifest declares "
-                   "dimension 16\n")
+    assert err == f"configuration error: {cfg}:6: unknown key 'dim'\n"
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+# (command, key): every key of one file kind only, in the other kind's file
+ONE_KIND_KEYS = [("train", key) for key in sorted(SPEC_KEYS.keys() - RUN_KEYS.keys())] + \
+    [("synth", key) for key in sorted(RUN_KEYS.keys() - SPEC_KEYS.keys())]
+
+
+@pytest.mark.parametrize("command, key", ONE_KIND_KEYS, ids=[f"{c}-{k}" for c, k in ONE_KIND_KEYS])
+def test_a_key_of_the_other_file_kind_writes_nothing(workspace, tmp_path, capsys, command, key):
+    # a corpus key in a run configuration, or a model or training key in a
+    # spec, would be ignored: it is refused as unknown
+    root, _ = workspace
+    cfg = tmp_path / "other.cfg"
+    if command == "train":
+        cfg.write_text(f"{TRAIN_TEXT}{key} = 1\n", encoding="utf-8")
+        source = ["--manifest", str(root / "data" / "manifest.json"), "--config", str(cfg)]
+    else:
+        cfg.write_text(f"{SPEC_TEXT}{key} = 1\n", encoding="utf-8")
+        source = ["--spec", str(cfg)]
+    line = len(cfg.read_text(encoding="utf-8").splitlines())
+    code, stdout, err = run(capsys, command, *source, "--out", str(tmp_path / "out"))
+    assert (code, stdout) == (1, "")
+    assert err == f"configuration error: {cfg}:{line}: unknown key '{key}'\n"
     assert sorted(tmp_path.iterdir()) == [cfg]
 
 
@@ -495,6 +520,21 @@ def test_eval_overlap_matrix_csv(workspace, tmp_path, capsys):
     assert code == 0
     lines = out_csv.read_text().strip().splitlines()
     assert len(lines) >= 2  # header plus one row per script
+
+
+def test_eval_overlap_csv_unwritable_prints_no_result(workspace, tmp_path, capsys):
+    root, _ = workspace
+    ids_file = tmp_path / "ids.txt"
+    ids_file.write_text("test_0000\n", encoding="utf-8")
+    out_csv = tmp_path / "missing" / "m.csv"
+    code, stdout, err = run(capsys, "eval", "--manifest", str(root / "data" / "manifest.json"),
+                            "--checkpoint", str(root / "run" / "best.sdvc"),
+                            "--split", "test", "--mode", "script",
+                            "--overlap", str(ids_file), "--overlap-out", str(out_csv))
+    assert (code, stdout) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("data error: ")
+    assert str(out_csv) in err
+    assert sorted(tmp_path.iterdir()) == [ids_file]
 
 
 def test_eval_overlap_with_no_ids_is_usage_error(workspace, tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Flat key=value run configuration: defaults, fan-out keys, rejection rules."""
+"""Flat key=value files: a run configuration and a synthesis spec, each with
+its own keys; defaults and rejection rules."""
 
 import re
 import warnings
@@ -7,13 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from sdvsum.config import KNOWN_KEYS, parse_config
+from sdvsum.config import RUN_KEYS, SPEC_KEYS, parse_config, parse_spec
 from sdvsum.datasets import SynthSpec
 from sdvsum.errors import ConfigError
 from sdvsum.model import ModelConfig, scalar_fields
 from sdvsum.training import TrainConfig
 
-REFERENCE_CFG = Path(__file__).resolve().parents[1] / "scripts" / "reference.cfg"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def write(tmp_path, text):
@@ -33,13 +34,15 @@ def test_empty_file_gives_reference_defaults(tmp_path):
     assert cfg.train.l2_factor == 1e-4
     assert cfg.train.batch_size == 4
     assert cfg.train.epochs == 50
-    assert cfg.train.seed == 42 and cfg.synth.seed == 42
+    assert cfg.train.seed == 42
+    assert parse_spec(write(tmp_path, "")) == SynthSpec()
 
 
 def test_none_path_same_as_empty(tmp_path):
     a = parse_config(None)
     b = parse_config(write(tmp_path, "# nothing but a comment\n\n"))
-    assert a.model == b.model and a.train == b.train and a.synth == b.synth
+    assert a.model == b.model and a.train == b.train
+    assert parse_spec(None) == parse_spec(write(tmp_path, "# nothing\n"))
 
 
 def test_values_comments_and_types(tmp_path):
@@ -57,8 +60,10 @@ text_rep = single_vector
 
 
 def test_divisibility_checked_after_assembly(tmp_path):
-    with pytest.raises(ConfigError):
-        parse_config(write(tmp_path, "heads = 4\ndim = 510\n"))
+    # the model is checked at the data's width, where it is built
+    model = parse_config(write(tmp_path, "heads = 4\n"), dim=510).model
+    with pytest.raises(ConfigError, match="dim 510 is not divisible by heads 4"):
+        model.validate()
 
 
 def test_variant3_combination(tmp_path):
@@ -87,13 +92,15 @@ def test_malformed_lines_rejected(tmp_path):
         parse_config(write(tmp_path, "use_scaling = 1\n"))  # bools are true/false
     with pytest.raises(ConfigError):
         parse_config(write(tmp_path, "batch_size = 0\n"))  # validated range
-    floats = {key for cls in (ModelConfig, TrainConfig, SynthSpec)
-              for key, kind in scalar_fields(cls).items() if kind is float}
-    assert {"learning_rate", "noise", "dropout_rate"} <= floats
-    for key in sorted(floats):
+    with pytest.raises(ConfigError, match="frames_min"):
+        parse_spec(write(tmp_path, "frames_min = 9\nframes_max = 8\n"))   # validated range
+    floats = [(parse, key) for parse, keys in ((parse_config, RUN_KEYS), (parse_spec, SPEC_KEYS))
+              for key, kind in keys.items() if kind is float]
+    assert {"learning_rate", "noise", "dropout_rate"} <= {key for _, key in floats}
+    for parse, key in floats:
         for value in ("nan", "inf", "-inf"):
             with pytest.raises(ConfigError, match="must be finite"):
-                parse_config(write(tmp_path, f"{key} = {value}\n"))
+                parse(write(tmp_path, f"{key} = {value}\n"))
 
 
 @pytest.mark.parametrize("line", [
@@ -126,19 +133,18 @@ def test_missing_file_is_config_error(tmp_path):
         parse_config(tmp_path / "absent.cfg")
 
 
-def test_dim_fans_out_to_model_and_synth(tmp_path):
-    cfg = parse_config(write(tmp_path, "dim = 128\n"))
-    assert cfg.model.dim == 128
-    assert cfg.synth.dim == 128
-    defaults = parse_config(None)
-    assert defaults.model.dim == 512
-    assert defaults.synth.dim == 64
+def test_dim_is_a_spec_key_only(tmp_path):
+    # the model's width is the data's: a run configuration has no dim
+    assert parse_spec(write(tmp_path, "dim = 128\n")).dim == 128
+    with pytest.raises(ConfigError, match="run.cfg:1: unknown key 'dim'"):
+        parse_config(write(tmp_path, "dim = 128\n"))
+    assert parse_config(None).model.dim == 512
+    assert parse_spec(None).dim == 64
 
 
-def test_seed_fans_out(tmp_path):
-    cfg = parse_config(write(tmp_path, "seed = 9\n"))
-    assert cfg.train.seed == 9
-    assert cfg.synth.seed == 9
+def test_each_file_kind_reads_its_own_seed(tmp_path):
+    assert parse_config(write(tmp_path, "seed = 9\n")).train.seed == 9
+    assert parse_spec(write(tmp_path, "seed = 9\n")).seed == 9
 
 
 def test_paths_are_no_keys(tmp_path):
@@ -149,32 +155,29 @@ def test_paths_are_no_keys(tmp_path):
 
 
 def test_seed_argument_beats_the_file(tmp_path):
-    cfg = parse_config(write(tmp_path, "seed = 5\n"), seed=7)
-    assert cfg.train.seed == 7 and cfg.synth.seed == 7
+    assert parse_config(write(tmp_path, "seed = 5\n"), seed=7).train.seed == 7
+    assert parse_spec(write(tmp_path, "seed = 5\n"), seed=7).seed == 7
     assert parse_config(write(tmp_path, "seed = 5\n")).train.seed == 5
 
 
 def test_dim_argument_sets_only_the_model(tmp_path):
     cfg = parse_config(write(tmp_path, "heads = 6\n"), dim=48)
     assert (cfg.model.dim, cfg.model.heads) == (48, 6)
-    assert cfg.synth.dim == 64
-    # a file may repeat the data's width but not contradict it
-    assert parse_config(write(tmp_path, "dim = 48\n"), dim=48).model.dim == 48
-    with pytest.raises(ConfigError, match="config sets dim=32 but the manifest declares "
-                                          "dimension 48"):
-        parse_config(write(tmp_path, "dim = 32\n"), dim=48)
+    assert cfg.train == TrainConfig()
 
 
 def test_known_keys_cover_all_tables():
-    for key in ("heads", "learning_rate", "topics", "dim", "seed"):
-        assert key in KNOWN_KEYS
-    assert "dropout" not in KNOWN_KEYS  # the full name dropout_rate is the key
+    assert {"heads", "learning_rate", "seed"} <= set(RUN_KEYS)
+    assert {"topics", "dim", "seed"} <= set(SPEC_KEYS)
+    assert "dropout" not in RUN_KEYS  # the full name dropout_rate is the key
 
 
 def test_keys_are_the_section_fields():
-    sections = {f.name for cls in (ModelConfig, TrainConfig, SynthSpec) for f in fields(cls)}
-    assert KNOWN_KEYS == sections
-    assert "checkpoint" not in KNOWN_KEYS
+    run = {f.name for cls in (ModelConfig, TrainConfig) for f in fields(cls)} - {"dim"}
+    assert set(RUN_KEYS) == run and len(RUN_KEYS) == 11
+    assert set(SPEC_KEYS) == {f.name for f in fields(SynthSpec)} and len(SPEC_KEYS) == 13
+    assert set(RUN_KEYS) & set(SPEC_KEYS) == {"seed"}
+    assert "checkpoint" not in RUN_KEYS
 
 
 def test_a_new_field_is_a_key_of_its_type():
@@ -192,8 +195,11 @@ def test_a_new_field_is_a_key_of_its_type():
 
 
 def test_reference_cfg_lists_every_key(tmp_path):
-    text = REFERENCE_CFG.read_text(encoding="utf-8")
-    listed = re.findall(r"^# (\w+) = ", text, flags=re.MULTILINE)
-    assert sorted(listed) == sorted(KNOWN_KEYS)
-    # every listed line parses once uncommented
-    parse_config(write(tmp_path, re.sub(r"^# (\w+ = )", r"\1", text, flags=re.MULTILINE)))
+    # the run configuration's file and the spec's, each against its own keys
+    for name, keys, parse in (("reference.cfg", RUN_KEYS, parse_config),
+                              ("synth.cfg", SPEC_KEYS, parse_spec)):
+        text = (SCRIPTS / name).read_text(encoding="utf-8")
+        listed = re.findall(r"^# (\w+) = ", text, flags=re.MULTILINE)
+        assert sorted(listed) == sorted(keys)
+        # every listed line parses once uncommented
+        parse(write(tmp_path, re.sub(r"^# (\w+ = )", r"\1", text, flags=re.MULTILINE)))

@@ -12,7 +12,7 @@ import string
 import numpy as np
 import pytest
 
-from sdvsum.config import KNOWN_KEYS, parse_config
+from sdvsum.config import RUN_KEYS, SPEC_KEYS, parse_config, parse_spec
 from sdvsum.datasets import SPLITS, load_manifest, load_split
 from sdvsum.errors import ConfigError, DataFormatError
 from sdvsum.model import ModelConfig, init_weights, load_checkpoint, save_checkpoint
@@ -88,18 +88,31 @@ _VALUE = st.one_of(
                      "9" * 5000]),
     st.text(string.printable, max_size=12),
 )
-_LINE = st.one_of(
-    st.builds("{} = {}".format, st.sampled_from(sorted(KNOWN_KEYS)), _VALUE),
-    st.text(st.characters(blacklist_categories=("Cs",)), max_size=30),
-)
 
 
-@given(lines=st.lists(_LINE, max_size=8))
+def _lines(keys):
+    """Lists of ``key = value`` lines over ``keys``, mixed with random text."""
+    return st.lists(st.one_of(
+        st.builds("{} = {}".format, st.sampled_from(sorted(keys)), _VALUE),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=30),
+    ), max_size=8)
+
+
+@given(lines=_lines(RUN_KEYS))
 @FUZZ
 def test_random_config_text_raises_only_config_error(tmp_path, lines):
     path = tmp_path / "run.cfg"
     path.write_text("\n".join(lines), encoding="utf-8")
     _returns_or_raises(parse_config, path, ConfigError)
+
+
+@given(lines=_lines(RUN_KEYS.keys() | SPEC_KEYS.keys()))
+@FUZZ
+def test_random_spec_text_raises_only_config_error(tmp_path, lines):
+    # the run configuration's keys too: each is an unknown key in a spec
+    path = tmp_path / "spec.cfg"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    _returns_or_raises(parse_spec, path, ConfigError)
 
 
 @given(raw=st.binary(max_size=64))
@@ -108,7 +121,8 @@ def test_random_config_text_raises_only_config_error(tmp_path, lines):
 def test_random_config_bytes_raise_only_config_error(tmp_path, raw):
     path = tmp_path / "run.cfg"
     path.write_bytes(raw)
-    _returns_or_raises(parse_config, path, ConfigError)
+    for parse in (parse_config, parse_spec):
+        _returns_or_raises(parse, path, ConfigError)
 
 
 _JSON = st.recursive(
