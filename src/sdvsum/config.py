@@ -18,7 +18,7 @@ data's, passed to ``parse_config`` as ``dim``. Both parsers take the CLI's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .datasets import SynthSpec
@@ -35,8 +35,8 @@ SPEC_KEYS = scalar_fields(SynthSpec)
 
 @dataclass
 class RunConfig:
-    model: ModelConfig = field(default_factory=ModelConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
+    model: ModelConfig
+    train: TrainConfig
 
 
 def _convert(key: str, value: str, kind, origin: str, lineno: int):
