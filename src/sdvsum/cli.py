@@ -27,10 +27,10 @@ from .config import RunConfig, parse_config, parse_spec
 from .datasets import (SPLITS, DatasetManifest, LoadedVideo, VideoEntry, generate_synthetic,
                        load_manifest, load_split, load_video)
 from .errors import ConfigError, DataFormatError, NumericError, UsageError
-from .metrics import TOP_FRACTION, evaluate_generic, evaluate_script_driven, overlap_matrix
+from .metrics import evaluate_generic, evaluate_script_driven, overlap_matrix
 from .model import ModelConfig, load_checkpoint, make_score_fn, parameter_count
 from .sdve import atomic_write, read_embeddings
-from .selection import fixed_fragmentation, fragment_knapsack, select_top_fraction
+from .selection import TOP_FRACTION, fixed_fragmentation, fragment_knapsack, select_top_fraction
 from .training import train_run
 
 __all__ = ["main", "build_parser", "ABLATION_VARIANTS"]
@@ -80,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=["script", "generic"])
     p.add_argument("--overlap", metavar="IDS_FILE",
                    help="file with one video id per line; also emit the overlap matrix")
-    p.add_argument("--overlap-out", default="overlap.csv",
-                   help="where to write the overlap CSV (default overlap.csv)")
+    p.add_argument("--overlap-out",
+                   help="where to write the overlap CSV (default overlap.csv); needs --overlap")
 
     p = sub.add_parser("summarize", help="summarize one video")
     p.add_argument("--checkpoint", required=True)
@@ -147,6 +147,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.overlap_out is not None and not args.overlap:
+        raise UsageError("--overlap-out needs --overlap")
+    overlap_out = "overlap.csv" if args.overlap_out is None else args.overlap_out
     if args.overlap:
         try:
             text = Path(args.overlap).read_text(encoding="utf-8")
@@ -168,9 +171,9 @@ def _cmd_eval(args) -> int:
                   f"{result.degenerate} all-tied videos", file=sys.stderr)
     if args.overlap:   # written before the result, so that a failed eval prints none
         matrix = overlap_matrix(result, ids)
-        with atomic_write(args.overlap_out, "w", encoding="utf-8") as fh:
+        with atomic_write(overlap_out, "w", encoding="utf-8") as fh:
             fh.write(matrix.to_csv())
-        print(f"overlap matrix written to {args.overlap_out}", file=sys.stderr)
+        print(f"overlap matrix written to {overlap_out}", file=sys.stderr)
     print(result.to_json())
     return 0
 

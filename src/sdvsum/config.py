@@ -3,8 +3,11 @@
 
 One reader, no nesting: every key has a documented default, a key outside
 its file's kind is rejected, and ``#`` starts a comment. Defaults follow the
-reference implementation details (heads 8, lr 5e-5, dropout 0.5, L2 1e-4,
-batch 4, 50 epochs). Paths are CLI flags, not keys.
+reference implementation details (heads 8, lr 5e-5, 50 epochs); its dropout
+0.5, L2 1e-4 and batch size 4 are no keys but constants
+(``model.DROPOUT_RATE``, ``training.L2_FACTOR``, ``training.BATCH_SIZE``), as
+are the corpus's ``datasets.NOISE`` and its summaries' share of the frames,
+``selection.TOP_FRACTION``. Paths are CLI flags, not keys.
 
 The keys are the config dataclasses' own fields, of the same name and type
 (``int | None`` reads as ``int``), so a field added to one of them is a key

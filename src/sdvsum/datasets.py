@@ -18,9 +18,9 @@ The synthetic generator plants ``K`` unit topic vectors and builds videos
 whose frames are noisy copies of their topic. Each reference summary picks a
 topic subset, emits sentence embeddings for those topics, and labels exactly
 the frames whose topic is in the subset, with subset sizes steered so the
-positive fraction lands near a target ``p``. A model therefore has to match
-sentences to frames to score well, which is what makes end-to-end training
-effects measurable at desk scale.
+positive fraction lands near ``TOP_FRACTION``, the share the protocol selects.
+A model therefore has to match sentences to frames to score well, which is
+what makes end-to-end training effects measurable at desk scale.
 """
 
 from __future__ import annotations
@@ -37,10 +37,11 @@ from .errors import ConfigError, DataFormatError
 from .rng import Rng, check_seed
 # read_embeddings is not called here, but perfbench/tracing.py wraps it by this name
 from .sdve import atomic_write, read_container, read_embeddings, write_container  # noqa: F401
-from .selection import validate_fragments
+from .selection import TOP_FRACTION, validate_fragments
 
 __all__ = [
     "SPLITS",
+    "NOISE",
     "VideoEntry",
     "DatasetManifest",
     "load_manifest",
@@ -106,7 +107,8 @@ def _parse_entry(raw, where) -> VideoEntry:
         id=vid,
         split=split,
         file=_typed(raw.get("file"), str, f"video {vid!r}: file"),
-        fragments=_fragment_pairs(raw["fragments"], vid) if raw.get("fragments") else None,
+        # only a missing or null list means none: [] is refused as covering no frame
+        fragments=None if raw.get("fragments") is None else _fragment_pairs(raw["fragments"], vid),
     )
 
 
@@ -145,7 +147,8 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
                 "id": v.id,
                 "split": v.split,
                 "file": v.file,
-                **({"fragments": [list(f) for f in v.fragments]} if v.fragments else {}),
+                **({"fragments": [list(f) for f in v.fragments]}
+                   if v.fragments is not None else {}),
             }
             for v in manifest.videos
         ],
@@ -256,14 +259,15 @@ def load_split(manifest: DatasetManifest, split: str,
 # synthetic corpus
 
 
+# The expected Euclidean norm of the perturbation added to a unit topic
+# vector (per-coordinate sigma = NOISE/sqrt(dim)), so its effect on cosine
+# similarity is dimension-independent: cos ~ 1/sqrt(1 + NOISE^2).
+NOISE = 0.1
+
+
 @dataclass
 class SynthSpec:
-    """Parameters of the planted-topic corpus.
-
-    ``noise`` is the expected Euclidean norm of the perturbation added to a
-    unit topic vector (per-coordinate sigma = noise/sqrt(dim)), so its effect
-    on cosine similarity is dimension-independent: cos ~ 1/sqrt(1 + noise^2).
-    """
+    """Parameters of the planted-topic corpus."""
 
     topics: int = 8
     dim: int = 64
@@ -274,8 +278,6 @@ class SynthSpec:
     frames_max: int = 60
     sentences_min: int = 3
     sentences_max: int = 6
-    noise: float = 0.1
-    positive_fraction: float = 0.15
     summaries_per_video: int = 10
     seed: int = 42
 
@@ -284,12 +286,6 @@ class SynthSpec:
             raise ConfigError(f"topics must be >= 2, got {self.topics}")
         if self.dim < 8:
             raise ConfigError(f"dim must be >= 8, got {self.dim}")
-        if not 0.0 < self.positive_fraction < 1.0:
-            raise ConfigError(
-                f"positive_fraction must be in (0, 1), got {self.positive_fraction}"
-            )
-        if self.noise < 0.0:
-            raise ConfigError(f"noise must be >= 0, got {self.noise}")
         if not 1 <= self.frames_min <= self.frames_max:
             raise ConfigError(
                 f"need 1 <= frames_min <= frames_max, got [{self.frames_min}, {self.frames_max}]"
@@ -303,10 +299,10 @@ class SynthSpec:
             raise ConfigError(f"summaries_per_video must be >= 1, got {self.summaries_per_video}")
         if min(self.videos_train, self.videos_validation, self.videos_test) < 0:
             raise ConfigError("split sizes must be >= 0")
-        if self.frames_min * self.positive_fraction < 1.0:
+        if self.frames_min * TOP_FRACTION < 1.0:
             raise ConfigError(
-                f"frames_min={self.frames_min} is too short for positive_fraction="
-                f"{self.positive_fraction}; need frames_min >= 1/positive_fraction"
+                f"frames_min={self.frames_min} is too short for summaries of "
+                f"{TOP_FRACTION:.0%} of the frames; need frames_min >= 1/{TOP_FRACTION}"
             )
         check_seed(self.seed)
 
@@ -315,14 +311,9 @@ def _unit_rows(m: np.ndarray) -> np.ndarray:
     return (m / np.linalg.norm(m, axis=1, keepdims=True)).astype(np.float32)
 
 
-def _noisy_copy(vecs: np.ndarray, sigma_norm: float, dim: int, g) -> np.ndarray:
-    """Rows perturbed by Gaussian noise of expected norm ``sigma_norm``, re-unit-normed."""
-    noise = g.normal(0.0, sigma_norm / math.sqrt(dim), size=vecs.shape)
-    if sigma_norm == 0.0:
-        # keep the zero-noise limit bit-exact; the draw above still consumes
-        # the stream so frame/topic assignments match across sigma values
-        return np.asarray(vecs, dtype=np.float32).copy()
-    return _unit_rows(vecs + noise)
+def _noisy_copy(vecs: np.ndarray, g) -> np.ndarray:
+    """Rows perturbed by Gaussian noise of expected norm ``NOISE``, re-unit-normed."""
+    return _unit_rows(vecs + g.normal(0.0, NOISE / math.sqrt(vecs.shape[1]), size=vecs.shape))
 
 
 def _topic_counts(n: int, p: float, k: int, g) -> list[int]:
@@ -388,8 +379,7 @@ def generate_synthetic(spec: SynthSpec, out_dir) -> DatasetManifest:
     out_dir = Path(out_dir)
     (out_dir / "videos").mkdir(parents=True, exist_ok=True)
     root = Rng(spec.seed)
-    d = spec.dim
-    p = spec.positive_fraction
+    d, p = spec.dim, TOP_FRACTION
 
     g_topics = root.stream("data")
     topic_vecs = _unit_rows(g_topics.normal(0.0, 1.0, size=(spec.topics, d)))
@@ -416,11 +406,10 @@ def generate_synthetic(spec: SynthSpec, out_dir) -> DatasetManifest:
                 fragments.append((cursor, end))
                 cursor = end
 
-            frames = _noisy_copy(topic_vecs[topic_of_frame], spec.noise, d, g)
+            frames = _noisy_copy(topic_vecs[topic_of_frame], g)
             present = sorted(set(int(t) for t in slots))
-            tensors = {"frames": frames,
-                       "description": _noisy_copy(topic_vecs[present].mean(axis=0, keepdims=True),
-                                                  spec.noise, d, g)}
+            description = topic_vecs[present].mean(axis=0, keepdims=True)
+            tensors = {"frames": frames, "description": _noisy_copy(description, g)}
 
             lo = max(1, math.ceil(n * p / 2))
             hi = max(lo, math.floor(n * min(2 * p, 0.9)))
@@ -434,7 +423,7 @@ def generate_synthetic(spec: SynthSpec, out_dir) -> DatasetManifest:
                 topic_seq = [script_set[i % len(script_set)] for i in range(m)]
                 labels_name, script_name = _pair_names(j)
                 tensors[labels_name] = labels.reshape(-1, 1)
-                tensors[script_name] = _noisy_copy(topic_vecs[topic_seq], spec.noise, d, g)
+                tensors[script_name] = _noisy_copy(topic_vecs[topic_seq], g)
 
             rel = f"videos/{vid}.sdvc"
             write_container({"video": vid}, tensors, out_dir / rel)

@@ -33,7 +33,7 @@ import numpy as np
 from .autodiff import ShapeError
 from .datasets import DatasetManifest, LoadedVideo, load_split
 from .errors import DataFormatError
-from .selection import select_top_fraction
+from .selection import TOP_FRACTION, select_top_fraction
 
 __all__ = [
     "TOP_FRACTION",
@@ -49,8 +49,6 @@ __all__ = [
     "OverlapMatrix",
     "overlap_matrix",
 ]
-
-TOP_FRACTION = 0.15
 
 
 def fscore_binary(pred: np.ndarray, gt: np.ndarray) -> float:

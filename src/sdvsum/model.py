@@ -19,14 +19,15 @@ one vector by concatenating T = 8 uniformly spaced sentence embeddings (a
 numpy gather: embeddings are constants) and projecting to D. The condenser is
 what makes the single-vector model strictly larger in parameter count.
 
-That architecture is fixed. A checkpoint's config still names it
-(``encoder_layers`` 1, ``scorer_head`` "direct", ``single_vector_t`` 8), and a
-checkpoint that names another value is refused.
+That architecture is fixed, and so is its dropout rate. A checkpoint's config
+still names them (``encoder_layers`` 1, ``scorer_head`` "direct",
+``single_vector_t`` 8, ``dropout_rate`` 0.5), and a checkpoint that names
+another value is refused.
 
 Inside the encoder block, self-attention always uses the conventional
 sqrt(D/H) scaling; ``use_scaling`` only governs the cross-modal stage.
-Dropout is applied to attention matrices and to the post-attention stage,
-nowhere else.
+Dropout, at ``DROPOUT_RATE``, is applied to attention matrices and to the
+post-attention stage, nowhere else.
 
 One forward pass can score several samples stacked along rows (a training
 group): frame and sentence offsets mark each sample's rows, both attention
@@ -64,6 +65,7 @@ from .rng import Rng
 __all__ = [
     "TEXT_REPS",
     "SINGLE_VECTOR_T",
+    "DROPOUT_RATE",
     "scalar_fields",
     "ModelConfig",
     "tensor_shapes",
@@ -84,8 +86,10 @@ __all__ = [
 
 TEXT_REPS = ("multi_vector", "single_vector")
 SINGLE_VECTOR_T = 8   # sentences the single-vector condenser concatenates
-# the fixed architecture, by the names a checkpoint's config gives it
-_FIXED = {"encoder_layers": 1, "scorer_head": "direct", "single_vector_t": SINGLE_VECTOR_T}
+DROPOUT_RATE = 0.5    # of the cross-modal attention matrices and the post-attention stage
+# the fixed architecture and dropout rate, by the names a checkpoint's config gives them
+_FIXED = {"encoder_layers": 1, "scorer_head": "direct", "single_vector_t": SINGLE_VECTOR_T,
+          "dropout_rate": DROPOUT_RATE}
 
 
 def scalar_fields(cls) -> dict[str, type]:
@@ -99,20 +103,12 @@ def scalar_fields(cls) -> dict[str, type]:
     return out
 
 
-def _fits(value, kind: type) -> bool:
-    """Whether a JSON value can stand for a ``kind`` field: a bool is no number, a float no int."""
-    if isinstance(value, bool) or kind is bool:
-        return isinstance(value, bool) and kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
 @dataclass
 class ModelConfig:
     dim: int = 512
     heads: int = 8
     use_scaling: bool = False
     text_rep: str = "multi_vector"
-    dropout_rate: float = 0.5
     ffn_dim: int | None = None   # None -> 4*dim
 
     def validate(self) -> None:
@@ -122,8 +118,6 @@ class ModelConfig:
             raise ConfigError(f"dim {self.dim} is not divisible by heads {self.heads}")
         if self.dim % 2 != 0:
             raise ConfigError(f"dim must be even for sinusoidal positions, got {self.dim}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.text_rep not in TEXT_REPS:
             raise ConfigError(f"text_rep must be one of {TEXT_REPS}, got {self.text_rep!r}")
         if self.ffn_dim is not None and self.ffn_dim < 1:
@@ -154,8 +148,8 @@ class ModelConfig:
         if unknown:
             raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
         for key, value in d.items():
-            # a field whose default is None (ffn_dim) may be null
-            if not (_fits(value, kinds[key]) or value is None and getattr(cls, key) is None):
+            # a bool is no int; a field whose default is None (ffn_dim) may be null
+            if not (type(value) is kinds[key] or value is None and getattr(cls, key) is None):
                 raise ConfigError(f"model config key {key!r} needs a {kinds[key].__name__}, "
                                   f"got {value!r}")
         config = cls(**d)
@@ -316,8 +310,7 @@ def scorer_forward(tape: Tape, z: Node, weights, config: ModelConfig, offsets=No
 
     Stacked samples (row ``offsets``) attend only to their own frames.
     """
-    # the encoder block itself runs dropout-free; the rate applies to the
-    # cross-modal attention matrices and the post-attention stage only
+    # the encoder block itself runs dropout-free
     att = _multi_head(tape, z, z, weights, "enc0.attn", config.heads,
                       math.sqrt(config.head_dim), q_offsets=offsets, k_offsets=offsets)
     z = layer_norm(add(z, att), _p(tape, weights, "enc0.ln1.gain"),
@@ -357,9 +350,8 @@ def _dropout_masks(config: ModelConfig, rng_gen, training: bool, x_offsets, y_of
     """
     att, post = [], []
     for a, b, lo, hi in zip(x_offsets, x_offsets[1:], y_offsets, y_offsets[1:]):
-        att.append(dropout_mask((config.heads, b - a, hi - lo), config.dropout_rate,
-                                rng_gen, training))
-        post.append(dropout_mask((b - a, config.dim), config.dropout_rate, rng_gen, training))
+        att.append(dropout_mask((config.heads, b - a, hi - lo), DROPOUT_RATE, rng_gen, training))
+        post.append(dropout_mask((b - a, config.dim), DROPOUT_RATE, rng_gen, training))
     if att[0] is None:
         return None, None
     return att, np.concatenate(post)

@@ -1,8 +1,8 @@
 """Turn frame scores into summaries.
 
-Two selection paths: the evaluation protocol picks the top-scoring 15% of
-individual frames; the deployment path picks whole temporal fragments under
-a frame budget by exact 0/1 knapsack.
+Two selection paths: the evaluation protocol picks the top-scoring
+``TOP_FRACTION`` (15%) of individual frames; the deployment path picks whole
+temporal fragments under a frame budget by exact 0/1 knapsack.
 """
 
 from __future__ import annotations
@@ -10,11 +10,16 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "TOP_FRACTION",
     "select_top_fraction",
     "fixed_fragmentation",
     "validate_fragments",
     "fragment_knapsack",
 ]
+
+# the share of its frames a summary holds: what the protocol selects, what
+# summarize budgets by default and what the synthetic corpus plants
+TOP_FRACTION = 0.15
 
 
 def select_top_fraction(scores: np.ndarray, fraction: float) -> np.ndarray:

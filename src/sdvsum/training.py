@@ -8,11 +8,12 @@ one sample whose target is the per-frame mean of its references.
 binary cross-entropy (``bce_loss``: the ``bce`` op, refusing labels other
 than 0/1); ``generic`` pairs the description with all of them, under ``mse``.
 
-"Batch size 4" over variable-length videos is a group of up to ``batch_size``
-samples whose losses are averaged before a single Adam step, without any
-padding. The group's samples are stacked along rows into one tape: one
-forward pass, in which every sample attends only to its own frames and
-sentences, one loss (the sum of the samples' mean losses) and one backward.
+The recipe's batch size 4 over variable-length videos is a group of up to
+``BATCH_SIZE`` samples whose losses are averaged before a single Adam step,
+without any padding. The group's samples are stacked along rows into one
+tape: one forward pass, in which every sample attends only to its own frames
+and sentences, one loss (the sum of the samples' mean losses) and one
+backward.
 Consecutive samples share a tape while their frames total at most
 ``STACK_ROWS``; a longer sample runs alone, since stacking saves nothing at
 that length and costs memory. The weights, the group gradient and Adam's
@@ -21,7 +22,7 @@ moments are flat float32 buffers whose views are the named tensors, in
 checkpoint splits them per head). Each backward adds the sum of its samples'
 gradients straight into the gradient buffer; a group (the remainder group at
 epoch end included) ends in one divide by its actual size, one Adam step and
-one zero-fill. L2 regularization is coupled: ``l2_factor * theta`` is added
+one zero-fill. L2 regularization is coupled: ``L2_FACTOR * theta`` is added
 to the gradient before the Adam moments.
 
 The validation split passes ``mode_pairs`` before anything is written.
@@ -56,6 +57,8 @@ __all__ = [
     "BEST_CHECKPOINT",
     "STACK_ROWS",
     "ADAM_SLICE",
+    "BATCH_SIZE",
+    "L2_FACTOR",
     "TrainConfig",
     "bce_loss",
     "average_ground_truth",
@@ -83,24 +86,17 @@ ADAM_SLICE = 1 << 16
 @dataclass
 class TrainConfig:
     learning_rate: float = 5e-5
-    l2_factor: float = 1e-4
-    batch_size: int = 4
     epochs: int = 50
     mode: str = "script_driven"
     seed: int = 42
 
     def validate(self) -> None:
-        # adam_step computes in float32: a setting must keep its meaning there
+        # adam_step computes in float32: the step size must keep its meaning there
         with np.errstate(over="ignore"):
-            lr, l2 = np.array([self.learning_rate, self.l2_factor], dtype=np.float32)
+            lr = np.float32(self.learning_rate)
         if not 0 < lr < np.inf:
             raise ConfigError(f"learning_rate must be positive and finite in float32, "
                               f"got {self.learning_rate}")
-        if not (self.l2_factor >= 0 and l2 < np.inf):
-            raise ConfigError(f"l2_factor must be >= 0 and finite in float32, "
-                              f"got {self.l2_factor}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.mode not in TRAIN_MODES:
@@ -124,7 +120,10 @@ def bce_loss(f: Node, labels: np.ndarray, offsets=None,
 # ---------------------------------------------------------------------------
 # optimizer
 
-# Adam's usual decay rates and epsilon: the recipe varies only the step size and L2
+# the recipe's samples per Adam step and coupled L2 factor, and Adam's usual
+# decay rates and epsilon: the recipe varies only the step size
+BATCH_SIZE = 4
+L2_FACTOR = 1e-4
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -156,7 +155,7 @@ def adam_step(w: np.ndarray, g: np.ndarray, state: OptimizerState,
     b1, b2 = np.float32(ADAM_BETA1), np.float32(ADAM_BETA2)
     lr = np.float32(config.learning_rate)
     eps = np.float32(ADAM_EPS)
-    l2 = np.float32(config.l2_factor)
+    l2 = np.float32(L2_FACTOR)
     c1 = np.float32(1.0 - ADAM_BETA1 ** t)
     c2 = np.float32(1.0 - ADAM_BETA2 ** t)
     for lo in range(0, w.size, ADAM_SLICE):
@@ -292,7 +291,6 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
     g = np.zeros_like(w)
     weights, grads = _views(w, init), _views(g, init)
     state = OptimizerState.for_weights(w)
-    batch = train_config.batch_size
 
     report = TrainReport()
     for epoch in range(1, train_config.epochs + 1):
@@ -300,8 +298,8 @@ def train_run(manifest: DatasetManifest, model_config: ModelConfig,
         drop_gen = rng.stream("dropout", epoch)
 
         epoch_losses: list[float] = []
-        for start in range(0, len(order), batch):
-            group = [samples[i] for i in order[start:start + batch]]
+        for start in range(0, len(order), BATCH_SIZE):
+            group = [samples[i] for i in order[start:start + BATCH_SIZE]]
             # numpy stays silent: a blow-up is reported once, as a NumericError
             with np.errstate(all="ignore"):
                 losses = [loss for stack in _stacks(group) for loss in

@@ -174,7 +174,7 @@ def test_criterion_1_gradient_suite():
     # full forward + BCE composite: N=4, M=2, D=16, H=4, dropout off.
     # Weight/data seeds are pinned to keep every encoder ReLU pre-activation
     # at least 0.04 away from its kink, far beyond the 1e-3 probe step.
-    cfg = ModelConfig(dim=16, heads=4, dropout_rate=0.0)
+    cfg = ModelConfig(dim=16, heads=4)
     weights = init_weights(cfg, Rng(17))
     rng = np.random.default_rng(2)
     X, Y = unit_rows(rng, 4, 16), unit_rows(rng, 2, 16)

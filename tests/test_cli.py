@@ -39,7 +39,6 @@ summaries_per_video = 3
 
 TRAIN_TEXT = """
 heads = 4
-dropout_rate = 0.0
 learning_rate = 0.01
 epochs = 2
 """
@@ -222,13 +221,25 @@ def test_config_dim_other_than_the_manifest_writes_nothing(workspace, tmp_path, 
     code, stdout, err = run(capsys, command, "--manifest", str(root / "data" / "manifest.json"),
                             "--config", str(cfg), "--out", str(out))
     assert code == 1 and stdout == ""
-    assert err == f"configuration error: {cfg}:6: unknown key 'dim'\n"
+    assert err == f"configuration error: {cfg}:5: unknown key 'dim'\n"
     assert sorted(tmp_path.iterdir()) == [cfg]
 
 
-# (command, key): every key of one file kind only, in the other kind's file
-ONE_KIND_KEYS = [("train", key) for key in sorted(SPEC_KEYS.keys() - RUN_KEYS.keys())] + \
-    [("synth", key) for key in sorted(RUN_KEYS.keys() - SPEC_KEYS.keys())]
+# (command, line): a line setting each value fixed in the command's file kind,
+# the architecture and recipe of train, the noise and summary fraction of synth
+FIXED = [("train", line) for line in ("encoder_layers = 1", "scorer_head = direct",
+                                      "single_vector_t = 8", "dropout_rate = 0.0",
+                                      "l2_factor = 0", "batch_size = 3")] + \
+    [("synth", line) for line in ("noise = 0.0", "positive_fraction = 0.2")]
+# command -> the key each of its fixed values would have
+FIXED_KEYS = {command: {line.split()[0] for c, line in FIXED if c == command}
+              for command in ("train", "synth")}
+
+# (command, key): every key of one file kind only, and every fixed value's
+# key, in the other kind's file
+ONE_KIND_KEYS = \
+    [("train", key) for key in sorted(SPEC_KEYS.keys() - RUN_KEYS.keys() | FIXED_KEYS["synth"])] \
+    + [("synth", key) for key in sorted(RUN_KEYS.keys() - SPEC_KEYS.keys() | FIXED_KEYS["train"])]
 
 
 @pytest.mark.parametrize("command, key", ONE_KIND_KEYS, ids=[f"{c}-{k}" for c, k in ONE_KIND_KEYS])
@@ -250,15 +261,17 @@ def test_a_key_of_the_other_file_kind_writes_nothing(workspace, tmp_path, capsys
     assert sorted(tmp_path.iterdir()) == [cfg]
 
 
-@pytest.mark.parametrize("line", ["encoder_layers = 1", "scorer_head = direct",
-                                  "single_vector_t = 8"])
-def test_fixed_architecture_is_no_key(workspace, tmp_path, capsys, line):
-    # one encoder block, a linear head and T = 8 are the model, not settings
+@pytest.mark.parametrize("command, line", FIXED, ids=[line for _, line in FIXED])
+def test_fixed_architecture_is_no_key(workspace, tmp_path, capsys, command, line):
+    # one encoder block, a linear head, T = 8, dropout 0.5, L2 1e-4 and batches
+    # of 4 are the model and its recipe, noise 0.1 and 15% summaries the
+    # corpus, not settings
     root, _ = workspace
     cfg = tmp_path / "arch.cfg"
     cfg.write_text(line + "\n", encoding="utf-8")
-    code, stdout, err = run(capsys, "train", "--manifest", str(root / "data" / "manifest.json"),
-                            "--config", str(cfg), "--out", str(tmp_path / "r"))
+    source = (["--spec", str(cfg)] if command == "synth" else
+              ["--manifest", str(root / "data" / "manifest.json"), "--config", str(cfg)])
+    code, stdout, err = run(capsys, command, *source, "--out", str(tmp_path / "r"))
     assert (code, stdout) == (1, "")
     assert err == f"configuration error: {cfg}:1: unknown key '{line.split()[0]}'\n"
     assert sorted(tmp_path.iterdir()) == [cfg]
@@ -304,9 +317,10 @@ def test_train_non_finite_weights_exit_3_before_any_write(workspace, tmp_path, c
         w[0] = np.inf
 
     monkeypatch.setattr(sdvsum.training, "adam_step", overflowing_step)
-    cfg = tmp_path / "blowup.cfg"
     # all 6 training samples in one group: that group's update is the epoch's last
-    cfg.write_text("heads = 4\nbatch_size = 6\nepochs = 1\n", encoding="utf-8")
+    monkeypatch.setattr(sdvsum.training, "BATCH_SIZE", 6)
+    cfg = tmp_path / "blowup.cfg"
+    cfg.write_text("heads = 4\nepochs = 1\n", encoding="utf-8")
     out = tmp_path / "r"
     code, _, err = run(capsys, "train", "--manifest", str(root / "data" / "manifest.json"),
                        "--config", str(cfg), "--out", str(out))
@@ -321,8 +335,7 @@ def test_train_overflow_is_one_numeric_failure_line(workspace, tmp_path, capsys)
     must print nothing: the run's only word is the numeric failure."""
     root, _ = workspace
     cfg = tmp_path / "overflow.cfg"
-    cfg.write_text("heads = 4\nepochs = 1\nbatch_size = 3\nlearning_rate = 3e38\n",
-                   encoding="utf-8")
+    cfg.write_text("heads = 4\nepochs = 1\nlearning_rate = 3e38\n", encoding="utf-8")
     out = tmp_path / "r"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -336,7 +349,7 @@ def test_train_overflow_is_one_numeric_failure_line(workspace, tmp_path, capsys)
     assert stdout == "" and not out.exists()
 
 
-@pytest.mark.parametrize("line", ["learning_rate = 1e39", "l2_factor = 1e39"])
+@pytest.mark.parametrize("line", ["learning_rate = 1e39"])
 def test_train_float32_unsafe_setting_exits_1_before_any_write(workspace, tmp_path, capsys,
                                                               line):
     root, _ = workspace
@@ -549,6 +562,18 @@ def test_eval_overlap_with_no_ids_is_usage_error(workspace, tmp_path, capsys):
     assert "no video ids" in err
     assert "Traceback" not in err
     assert not (tmp_path / "m.csv").exists()
+
+
+def test_eval_overlap_out_without_overlap_is_usage_error(workspace, tmp_path, capsys):
+    # the CSV path would be ignored: no matrix is made without --overlap
+    root, _ = workspace
+    out_csv = tmp_path / "m.csv"
+    code, stdout, err = run(capsys, "eval", "--manifest", str(root / "data" / "manifest.json"),
+                            "--checkpoint", str(root / "run" / "best.sdvc"),
+                            "--split", "test", "--mode", "script", "--overlap-out", str(out_csv))
+    assert (code, stdout) == (1, "")
+    assert err == "error: --overlap-out needs --overlap\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_overlap_scores_each_pair_once(workspace, tmp_path, capsys, monkeypatch):
@@ -972,7 +997,7 @@ def test_inference_takes_no_seed(workspace, capsys, argv):
 def test_ablate_runs_five_variants(workspace, tmp_path, capsys):
     root, _ = workspace
     cfg = tmp_path / "ab.cfg"
-    cfg.write_text("heads = 8\ndropout_rate = 0.0\nepochs = 1\n", encoding="utf-8")
+    cfg.write_text("heads = 8\nepochs = 1\n", encoding="utf-8")
     code, out, _ = run(capsys, "ablate",
                        "--manifest", str(root / "data" / "manifest.json"),
                        "--config", str(cfg), "--out", str(tmp_path / "ab"))
@@ -1005,10 +1030,10 @@ def test_ablate_checks_the_variants_not_the_config(workspace, tmp_path, capsys):
     rows = json.loads(out[out.index("["):])
     assert [r["heads"] for r in rows] == [v[2] for v in ABLATION_VARIANTS]
     # a setting the variants keep is still checked before anything is written
-    cfg.write_text("heads = 5\ndropout_rate = 1.0\nepochs = 1\n", encoding="utf-8")
+    cfg.write_text("heads = 5\nffn_dim = 0\nepochs = 1\n", encoding="utf-8")
     code, out, err = run(capsys, *argv, "--out", str(tmp_path / "refused"))
     assert (code, out) == (1, "")
-    assert err == "configuration error: dropout_rate must be in [0, 1), got 1.0\n"
+    assert err == "configuration error: ffn_dim must be >= 1, got 0\n"
     assert not (tmp_path / "refused").exists()
 
 

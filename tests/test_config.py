@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 from sdvsum.config import RUN_KEYS, SPEC_KEYS, parse_config, parse_spec
-from sdvsum.datasets import SynthSpec
+from sdvsum.datasets import NOISE, SynthSpec
 from sdvsum.errors import ConfigError
-from sdvsum.model import ModelConfig, scalar_fields
-from sdvsum.training import TrainConfig
+from sdvsum.model import DROPOUT_RATE, ModelConfig, scalar_fields
+from sdvsum.selection import TOP_FRACTION
+from sdvsum.training import BATCH_SIZE, L2_FACTOR, TrainConfig
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -27,15 +28,14 @@ def test_empty_file_gives_reference_defaults(tmp_path):
     cfg = parse_config(write(tmp_path, ""))
     assert cfg.model.dim == 512
     assert cfg.model.heads == 8
-    assert cfg.model.dropout_rate == 0.5
     assert cfg.model.use_scaling is False
     assert cfg.model.text_rep == "multi_vector"
     assert cfg.train.learning_rate == 5e-5
-    assert cfg.train.l2_factor == 1e-4
-    assert cfg.train.batch_size == 4
     assert cfg.train.epochs == 50
     assert cfg.train.seed == 42
     assert parse_spec(write(tmp_path, "")) == SynthSpec()
+    # the recipe's values that are no keys
+    assert (DROPOUT_RATE, L2_FACTOR, BATCH_SIZE, NOISE, TOP_FRACTION) == (0.5, 1e-4, 4, 0.1, 0.15)
 
 
 def test_none_path_same_as_empty(tmp_path):
@@ -49,12 +49,12 @@ def test_values_comments_and_types(tmp_path):
     cfg = parse_config(write(tmp_path, """
 # experiment settings
 learning_rate = 1e-3   # bigger steps
-batch_size = 8
+epochs = 8
 use_scaling = true
 text_rep = single_vector
 """))
     assert cfg.train.learning_rate == 1e-3
-    assert cfg.train.batch_size == 8
+    assert cfg.train.epochs == 8
     assert cfg.model.use_scaling is True
     assert cfg.model.text_rep == "single_vector"
 
@@ -91,12 +91,12 @@ def test_malformed_lines_rejected(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(write(tmp_path, "use_scaling = 1\n"))  # bools are true/false
     with pytest.raises(ConfigError):
-        parse_config(write(tmp_path, "batch_size = 0\n"))  # validated range
+        parse_config(write(tmp_path, "epochs = 0\n"))  # validated range
     with pytest.raises(ConfigError, match="frames_min"):
         parse_spec(write(tmp_path, "frames_min = 9\nframes_max = 8\n"))   # validated range
     floats = [(parse, key) for parse, keys in ((parse_config, RUN_KEYS), (parse_spec, SPEC_KEYS))
               for key, kind in keys.items() if kind is float]
-    assert {"learning_rate", "noise", "dropout_rate"} <= {key for _, key in floats}
+    assert [key for _, key in floats] == ["learning_rate"]
     for parse, key in floats:
         for value in ("nan", "inf", "-inf"):
             with pytest.raises(ConfigError, match="must be finite"):
@@ -105,7 +105,6 @@ def test_malformed_lines_rejected(tmp_path):
 
 @pytest.mark.parametrize("line", [
     "learning_rate = 1e39",     # inf in float32
-    "l2_factor = 1e39",         # inf in float32
     "learning_rate = 1e-50",    # 0 in float32
 ])
 def test_training_settings_float32_changes_are_rejected(tmp_path, line):
@@ -117,8 +116,8 @@ def test_training_settings_float32_changes_are_rejected(tmp_path, line):
 
 
 def test_training_settings_float32_holds_are_accepted(tmp_path):
-    cfg = parse_config(write(tmp_path, "learning_rate = 3e38\nl2_factor = 3e38\n"))
-    assert cfg.train.learning_rate == cfg.train.l2_factor == 3e38
+    cfg = parse_config(write(tmp_path, "learning_rate = 3e38\n"))
+    assert cfg.train.learning_rate == 3e38
 
 
 def test_adam_constants_are_no_keys(tmp_path):
@@ -169,13 +168,14 @@ def test_dim_argument_sets_only_the_model(tmp_path):
 def test_known_keys_cover_all_tables():
     assert {"heads", "learning_rate", "seed"} <= set(RUN_KEYS)
     assert {"topics", "dim", "seed"} <= set(SPEC_KEYS)
-    assert "dropout" not in RUN_KEYS  # the full name dropout_rate is the key
 
 
 def test_keys_are_the_section_fields():
     run = {f.name for cls in (ModelConfig, TrainConfig) for f in fields(cls)} - {"dim"}
-    assert set(RUN_KEYS) == run and len(RUN_KEYS) == 11
-    assert set(SPEC_KEYS) == {f.name for f in fields(SynthSpec)} and len(SPEC_KEYS) == 13
+    assert set(RUN_KEYS) == run
+    assert list(RUN_KEYS) == ["heads", "use_scaling", "text_rep", "ffn_dim",
+                              "learning_rate", "epochs", "mode", "seed"]
+    assert list(SPEC_KEYS) == [f.name for f in fields(SynthSpec)] and len(SPEC_KEYS) == 11
     assert set(RUN_KEYS) & set(SPEC_KEYS) == {"seed"}
     assert "checkpoint" not in RUN_KEYS
 
@@ -188,8 +188,8 @@ def test_a_new_field_is_a_key_of_its_type():
 
     keys = scalar_fields(Extended)
     assert keys["warmup_steps"] is int and keys["schedule"] is str
-    assert {k: keys[k] for k in ("learning_rate", "batch_size", "mode")} \
-        == {"learning_rate": float, "batch_size": int, "mode": str}
+    assert {k: keys[k] for k in ("learning_rate", "epochs", "mode")} \
+        == {"learning_rate": float, "epochs": int, "mode": str}
     assert scalar_fields(ModelConfig)["ffn_dim"] is int
     assert scalar_fields(ModelConfig)["use_scaling"] is bool
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sdvsum.datasets
 from sdvsum.datasets import (
     DatasetManifest,
     SynthSpec,
@@ -19,6 +20,7 @@ from sdvsum.datasets import (
 from sdvsum.errors import ConfigError, DataFormatError
 from sdvsum.rng import Rng
 from sdvsum.sdve import write_container
+from sdvsum.selection import TOP_FRACTION
 
 
 SMALL = SynthSpec(
@@ -31,8 +33,6 @@ SMALL = SynthSpec(
     frames_max=28,
     sentences_min=3,
     sentences_max=6,
-    noise=0.1,
-    positive_fraction=0.2,
     summaries_per_video=4,
     seed=11,
 )
@@ -168,7 +168,8 @@ def test_files_are_read_once_by_the_loader_of_their_split(small_dataset, monkeyp
     assert len(opened) == 2
 
 
-# case: (an edit of the manifest, the fault its one message names)
+# case: (an edit of the manifest, the fault its one message names); only a
+# missing or null fragment list means none
 MALFORMED = {
     "entry without file": (lambda d: d["videos"][0].pop("file"),
                            "video 'v0': file: expected str, got None"),
@@ -191,6 +192,11 @@ MALFORMED = {
     "fragment bound is a boolean": (
         lambda d: d["videos"][0].update(fragments=[[False, 6]]),
         r"video 'v0': fragment \[False, 6\] is not a \[start, end\] pair"),
+    **{f"fragments are {value!r}": (lambda d, value=value: d["videos"][0].update(fragments=value),
+                                    f"video 'v0': fragments: expected list, got {value!r}")
+       for value in (0, False, "", {})},
+    "fragments are []": (lambda d: d["videos"][0].update(fragments=[]),
+                         r"video 'v0': fragments cover \[0, 0\) but the video has 6 frames"),
 }
 
 
@@ -200,8 +206,8 @@ def test_malformed_manifest_is_manifest_error(tmp_path, mutate, fault):
     doc = json.loads(path.read_text())
     mutate(doc)
     path.write_text(json.dumps(doc))
-    with pytest.raises(DataFormatError, match=fault):
-        load_manifest(path)
+    with pytest.raises(DataFormatError, match=fault):   # from the manifest, or its one video
+        load_split(load_manifest(path), "train")
 
 
 def test_dimension_mismatch_names_video(tmp_path):
@@ -312,7 +318,7 @@ def test_one_file_per_video_plus_the_manifest(tmp_path, spec, videos):
 
 def test_positive_fraction_band(small_dataset):
     _, manifest = small_dataset
-    p = SMALL.positive_fraction
+    p = TOP_FRACTION
     lo, hi = p / 2, min(2 * p, 0.9)
     for split in ("train", "validation", "test"):
         for v in load_split(manifest, split):
@@ -329,8 +335,9 @@ def test_labels_match_frame_count(small_dataset):
             assert set(np.unique(s.labels)) <= {0.0, 1.0}
 
 
-def test_zero_noise_frames_are_exact_topics(tmp_path):
-    spec = SynthSpec(**{**SMALL.__dict__, "noise": 0.0, "videos_train": 4})
+def test_zero_noise_frames_are_exact_topics(tmp_path, monkeypatch):
+    monkeypatch.setattr(sdvsum.datasets, "NOISE", 0.0)
+    spec = SynthSpec(**{**SMALL.__dict__, "videos_train": 4})
     manifest = generate_synthetic(spec, tmp_path / "z")
     frames = np.concatenate([v.frames for v in load_split(manifest, "train")])
     distinct = np.unique(frames, axis=0)
@@ -339,13 +346,15 @@ def test_zero_noise_frames_are_exact_topics(tmp_path):
     assert np.allclose(norms, 1.0, atol=1e-6)
 
 
-def test_nearest_topic_classification(tmp_path):
+def test_nearest_topic_classification(tmp_path, monkeypatch):
     # Same seed at sigma=0 exposes the planted topics; at sigma=0.1 the noisy
     # frames must still classify to their own topic nearly always.
-    base = {**SMALL.__dict__, "videos_train": 12, "videos_validation": 0,
-            "videos_test": 0, "frames_min": 30, "frames_max": 30}
-    clean = generate_synthetic(SynthSpec(**{**base, "noise": 0.0}), tmp_path / "c")
-    noisy = generate_synthetic(SynthSpec(**{**base, "noise": 0.1}), tmp_path / "n")
+    spec = SynthSpec(**{**SMALL.__dict__, "videos_train": 12, "videos_validation": 0,
+                        "videos_test": 0, "frames_min": 30, "frames_max": 30})
+    assert sdvsum.datasets.NOISE == 0.1
+    noisy = generate_synthetic(spec, tmp_path / "n")
+    monkeypatch.setattr(sdvsum.datasets, "NOISE", 0.0)
+    clean = generate_synthetic(spec, tmp_path / "c")
     clean_frames = [v.frames for v in load_split(clean, "train")]
     noisy_frames = [v.frames for v in load_split(noisy, "train")]
     topics = np.unique(np.concatenate(clean_frames), axis=0)
@@ -391,10 +400,7 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         SynthSpec(topics=1).validate()
     with pytest.raises(ConfigError):
-        SynthSpec(positive_fraction=0.0).validate()
-    with pytest.raises(ConfigError):
-        SynthSpec(noise=-0.1).validate()
-    with pytest.raises(ConfigError):
         SynthSpec(frames_min=10, frames_max=5).validate()
-    with pytest.raises(ConfigError):
-        SynthSpec(frames_min=3, positive_fraction=0.2).validate()
+    with pytest.raises(ConfigError, match="frames_min=6 is too short"):   # 6 * 15% < 1 frame
+        SynthSpec(frames_min=6).validate()
+    SynthSpec(frames_min=7).validate()

@@ -105,10 +105,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(dim=15, heads=3).validate()  # odd dim breaks the position code
     with pytest.raises(ConfigError):
-        ModelConfig(dropout_rate=1.0).validate()
-    with pytest.raises(ConfigError):
-        ModelConfig(dropout_rate=-0.1).validate()
-    with pytest.raises(ConfigError):
         ModelConfig(text_rep="both").validate()
 
 
@@ -538,7 +534,7 @@ def test_inference_deterministic():
 
 
 def test_training_dropout_stochastic_but_seeded():
-    cfg = ModelConfig(dim=16, heads=4, dropout_rate=0.5)
+    cfg = ModelConfig(dim=16, heads=4)
     w = init_weights(cfg, Rng(18))
     rng = np.random.default_rng(19)
     X, Y = unit_rows(rng, 5, 16), unit_rows(rng, 3, 16)
@@ -669,16 +665,17 @@ def test_config_from_dict_rejects_mistyped_values(key, value):
 def test_checkpoint_config_names_the_fixed_architecture():
     config = ModelConfig(dim=16, heads=4)
     blob = config.to_dict()
-    assert {k: blob[k] for k in ("encoder_layers", "scorer_head", "single_vector_t")} \
-        == {"encoder_layers": 1, "scorer_head": "direct", "single_vector_t": 8}
+    fixed = ("encoder_layers", "scorer_head", "single_vector_t", "dropout_rate")
+    assert {k: blob[k] for k in fixed} == {"encoder_layers": 1, "scorer_head": "direct",
+                                           "single_vector_t": 8, "dropout_rate": 0.5}
     assert ModelConfig.from_dict(blob) == config
-    for key in ("encoder_layers", "scorer_head", "single_vector_t"):   # an older blob omits it
+    for key in fixed:   # an older blob omits it
         assert ModelConfig.from_dict({k: v for k, v in blob.items() if k != key}) == config
 
 
 @pytest.mark.parametrize("key, value", [
     ("encoder_layers", 2), ("encoder_layers", True), ("scorer_head", "hidden"),
-    ("single_vector_t", 3), ("single_vector_t", 8.0),
+    ("single_vector_t", 3), ("single_vector_t", 8.0), ("dropout_rate", 0.0),
 ])
 def test_config_from_dict_refuses_another_architecture(key, value):
     blob = dict(ModelConfig(dim=16, heads=4).to_dict(), **{key: value})
@@ -686,10 +683,10 @@ def test_config_from_dict_refuses_another_architecture(key, value):
         ModelConfig.from_dict(blob)
 
 
-def test_config_from_dict_accepts_null_ffn_dim_and_whole_number_rates():
-    blob = dict(ModelConfig(dim=16, heads=4).to_dict(), dropout_rate=0)
+def test_config_from_dict_accepts_null_ffn_dim():
+    blob = ModelConfig(dim=16, heads=4).to_dict()
     assert blob["ffn_dim"] is None
-    assert ModelConfig.from_dict(blob).dropout_rate == 0.0
+    assert ModelConfig.from_dict(blob).ffn_dim is None
 
 
 def test_checkpoint_rejects_missing_tensor(tmp_path):

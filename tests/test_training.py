@@ -57,8 +57,6 @@ def test_train_config_validation():
     TrainConfig().validate()
     for bad in [
         TrainConfig(learning_rate=0.0),
-        TrainConfig(l2_factor=-1e-4),
-        TrainConfig(batch_size=0),
         TrainConfig(epochs=0),
         TrainConfig(mode="reinforce"),
         TrainConfig(seed=-1),
@@ -185,34 +183,37 @@ def test_average_ground_truth_order_invariant():
 # adam
 
 
-def test_adam_zero_everything_is_fixed_point():
+def test_adam_zero_everything_is_fixed_point(monkeypatch):
+    monkeypatch.setattr(training, "L2_FACTOR", 0.5)
     w = np.zeros(4, dtype=np.float32)
     state = OptimizerState.for_weights(w)
-    adam_step(w, np.zeros(4, dtype=np.float32), state, TrainConfig(l2_factor=0.5))
+    adam_step(w, np.zeros(4, dtype=np.float32), state, TrainConfig())
     assert np.array_equal(w, np.zeros(4, dtype=np.float32))
     assert state.step == 1
 
 
-def test_adam_first_step_magnitude():
+def test_adam_first_step_magnitude(monkeypatch):
     # g'=l2*theta=0.1; bias-corrected m_hat/sqrt(v_hat)=1, so the step is ~lr
-    cfg = TrainConfig(learning_rate=1e-2, l2_factor=0.1)
+    monkeypatch.setattr(training, "L2_FACTOR", 0.1)
+    cfg = TrainConfig(learning_rate=1e-2)
     w = np.ones(1, dtype=np.float32)
     adam_step(w, np.zeros(1, dtype=np.float32), OptimizerState.for_weights(w), cfg)
     assert w[0] == pytest.approx(1.0 - 1e-2, abs=1e-6)
 
 
-def test_adam_matches_float64_reference():
-    _check_adam_against_float64_reference(scale=1.0)
+def test_adam_matches_float64_reference(monkeypatch):
+    _check_adam_against_float64_reference(monkeypatch, scale=1.0)
 
 
-def test_adam_matches_float64_reference_at_eps_sized_gradients():
+def test_adam_matches_float64_reference_at_eps_sized_gradients(monkeypatch):
     # gradients about eps in size make eps matter as much as the gradient
-    _check_adam_against_float64_reference(scale=1e-8)
+    _check_adam_against_float64_reference(monkeypatch, scale=1e-8)
 
 
-def _check_adam_against_float64_reference(scale):
+def _check_adam_against_float64_reference(monkeypatch, scale):
     # Adam's own constants, as literals: beta1 0.9, beta2 0.999, eps 1e-8
-    cfg = TrainConfig(learning_rate=3e-3, l2_factor=1e-2 * scale)
+    monkeypatch.setattr(training, "L2_FACTOR", 1e-2 * scale)
+    cfg = TrainConfig(learning_rate=3e-3)
     rng = np.random.default_rng(2)
     w = rng.normal(size=16).astype(np.float32)
     ref = w.astype(np.float64)
@@ -221,7 +222,7 @@ def _check_adam_against_float64_reference(scale):
     state = OptimizerState.for_weights(w)
     for t in range(1, 4):
         grads = (scale * rng.normal(size=w.shape)).astype(np.float32)
-        g = grads.astype(np.float64) + cfg.l2_factor * ref
+        g = grads.astype(np.float64) + training.L2_FACTOR * ref
         adam_step(w, grads, state, cfg)
         m = 0.9 * m + (1 - 0.9) * g
         v2 = 0.999 * v2 + (1 - 0.999) * g * g
@@ -232,7 +233,7 @@ def _check_adam_against_float64_reference(scale):
 
 
 def test_adam_pure_l2_shrinks_norms():
-    cfg = TrainConfig(learning_rate=1e-3, l2_factor=1e-2)
+    cfg = TrainConfig(learning_rate=1e-3)
     w = np.ones(16, dtype=np.float32)
     state = OptimizerState.for_weights(w)
     prev = np.linalg.norm(w)
@@ -262,7 +263,7 @@ def test_adam_deterministic_trajectory():
 def test_adam_is_bitwise_the_float32_expression():
     # the sliced in-place update against the plain float32 expression it
     # replaces, over three whole slices and a remainder
-    cfg = TrainConfig(learning_rate=3e-3, l2_factor=1e-2)
+    cfg = TrainConfig(learning_rate=3e-3)
     rng = np.random.default_rng(4)
     size = 3 * training.ADAM_SLICE + 123
     w = (rng.normal(size=size) * np.logspace(-6, 2, size)).astype(np.float32)
@@ -273,7 +274,7 @@ def test_adam_is_bitwise_the_float32_expression():
     state = OptimizerState.for_weights(w)
     for t in range(1, 4):
         grad = (rng.normal(size=w.shape) * np.logspace(2, -6, w.size)).astype(np.float32)
-        g = grad + np.float32(cfg.l2_factor) * ref
+        g = grad + np.float32(training.L2_FACTOR) * ref
         m *= b1
         m += (1 - b1) * g
         v *= b2
@@ -290,7 +291,7 @@ def test_adam_is_bitwise_the_float32_expression():
 # the loop
 
 
-MODEL = ModelConfig(dim=16, heads=4, dropout_rate=0.0)
+MODEL = ModelConfig(dim=16, heads=4)
 FAST = TrainConfig(learning_rate=1e-2, epochs=2, seed=7)
 
 
@@ -313,7 +314,9 @@ def test_train_run_generic_one_sample_per_video(tiny, tmp_path, monkeypatch):
 
 
 def test_remainder_group_is_averaged_over_its_actual_size(tiny, tmp_path, monkeypatch):
-    # generic mode: 3 train videos, batch 4 -> one step on the mean of 3 gradients
+    # generic mode: 3 train videos, batch 4 -> one step on the mean of 3 gradients;
+    # dropout off, so that the run's gradients are those of the plain forward
+    monkeypatch.setattr(sdvsum.model, "DROPOUT_RATE", 0.0)
     seen = []
     real = training.adam_step
     monkeypatch.setattr(training, "adam_step",
@@ -349,6 +352,7 @@ def test_train_run_outputs_and_best_selection(tiny, tmp_path):
 
 def test_train_run_writes_the_checkpoint_at_each_improvement_only(tiny, tmp_path,
                                                                   monkeypatch):
+    monkeypatch.setattr(sdvsum.model, "DROPOUT_RATE", 0.0)   # for the scores pinned below
     saved = []
     real = sdvsum.model.save_checkpoint
     monkeypatch.setattr(sdvsum.model, "save_checkpoint",
@@ -453,7 +457,7 @@ def test_nonfinite_loss_names_the_adam_steps_before_it(tmp_path):
     spec = SynthSpec(dim=16, topics=4, videos_train=5, videos_validation=1, videos_test=1,
                      frames_min=12, frames_max=16, summaries_per_video=1, seed=5)
     manifest = generate_synthetic(spec, tmp_path / "data")
-    cfg = TrainConfig(epochs=1, batch_size=3, learning_rate=3e38)
+    cfg = TrainConfig(epochs=1, learning_rate=3e38)
     with pytest.raises(
             NumericError, match=r"epoch 1, .*after 1 Adam step.*largest \|weight\| 3e\+38"):
         train_run(manifest, ModelConfig(dim=16, heads=2), cfg, tmp_path / "r")
@@ -469,7 +473,7 @@ def test_stacked_group_gradient_is_the_mean_of_sample_gradients(tiny, tmp_path, 
                                                                 mode, text_rep):
     # the first group's gradient, one stacked tape, against each of its samples
     # run alone on its own tape with the same dropout stream, in the same order
-    model = ModelConfig(dim=16, heads=4, dropout_rate=0.5, text_rep=text_rep)
+    model = ModelConfig(dim=16, heads=4, text_rep=text_rep)
     cfg = dataclasses.replace(FAST, epochs=1, mode=mode)
     seen = []
     real = training.adam_step
@@ -482,7 +486,7 @@ def test_stacked_group_gradient_is_the_mean_of_sample_gradients(tiny, tmp_path, 
     order = rng.stream("shuffle", 1).permutation(len(samples))
     drop = rng.stream("dropout", 1)
     weights = init_weights(model, rng)
-    group = [samples[i] for i in order[:cfg.batch_size]]
+    group = [samples[i] for i in order[:training.BATCH_SIZE]]
     loss_fn = mse if mode == "generic" else bce_loss
     total = np.zeros_like(seen[0])
     for _, x, y, target in group:
